@@ -11,6 +11,8 @@ coefficients:
                dominates 0.5 * ||third log-likelihood derivative||_op
                over the relevant parameter ball,
     V_H        E[Tr(B^2)] for the centred Hessian B(x) = l''(x) + F,
+               supplied by the model's hessian_fluctuation (from the
+               score matrix for affine models, no K x d x d stack),
     rho        third absolute moment of the projected score,
     sigma      sqrt of the relevant inverse-Fisher scalar,
     C          Berry-Esseen constant (default 0.4748, always overridable).
@@ -159,8 +161,11 @@ def estimate_coefficients(
 ) -> BoundCoefficients:
     """Bound coefficients of a model at an interior parameter point.
 
-    V_H and the projected third moments are computed exactly by outcome
-    enumeration.  mu_R and V_R come from the per-outcome envelope of
+    V_H and the projected third moments are exact sums over the outcomes:
+    the projected moments from the (K, d) score matrix, V_H from the
+    model's hessian_fluctuation, which affine models evaluate from the
+    same scores without forming per-outcome Hessians.  mu_R and V_R come
+    from the per-outcome envelope of
     0.5 * ||third derivative||_op over the parameter ball matching the
     criterion norm (Euclidean radius sqrt(d)*eps for "linf", eps for
     "l2").  Models with affine outcome probabilities supply that envelope
@@ -217,9 +222,7 @@ def estimate_coefficients(
     rho_top = float(p @ np.abs(projected @ top) ** 3)
     sigma_top = math.sqrt(f.lambda_max_inverse())
 
-    hessians = model.d2logp(theta)
-    centred = hessians + f.matrix[None, :, :]
-    v_h = float(p @ (centred**2).sum(axis=(1, 2)))
+    v_h = model.hessian_fluctuation(theta, p, scores, f)
 
     envelope, envelope_exact = model.third_derivative_envelope(theta, radius)
     if np.any(np.isinf(envelope) & (p > 0.0)):

@@ -277,21 +277,30 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     eps, delta, c = cfg["epsilon"], cfg["delta"], cfg["be_constant"]
     grid = _theta_grid(cfg, model, theta)
 
+    norms = ("linf", "l2")
+    upper_fns = {"linf": bounds.upper_bound_linf, "l2": bounds.upper_bound_l2}
+    lower_fns = {"linf": bounds.lower_bound_linf, "l2": bounds.lower_bound_l2}
+    best_upper = dict.fromkeys(norms)
+    lower = {}
+    # one Fisher matrix per point, shared by both norms; grid[0] is theta,
+    # so its coefficients also feed the lower bounds
+    for index, point in enumerate(grid):
+        f = fisher.fim(model, point)
+        for norm in norms:
+            coeffs = bounds.estimate_coefficients(model, point, eps, norm,
+                                                  constant=c, fisher=f)
+            candidate = upper_fns[norm](eps, delta, coeffs)
+            best = best_upper[norm]
+            if best is None or _bound_sort_key(candidate) > _bound_sort_key(best):
+                best_upper[norm] = candidate
+            if index == 0:
+                lower[norm] = lower_fns[norm](eps, delta, coeffs)
+
     rows = []
-    for norm in ("linf", "l2"):
-        upper_fn = bounds.upper_bound_linf if norm == "linf" else bounds.upper_bound_l2
-        lower_fn = bounds.lower_bound_linf if norm == "linf" else bounds.lower_bound_l2
-        best_upper = None
-        for point in grid:
-            coeffs = bounds.estimate_coefficients(model, point, eps, norm, constant=c)
-            candidate = upper_fn(eps, delta, coeffs)
-            if best_upper is None or _bound_sort_key(candidate) > _bound_sort_key(best_upper):
-                best_upper = candidate
-        coeffs_at_theta = bounds.estimate_coefficients(model, theta, eps, norm, constant=c)
-        lower = lower_fn(eps, delta, coeffs_at_theta)
-        rows.append(_bound_row(f"upper-{norm}", "upper", norm, best_upper,
+    for norm in norms:
+        rows.append(_bound_row(f"upper-{norm}", "upper", norm, best_upper[norm],
                                eps, delta, model.d))
-        rows.append(_bound_row(f"lower-{norm}", "lower", norm, lower,
+        rows.append(_bound_row(f"lower-{norm}", "lower", norm, lower[norm],
                                eps, delta, model.d))
 
     if cfg["scheme"] in PAULI_SCHEMES:

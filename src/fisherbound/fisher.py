@@ -71,6 +71,7 @@ class FisherMatrix:
             )
         self._rank_cut = rank_tol * max(lam_max, 0.0)
         self._nonzero = self.eigenvalues > self._rank_cut
+        self._pinv = None
 
     @property
     def rank(self) -> int:
@@ -81,10 +82,15 @@ class FisherMatrix:
         return self.rank < self.d
 
     def pinv_matrix(self) -> np.ndarray:
-        inv_eigs = np.where(self._nonzero, 1.0, 0.0)
-        inv_eigs = np.divide(inv_eigs, self.eigenvalues,
-                             out=np.zeros(self.d), where=self._nonzero)
-        return (self.eigenvectors * inv_eigs) @ self.eigenvectors.T
+        """The (pseudo)inverse, computed on first use; a read-only array."""
+        if self._pinv is None:
+            inv_eigs = np.where(self._nonzero, 1.0, 0.0)
+            inv_eigs = np.divide(inv_eigs, self.eigenvalues,
+                                 out=np.zeros(self.d), where=self._nonzero)
+            pinv = (self.eigenvectors * inv_eigs) @ self.eigenvectors.T
+            pinv.flags.writeable = False
+            self._pinv = pinv
+        return self._pinv
 
     def inverse_diag(self) -> np.ndarray:
         """Diagonal of the inverse (pseudoinverse when singular)."""

@@ -8,9 +8,12 @@ Gaussian with known covariance) all fit this surface.
 
 Models whose outcome probabilities are affine in the parameters share the
 LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score is
-A_x / p, the Hessian -A_x A_x^T / p^2, and the third derivative the
-rank-one tensor 2 A_x^(3) / p^3, which makes the ball supremum of the
-third-derivative operator norm available in closed form.
+g_x = A_x / p, the Hessian the rank-one -g_x g_x^T, and the third
+derivative the rank-one tensor 2 g_x^(3).  That makes the ball supremum of
+the third-derivative operator norm available in closed form, and the
+Hessian-fluctuation moment V_H = E||l''(x) + F||_F^2 a sum over the
+K x d score matrix: no model in this family builds the K x d x d Hessian
+stack on the way to a bound.
 """
 
 import math
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import fwht, num_paulis, sign_matrix, validate_eigenvalues
+from .pauli import _fwht_buffers, num_paulis, sign_matrix, validate_eigenvalues
 
 __all__ = [
     "GaussianKnownCovModel",
@@ -136,6 +139,16 @@ class StatModel:
         """Closed-form Fisher matrix, or None to request enumeration."""
         return None
 
+    def hessian_fluctuation(self, theta, p, scores, fisher):
+        """V_H = sum_x p_x ||l''(x) + F||_F^2 over all K outcomes.
+
+        p and scores are probs(theta) and dlogp(theta); fisher is the
+        FisherMatrix at theta.  The default enumerates the K x d x d
+        Hessian stack; models with a structured Hessian override this.
+        """
+        centred = self.d2logp(theta) + fisher.matrix[None, :, :]
+        return float(p @ (centred**2).sum(axis=(1, 2)))
+
 
 def _tensor_opnorm(tensor, rng, starts=3, iters=40):
     """Operator norm of a symmetric 3-tensor by power iteration.
@@ -205,6 +218,25 @@ class LinearOutcomeModel(StatModel):
         g = self.A / p[:, None]
         return 2.0 * np.einsum("ki,kj,kl->kijl", g, g, g)
 
+    def hessian_fluctuation(self, theta, p, scores, fisher):
+        """V_H from the (K, d) scores g_x, without the Hessian stack.
+
+        Here l''(x) = -g_x g_x^T.  In the eigenbasis F = V diag(lam) V^T,
+        with c_x = V^T g_x and a = c_x^2,
+        ||g_x g_x^T - F||_F^2 = sum_i (a_i - lam_i)^2 + sum_{i != j} a_i a_j,
+        a sum of non-negative terms, so nothing cancels even where V_H is
+        near zero (a coin near 1/2).  The cross sum is taken as
+        2 sum_j a_j (a_1 + ... + a_{j-1}).  Each outcome is exact on its
+        own, so outcomes that fim drops below its probability floor count
+        as in the stack.
+        """
+        a = np.square(scores @ fisher.eigenvectors)
+        diag = np.square(a - fisher.eigenvalues).sum(axis=1)
+        before = np.cumsum(a, axis=1)
+        before -= a  # a_1 + ... + a_{j-1}, a difference of non-negative sums
+        cross = 2.0 * np.einsum("kj,kj->k", a, before)
+        return float(p @ (diag + cross))
+
     def third_derivative_envelope(self, theta, radius):
         """Exact ball supremum of 0.5*||d3logp||_op for affine probabilities.
 
@@ -242,12 +274,15 @@ class _PauliBellModel(LinearOutcomeModel):
         total = counts.sum()
         if total <= 0:
             raise ValueError("empty counts")
-        return fwht(counts / total)[1:]
+        return self.mle_batch(counts[None, :])[0]
 
     def mle_batch(self, counts):
-        counts = np.asarray(counts, dtype=float)
-        totals = counts.sum(axis=1, keepdims=True)
-        return fwht(counts / totals)[:, 1:]
+        # integer counts are cast inside the ufuncs, not copied to floats first
+        counts = np.asarray(counts)
+        totals = counts.sum(axis=1, keepdims=True, dtype=float)
+        buffers = np.empty((2,) + counts.shape)
+        np.divide(counts, totals, out=buffers[0])
+        return _fwht_buffers(buffers)[:, 1:]
 
 
 def entangled_pauli_model(n: int) -> StatModel:
@@ -345,16 +380,16 @@ class SeparablePauliModel(LinearOutcomeModel):
         return self.mle_batch(np.asarray(counts, dtype=float)[None, :])[0]
 
     def mle_batch(self, counts):
-        counts = np.asarray(counts, dtype=float)
+        counts = np.asarray(counts)
         plus = counts[:, 0::2]
         minus = counts[:, 1::2]
-        per_axis = plus + minus
-        est = np.zeros_like(plus)
-        seen = per_axis > 0
-        est[seen] = (plus[seen] - minus[seen]) / per_axis[seen]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            est = np.where(self.identifiable, est / np.where(self.r == 0, 1, self.r), 0.0)
-        return np.clip(est, -1.0, 1.0)
+        per_axis = np.add(plus, minus, dtype=float)
+        # unseen axes have plus = minus = 0, so their difference is the 0 estimate
+        est = np.subtract(plus, minus, dtype=float)
+        np.divide(est, per_axis, out=est, where=per_axis > 0)
+        np.divide(est, self.r, out=est, where=self.identifiable)
+        est[:, ~self.identifiable] = 0.0
+        return np.clip(est, -1.0, 1.0, out=est)
 
 
 def separable_pauli_model(n: int, r) -> SeparablePauliModel:

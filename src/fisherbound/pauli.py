@@ -96,18 +96,33 @@ def fwht(v: np.ndarray) -> np.ndarray:
     symplectic one.  Applying the transform twice multiplies by 4^n.
     """
     v = np.asarray(v, dtype=float)
-    size = v.shape[-1]
+    _qubit_count_for_length(v.shape[-1])
+    buffers = np.empty((2,) + v.shape)
+    buffers[0] = v
+    return _fwht_buffers(buffers)
+
+
+def _fwht_buffers(buffers: np.ndarray) -> np.ndarray:
+    """fwht of buffers[0], using buffers[1] as scratch; returns one of the two.
+
+    buffers is a C-contiguous float array of shape (2, ..., 4^n).  Each
+    butterfly stage writes from one half into the other, and the final
+    permutation writes back, so the transform itself allocates nothing and
+    a caller needs one allocation per transform.
+    """
+    size = buffers.shape[-1]
     n = _qubit_count_for_length(size)
-    out = v.copy()
+    src, dst = buffers[0], buffers[1]
     h = 1
     while h < size:
-        shape = out.shape[:-1] + (size // (2 * h), 2, h)
-        blocks = out.reshape(shape)
-        top = blocks[..., 0, :] + blocks[..., 1, :]
-        bottom = blocks[..., 0, :] - blocks[..., 1, :]
-        out = np.stack([top, bottom], axis=-2).reshape(v.shape)
+        shape = src.shape[:-1] + (size // (2 * h), 2, h)
+        a = src.reshape(shape)
+        b = dst.reshape(shape)
+        np.add(a[..., 0, :], a[..., 1, :], out=b[..., 0, :])
+        np.subtract(a[..., 0, :], a[..., 1, :], out=b[..., 1, :])
+        src, dst = dst, src
         h *= 2
-    return out[..., _swap_permutation(n)]
+    return np.take(src, _swap_permutation(n), axis=-1, out=dst, mode="clip")
 
 
 def _swap_permutation(n: int) -> np.ndarray:

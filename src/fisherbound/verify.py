@@ -82,7 +82,16 @@ def _check_mills_bracket(rng):
 def _check_gaussian_tail_monotone(rng):
     grid = np.sort(rng.uniform(-8.0, 8.0, size=64))
     values = [sf.gaussian_tail(float(x)) for x in grid]
-    assert all(a > b for a, b in zip(values, values[1:])), "tail not decreasing"
+    # Near x = -8 the tail is 1 - 3e-15, so neighbouring points can round to
+    # the same double.  A tie passes only when the mirrored tails, which
+    # are small and accurate there, put the true gap
+    # Q(x_i) - Q(x_j) = Q(-x_j) - Q(-x_i) above zero but below one ulp of
+    # the value; a flat stretch of the mirror does not excuse a tie.
+    mirrored = [sf.gaussian_tail(float(-x)) for x in grid]
+    for i in range(len(grid) - 1):
+        a, b = values[i], values[i + 1]
+        tie = a == b and 0.0 < mirrored[i + 1] - mirrored[i] < math.ulp(a)
+        assert a > b or tie, "tail not decreasing"
     return "strictly decreasing on a random 64-point grid"
 
 

@@ -147,3 +147,58 @@ def central_diff_grad(f, x, h=1e-5):
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def fwht_stack(v):
+    """Symplectic Walsh-Hadamard transform with one np.stack per butterfly stage.
+
+    The allocating butterfly that fwht used before its ping-pong buffers;
+    kept to check the buffered version bit for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    size = v.shape[-1]
+    n = round(math.log(size, 4))
+    out = v.copy()
+    h = 1
+    while h < size:
+        shape = out.shape[:-1] + (size // (2 * h), 2, h)
+        blocks = out.reshape(shape)
+        top = blocks[..., 0, :] + blocks[..., 1, :]
+        bottom = blocks[..., 0, :] - blocks[..., 1, :]
+        out = np.stack([top, bottom], axis=-2).reshape(v.shape)
+        h *= 2
+    idx = np.arange(size)
+    mask = (1 << n) - 1
+    return out[..., ((idx & mask) << n) | (idx >> n)]
+
+
+def bell_mle_batch_stack(counts):
+    """Bell-basis MLE rows: fwht_stack of the empirical frequencies, lam_0 dropped."""
+    counts = np.asarray(counts, dtype=float)
+    return fwht_stack(counts / counts.sum(axis=1, keepdims=True))[:, 1:]
+
+
+def separable_mle_batch_masked(counts, r):
+    """Separable-probe MLE rows through boolean masks and np.where.
+
+    Unseen axes estimate 0, zero probe components estimate 0, and the
+    result is clipped to [-1, 1].
+    """
+    counts = np.asarray(counts, dtype=float)
+    r = np.asarray(r, dtype=float)
+    plus = counts[:, 0::2]
+    minus = counts[:, 1::2]
+    per_axis = plus + minus
+    est = np.zeros_like(plus)
+    seen = per_axis > 0
+    est[seen] = (plus[seen] - minus[seen]) / per_axis[seen]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.where(r != 0.0, est / np.where(r == 0, 1, r), 0.0)
+    return np.clip(est, -1.0, 1.0)
+
+
+def hessian_fluctuation_dense(model, theta, fisher_matrix):
+    """V_H = sum_x p_x ||l''(x) + F||_F^2 from the full K x d x d Hessian stack."""
+    p = model.probs(theta)
+    centred = model.d2logp(theta) + np.asarray(fisher_matrix)[None, :, :]
+    return float(p @ (centred**2).sum(axis=(1, 2)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisherbound.bounds import (
     asymptotic_lower_l2,
@@ -21,13 +23,16 @@ from fisherbound.bounds import (
 from fisherbound.fisher import bell_fim_structural, fim
 from fisherbound.models import (
     GaussianKnownCovModel,
+    PoissonTruncatedModel,
     bernoulli_model,
     entangled_pauli_model,
     multinomial_model,
+    separable_pauli_model,
+    two_copy_bell_model,
 )
-from fisherbound.pauli import rates_to_eigenvalues
+from fisherbound.pauli import product_probe, random_valid_eigenvalues, rates_to_eigenvalues
 
-from oracles import lambert_bisect
+from oracles import hessian_fluctuation_dense, lambert_bisect
 
 # Frozen from the bisection oracle.
 W0_ARG_D3_DELTA01 = 2291.831180523293          # 8/pi * 0.1^-2 * 3^2
@@ -210,7 +215,7 @@ class TestEstimateCoefficients:
     def test_bernoulli_symmetric_point_has_no_fluctuation(self):
         model = bernoulli_model()
         coeffs = estimate_coefficients(model, np.array([0.5]), 0.01, "linf")
-        assert coeffs.V_H == pytest.approx(0.0, abs=1e-12)
+        assert coeffs.V_H == 0.0
 
     def test_entangled_depolarizing_moments(self):
         # 4-outcome enumeration: projected scores are +-1, so rho_a = 1
@@ -235,6 +240,80 @@ class TestEstimateCoefficients:
         assert math.isinf(coeffs.mu_R)
         result = upper_bound_linf(0.6, 0.1, coeffs)
         assert not result.applicable
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SHRINK = st.floats(min_value=0.01, max_value=0.999)
+
+
+def assert_v_h_matches_dense_stack(model, theta):
+    """estimate_coefficients' V_H against the K x d x d Hessian-stack oracle."""
+    f = fim(model, theta)
+    got = estimate_coefficients(model, theta, 0.01, "linf", fisher=f).V_H
+    oracle = hessian_fluctuation_dense(model, theta, f.matrix)
+    assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def random_bloch(rng, n):
+    bloch = rng.standard_normal((n, 3))
+    return bloch / np.linalg.norm(bloch, axis=1, keepdims=True)
+
+
+class TestHessianFluctuation:
+    """V_H from the score matrix against the dense Hessian stack."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), seed=SEEDS, shrink=SHRINK)
+    def test_entangled_pauli(self, n, seed, shrink):
+        rng = np.random.default_rng(seed)
+        theta = shrink * random_valid_eigenvalues(n, rng)[1:]
+        assert_v_h_matches_dense_stack(entangled_pauli_model(n), theta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), seed=SEEDS, shrink=SHRINK)
+    def test_two_copy_bell(self, n, seed, shrink):
+        rng = np.random.default_rng(seed)
+        theta = shrink * product_probe(random_bloch(rng, n))[1:] ** 2
+        assert_v_h_matches_dense_stack(two_copy_bell_model(n), theta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 2), seed=SEEDS, shrink=SHRINK)
+    def test_separable_pauli_with_zero_probe_components(self, n, seed, shrink):
+        rng = np.random.default_rng(seed)
+        r = product_probe(random_bloch(rng, n))[1:]
+        r[rng.random(r.size) < 0.3] = 0.0
+        theta = shrink * rng.uniform(-1.0, 1.0, r.size)
+        assert_v_h_matches_dense_stack(separable_pauli_model(n, r), theta)
+
+    @settings(max_examples=50, deadline=None)
+    @given(theta=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    def test_bernoulli(self, theta):
+        assert_v_h_matches_dense_stack(bernoulli_model(), np.array([theta]))
+
+    def test_bernoulli_near_the_symmetric_point(self):
+        # V_H = 256 (t - 1/2)^2 to leading order: tiny, but no cancellation
+        for t in (0.5 + 1e-9, 0.5 - 1e-6, 0.5 + 1e-4):
+            assert_v_h_matches_dense_stack(bernoulli_model(), np.array([t]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 5), seed=SEEDS)
+    def test_multinomial(self, d, seed):
+        theta = np.random.default_rng(seed).dirichlet(np.ones(d + 1))[:d]
+        assert_v_h_matches_dense_stack(multinomial_model(d), theta)
+
+    def test_outcome_below_the_fim_floor(self):
+        # p = (1e-19, 1): fim drops the first outcome, so F is not E[g g^T]
+        model = bernoulli_model()
+        theta = np.array([1e-19])
+        assert fim(model, theta).matrix[0, 0] == 1.0
+        assert_v_h_matches_dense_stack(model, theta)
+
+    def test_poisson_uses_the_dense_default(self):
+        model = PoissonTruncatedModel(12)
+        theta = np.array([1.7])
+        f = fim(model, theta)
+        got = estimate_coefficients(model, theta, 0.01, "linf", fisher=f).V_H
+        assert got == hessian_fluctuation_dense(model, theta, f.matrix)
 
 
 class TestAsymptoticEvaluators:

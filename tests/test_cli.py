@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fisherbound import fisher
 from fisherbound.cli import (
     COLUMNS,
     ConfigError,
@@ -246,6 +247,21 @@ class TestAllSchemesEndToEnd:
         assert code == 0
         assert json.loads(text)["meta"]["fim_defined"] is True
 
+    def test_bounds_builds_one_fisher_matrix_per_grid_point(self, monkeypatch):
+        calls = []
+        real_fim = fisher.fim
+
+        def counting_fim(*args, **kwargs):
+            calls.append(args[1])
+            return real_fim(*args, **kwargs)
+
+        monkeypatch.setattr(fisher, "fim", counting_fim)
+        cfg = resolve("bounds", n=2, epsilon=0.01, grid_points=6, param_seed=4,
+                      format="json")
+        text, code = run_command("bounds", cfg)
+        assert code == 0
+        assert len(calls) == json.loads(text)["meta"]["grid_points"] > 1
+
     def test_supremum_grid_reported(self):
         cfg = resolve("bounds", epsilon=0.01, grid_points=5, param_seed=2,
                       format="json")
@@ -268,6 +284,13 @@ class TestExitCodes:
         result = run_cli(["verify", "--inject-fault", "fwht"])
         assert result.returncode == 1
         assert "first failing check: pauli/fwht-involution" in result.stderr
+
+    def test_bounds_at_five_qubits(self):
+        # the Hessian stack alone would need 1024 x 1023 x 1023 doubles (7.98 GiB)
+        result = run_cli(["bounds", "--n", "5", "--epsilon", "0.01", "--format", "json"])
+        assert result.returncode == 0, result.stderr
+        rows = json.loads(result.stdout)["rows"]
+        assert {row["d"] for row in rows} == {1023}
 
     def test_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"

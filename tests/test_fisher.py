@@ -139,6 +139,28 @@ class TestPseudoInverse:
                                    atol=1e-10)
 
 
+class TestPinvCache:
+    def test_computed_once_and_read_only(self):
+        rng = np.random.default_rng(12)
+        basis = rng.standard_normal((5, 3))
+        f = FisherMatrix(basis @ basis.T)
+        first = f.pinv_matrix()
+        assert f.pinv_matrix() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_same_bits_as_a_fresh_matrix(self):
+        lam = random_valid_eigenvalues(2, np.random.default_rng(13))
+        f = fim(entangled_pauli_model(2), 0.8 * lam[1:])
+        cached = f.pinv_matrix().copy()
+        for a in range(f.d):
+            estimable(f, a)
+        fresh = FisherMatrix(f.matrix).pinv_matrix()
+        assert np.array_equal(f.pinv_matrix(), cached)
+        assert np.array_equal(cached, fresh)
+
+
 class TestEstimable:
     def test_full_rank_always_estimable(self):
         f = FisherMatrix(np.diag([2.0, 0.5, 1.0]))

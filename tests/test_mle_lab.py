@@ -5,6 +5,9 @@ import pytest
 
 from fisherbound.mle_lab import (
     BudgetExceededError,
+    _block_streams,
+    _errors,
+    _estimate_batch,
     find_min_samples,
     mle_classical,
     mle_pauli_eigenvalues,
@@ -132,6 +135,27 @@ class TestSuccessProbability:
         monkeypatch.setenv("FISHERBOUND_THREADS", "4")
         parallel = success_probability(model, np.zeros(3), **kwargs)
         assert serial == parallel
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_counts_match_scoring_both_norms(self, norm):
+        # reference: score every block through _errors, which computes both norms
+        cases = [
+            (entangled_pauli_model(2), np.zeros(15), 300, 0.1),
+            (separable_pauli_model(1, np.array([0.9, 0.0, 0.4])),
+             np.array([0.2, 0.0, -0.5]), 400, 0.15),
+            (multinomial_model(3), np.array([0.2, 0.3, 0.1]), 200, 0.05),
+            (GaussianKnownCovModel(np.eye(2)), np.zeros(2), 50, 0.25),
+        ]
+        for model, theta, m, eps in cases:
+            expected = 0
+            for rng, size in _block_streams(4, 2, 1100):
+                estimates = _estimate_batch(model, theta, m, rng, size)
+                err_linf, err_l2 = _errors(estimates, theta)
+                error = err_linf if norm == "linf" else err_l2
+                expected += int((error <= eps).sum())
+            got = success_probability(model, theta, m, eps, norm, 1100, seed=4,
+                                      context=2)
+            assert got.successes == expected
 
     def test_resolve_threads_validation(self, monkeypatch):
         monkeypatch.setenv("FISHERBOUND_THREADS", "3")

@@ -16,9 +16,19 @@ from fisherbound.models import (
     separable_pauli_model,
     two_copy_bell_model,
 )
-from fisherbound.pauli import PauliIndex, pauli_matrix, random_valid_eigenvalues
+from fisherbound.pauli import (
+    PauliIndex,
+    pauli_matrix,
+    product_probe,
+    random_valid_eigenvalues,
+)
 
-from oracles import central_diff_grad, pauli_matrix_naive
+from oracles import (
+    bell_mle_batch_stack,
+    central_diff_grad,
+    pauli_matrix_naive,
+    separable_mle_batch_masked,
+)
 
 
 def interior_zoo():
@@ -158,6 +168,53 @@ class TestSeparablePauliModel:
         lam = np.array([0.4, -0.2, 0.6])
         counts = model.probs(lam) * 6e6
         np.testing.assert_allclose(model.mle(counts), lam, atol=1e-9)
+
+
+class TestMleBatchBitwise:
+    """The buffer-reusing MLEs reproduce the allocating ones bit for bit."""
+
+    @pytest.mark.parametrize("factory", [entangled_pauli_model, two_copy_bell_model])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bell_models(self, factory, n):
+        model = factory(n)
+        rng = np.random.default_rng(50 + n)
+        p = rng.dirichlet(np.full(model.K, 0.3))  # sparse: many zero counts
+        counts = rng.multinomial(200, p, size=64)
+        counts[0] = 0
+        counts[0, -1] = 3  # a row with all mass on one outcome
+        before = counts.copy()
+        got = model.mle_batch(counts)
+        assert np.array_equal(counts, before)
+        assert np.array_equal(got, bell_mle_batch_stack(counts))
+        assert np.array_equal(model.mle(counts[5]), bell_mle_batch_stack(counts[5:6])[0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_separable_with_unseen_axes_and_zero_probe_components(self, n):
+        rng = np.random.default_rng(60 + n)
+        bloch = rng.standard_normal((n, 3))
+        bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
+        r = product_probe(bloch)[1:]
+        r[::3] = 0.0  # zero probe components
+        r[1] = -r[1] if r[1] else -0.5  # a negative component
+        model = separable_pauli_model(n, r)
+        counts = rng.multinomial(3 * model.d, np.full(model.K, 1 / model.K), size=40)
+        counts[:, 2:4] = 0  # axis 1 never measured
+        counts[3] = 0
+        counts[3, 0] = 5  # one row sees only axis 0
+        before = counts.copy()
+        got = model.mle_batch(counts)
+        assert np.array_equal(counts, before)
+        expected = separable_mle_batch_masked(counts, r)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))  # signed zeros too
+        assert np.array_equal(model.mle(counts[3]), separable_mle_batch_masked(counts[3:4], r)[0])
+
+    def test_separable_clips_to_unit_interval(self):
+        model = separable_pauli_model(1, np.array([0.1, 0.2, -0.3]))
+        counts = np.array([[9, 1, 0, 4, 7, 0]])
+        got = model.mle_batch(counts)
+        assert np.array_equal(got, separable_mle_batch_masked(counts, model.r))
+        assert np.array_equal(got, np.array([[1.0, -1.0, -1.0]]))
 
 
 class TestClassicalModels:

@@ -14,7 +14,7 @@ from fisherbound.pauli import (
     symplectic_product,
 )
 
-from oracles import pauli_matrix_naive, symplectic_naive, wht_naive
+from oracles import fwht_stack, pauli_matrix_naive, symplectic_naive, wht_naive
 
 # index layout for n=1: 0=I, 1=Z, 2=X, 3=Y
 I1, Z1, X1, Y1 = (PauliIndex(a, 1) for a in range(4))
@@ -86,6 +86,53 @@ class TestFwht:
         s = sign_matrix(2)
         v = np.random.default_rng(0).standard_normal(16)
         np.testing.assert_allclose(fwht(v), s @ v, atol=1e-12)
+
+
+class TestFwhtBitwise:
+    """The ping-pong butterfly reproduces the np.stack butterfly bit for bit."""
+
+    @staticmethod
+    def check(v):
+        before = np.array(v, copy=True)
+        got = fwht(v)
+        assert np.array_equal(v, before)  # input never modified
+        expected = fwht_stack(before)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        return got
+
+    def test_one_dimensional(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 4):
+            self.check(rng.standard_normal(4**n))
+
+    def test_two_dimensional(self):
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 3):
+            self.check(rng.random((7, 4**n)) / 3.0)
+
+    def test_three_dimensional(self):
+        rng = np.random.default_rng(43)
+        self.check(rng.standard_normal((3, 5, 64)))
+
+    def test_non_contiguous(self):
+        rng = np.random.default_rng(44)
+        wide = rng.standard_normal((6, 32))
+        self.check(wide[:, ::2])  # strided last axis
+        self.check(rng.standard_normal((16, 5)).T)  # Fortran-ordered rows
+        self.check(rng.standard_normal((9, 16))[::3])  # strided rows
+
+    def test_integer_input(self):
+        rng = np.random.default_rng(45)
+        counts = rng.multinomial(1000, np.full(16, 1 / 16), size=4)
+        got = self.check(counts)
+        assert counts.dtype.kind == "i"
+        assert np.array_equal(got, fwht_stack(counts.astype(float)))
+
+    def test_result_is_a_fresh_writable_array(self):
+        v = np.random.default_rng(46).standard_normal(16)
+        out = fwht(v)
+        assert out.flags.writeable and not np.shares_memory(out, v)
 
 
 class TestRateEigenvalueMaps:
