@@ -119,8 +119,16 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("epsilon must be positive")
     if cfg["n"] < 1 or cfg["n_min"] < 1 or cfg["n_max"] < cfg["n_min"]:
         raise ConfigError("qubit counts must satisfy 1 <= n and n_min <= n_max")
+    for key in ("trials", "m_max", "resolution"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
+    if cfg["resolution"] < 1:
+        raise ConfigError("resolution must be >= 1")
+    # sample counts are scored in float64, which holds integers exactly to 2**53
+    if not 1 <= cfg["m_max"] <= 2**53:
+        raise ConfigError("m_max must be in [1, 2**53]")
     if cfg["inject_fault"] is not None and cfg["inject_fault"] not in verify.FAULT_TARGETS:
         raise ConfigError(
             f"unknown fault target {cfg['inject_fault']!r}; known: {verify.FAULT_TARGETS}"
@@ -546,8 +554,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _emit(text, cfg["out"])
-    if args.command == "verify" and code == EXIT_VERIFY_FAILED and not cfg["out"]:
-        pass  # table already on stdout
     return code
 
 

@@ -8,18 +8,20 @@ size whose Wilson lower confidence bound on the success rate clears
 
 Reproducibility: every probe derives its own generator from the master
 seed through numpy SeedSequence spawn keys, and trials are grouped into
-fixed-size blocks each with a pre-assigned stream, so results are
-bit-identical regardless of execution order or worker count.
+fixed-size blocks each with a pre-assigned stream.  Blocks run in block
+order on the calling thread, so results are bit-identical for a given
+seed.  A search probe that can no longer pass stops after the first block
+at which even all-successful remaining trials would leave its Wilson
+lower bound below 1 - delta; every pass/fail decision, and so the search
+result, is the same as with all trials run.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import GaussianKnownCovModel
 from .pauli import fwht
 
 __all__ = [
@@ -57,7 +59,11 @@ class MonotonicityError(RuntimeError):
 
 
 def resolve_threads() -> int:
-    """Worker count from FISHERBOUND_THREADS; 0 or unset means auto."""
+    """Worker count from FISHERBOUND_THREADS; 0 or unset means auto.
+
+    The search runs on the calling thread, so this value changes no
+    result or run; the benchmark harness (bench/worker.py) still records it.
+    """
     raw = os.environ.get("FISHERBOUND_THREADS", "0")
     try:
         value = int(raw)
@@ -147,14 +153,6 @@ def _errors(estimates, theta):
     return np.abs(diff).max(axis=1), np.linalg.norm(diff, axis=1)
 
 
-def _estimate_batch(model, theta, m, rng, trials):
-    if isinstance(model, GaussianKnownCovModel):
-        return model.sample_mean_batch(theta, m, rng, trials)
-    p = np.clip(model.probs(theta), 0.0, None)
-    counts = rng.multinomial(m, p / p.sum(), size=trials)
-    return model.mle_batch(counts)
-
-
 def run_trial(model, theta, m, eps, norm, rng) -> TrialOutcome:
     """Sample m measurements, apply the model MLE, score the accuracy event.
 
@@ -165,7 +163,7 @@ def run_trial(model, theta, m, eps, norm, rng) -> TrialOutcome:
     if norm not in ("linf", "l2"):
         raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
     theta = model.validate_theta(theta)
-    estimates = _estimate_batch(model, theta, m, rng, trials=1)
+    estimates = model.estimate_batch(theta, m, rng, trials=1)
     err_linf, err_l2 = _errors(estimates, theta)
     error = err_linf[0] if norm == "linf" else err_l2[0]
     return TrialOutcome(
@@ -187,54 +185,54 @@ class SuccessEstimate:
 
 
 def _block_streams(seed, context, trials):
-    """Pre-assigned per-block generators: (seed, context, block) spawn keys."""
-    blocks = []
-    start = 0
-    index = 0
-    while start < trials:
-        size = min(TRIAL_BLOCK, trials - start)
+    """Per-block generators, in block order: (seed, context, block) spawn keys.
+
+    Yields (generator, size) pairs; a caller that stops early never
+    builds the streams of the blocks it skips.
+    """
+    for index, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(context, index))
-        blocks.append((np.random.Generator(np.random.Philox(ss)), size))
-        start += size
-        index += 1
-    return blocks
+        yield np.random.Generator(np.random.Philox(ss)), min(TRIAL_BLOCK, trials - start)
 
 
 def success_probability(
-    model, theta, m, eps, norm, trials, seed, level=WILSON_LEVEL, context=0
+    model, theta, m, eps, norm, trials, seed, level=WILSON_LEVEL, context=0,
+    target=None,
 ) -> SuccessEstimate:
     """Empirical Pr[error <= eps] with a Wilson score interval.
 
-    Trials run in fixed blocks on independent derived streams; the
-    success count is a sum over blocks, so any execution order (or
-    thread count, per FISHERBOUND_THREADS) gives identical results.
+    Trials run in fixed blocks, in block order on the calling thread, each
+    block on its own pre-assigned stream.  With a target, the probe stops
+    after the first block at which its Wilson lower bound over all `trials`
+    stays below target even if every remaining trial succeeds.  The
+    estimate then counts only the trials run, and its interval over them
+    also lies below target.  Without a target every trial runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     theta = model.validate_theta(theta)
 
-    def run_block(args):
-        rng, size = args
+    successes = 0
+    run = 0
+    for rng, size in _block_streams(seed, context, trials):
         # the estimates are fresh per block: score the requested norm in place
-        diff = _estimate_batch(model, theta, m, rng, size)
+        diff = model.estimate_batch(theta, m, rng, size)
         np.subtract(diff, theta, out=diff)
         if norm == "linf":
             error = np.abs(diff, out=diff).max(axis=1)
         else:
             error = np.linalg.norm(diff, axis=1)
-        return int((error <= eps).sum())
-
-    blocks = _block_streams(seed, context, trials)
-    workers = resolve_threads()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(run_block, blocks))
-    else:
-        successes = sum(run_block(b) for b in blocks)
-    lo, hi = wilson_interval(successes, trials, level)
+        successes += int((error <= eps).sum())
+        run += size
+        # the Wilson lower bound rises with the success count, so this
+        # probe fails however the remaining blocks turn out
+        if (target is not None and run < trials
+                and wilson_interval(successes + trials - run, trials, level)[0] < target):
+            break
+    lo, hi = wilson_interval(successes, run, level)
     return SuccessEstimate(
-        rate=successes / trials, wilson_lo=lo, wilson_hi=hi,
-        successes=successes, trials=trials, m=m,
+        rate=successes / run, wilson_lo=lo, wilson_hi=hi,
+        successes=successes, trials=run, m=m,
     )
 
 
@@ -306,6 +304,13 @@ def find_min_samples(
     holds at twice m_star and lists any statistically hard rate
     reversals (monotonicity_notes).  strict_monotonicity=True turns a
     reversal inside the bisection region into MonotonicityError.
+
+    A probe stops as soon as it cannot pass (see success_probability), so
+    a failing probe may report fewer than `trials` trials.  Two kinds run
+    in full: a probe at M >= m_max, whose rate BudgetExceededError
+    reports, and every probe under strict_monotonicity, whose reversal
+    check compares full-trial intervals.  Without it, monotonicity_notes
+    compare the intervals over the trials each probe ran.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -318,8 +323,10 @@ def find_min_samples(
 
     def probe(m, index):
         if m not in probes:
+            stop_below = None if strict_monotonicity or m >= m_max else target
             probes[m] = success_probability(
-                model, theta, m, eps, norm, trials, seed, level, context=index
+                model, theta, m, eps, norm, trials, seed, level, context=index,
+                target=stop_below,
             )
         return probes[m]
 
@@ -387,7 +394,7 @@ def mse_vs_crb(model, theta, m, trials, seed, fisher_matrix=None) -> MseCrbRepor
 
     sq_sum = np.zeros(model.d)
     for rng, size in _block_streams(seed, 0, trials):
-        estimates = _estimate_batch(model, theta, m, rng, size)
+        estimates = model.estimate_batch(theta, m, rng, size)
         sq_sum += ((estimates - theta[None, :]) ** 2).sum(axis=0)
     mse = sq_sum / trials
     return MseCrbReport(mse=mse, crb=crb, ratio=mse / crb, m=m, trials=trials)

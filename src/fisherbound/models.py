@@ -135,6 +135,16 @@ class StatModel:
     def sample(self, theta, m, rng):
         return sample_counts(self, theta, m, rng)
 
+    def estimate_batch(self, theta, m, rng, trials):
+        """MLEs of `trials` independent size-m samples, a (trials, d) array.
+
+        Draws a (trials, K) multinomial count matrix from one generator
+        call and applies mle_batch; theta must already be validated.
+        """
+        p = np.clip(self.probs(theta), 0.0, None)
+        counts = rng.multinomial(m, p / p.sum(), size=trials)
+        return self.mle_batch(counts)
+
     def analytic_fisher(self, theta):
         """Closed-form Fisher matrix, or None to request enumeration."""
         return None
@@ -570,6 +580,10 @@ class GaussianKnownCovModel(StatModel):
     def sample_mean_batch(self, theta, m, rng, trials):
         z = rng.standard_normal((trials, self.d))
         return np.asarray(theta, dtype=float) + (z @ self._chol.T) / math.sqrt(m)
+
+    def estimate_batch(self, theta, m, rng, trials):
+        # the MLE is the sample mean, which is drawn directly
+        return self.sample_mean_batch(theta, m, rng, trials)
 
     def mle(self, samples):
         samples = np.atleast_2d(np.asarray(samples, dtype=float))

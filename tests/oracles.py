@@ -202,3 +202,42 @@ def hessian_fluctuation_dense(model, theta, fisher_matrix):
     p = model.probs(theta)
     centred = model.d2logp(theta) + np.asarray(fisher_matrix)[None, :, :]
     return float(p @ (centred**2).sum(axis=(1, 2)))
+
+
+def find_min_samples_full(probe, target, resolution=1, m_max=2**22):
+    """Doubling-then-bisection search with every probe run to its full trials.
+
+    The search find_min_samples ran before failing probes stopped early.
+    probe(m, context) returns an estimate with a wilson_lo attribute.
+    Returns a dict with m_star, bracket, stable_at_double and the probes
+    sorted by M; m_star is None when the doubling reached m_max without a
+    pass.
+    """
+    probes = {}
+
+    def run(m, context):
+        if m not in probes:
+            probes[m] = probe(m, context)
+        return probes[m]
+
+    def ordered():
+        return [probes[m] for m in sorted(probes)]
+
+    m, context = 1, 0
+    while run(m, context).wilson_lo < target:
+        if m >= m_max:
+            return {"m_star": None, "probes": ordered()}
+        m = min(2 * m, m_max)
+        context += 1
+    lo, hi = (m // 2 if m > 1 else 0), m
+    while hi - lo > resolution:
+        mid = (lo + hi) // 2
+        context += 1
+        if run(mid, context).wilson_lo >= target:
+            hi = mid
+        else:
+            lo = mid
+    context += 1
+    stable = run(min(2 * hi, m_max), context).wilson_lo >= target
+    return {"m_star": hi, "bracket": (lo, hi), "stable_at_double": stable,
+            "probes": ordered()}

@@ -82,6 +82,17 @@ class TestConfigHandling:
             with pytest.raises(ConfigError):
                 resolve_config(args)
 
+    @pytest.mark.parametrize("field", [
+        {"trials": 1.5}, {"trials": "10"}, {"trials": True}, {"trials": 0},
+        {"resolution": 2.0}, {"resolution": 0}, {"m_max": 1e20}, {"m_max": 0},
+        {"m_max": 2**53 + 1},
+    ])
+    def test_search_fields_typed_and_bounded(self, tmp_path, capsys, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": "bernoulli", "epsilon": 0.3, **field}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"config error: {next(iter(field))}" in capsys.readouterr().err
+
     def test_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")

@@ -7,7 +7,6 @@ from fisherbound.mle_lab import (
     BudgetExceededError,
     _block_streams,
     _errors,
-    _estimate_batch,
     find_min_samples,
     mle_classical,
     mle_pauli_eigenvalues,
@@ -24,8 +23,9 @@ from fisherbound.models import (
     multinomial_model,
     separable_pauli_model,
 )
+from fisherbound.pauli import random_valid_eigenvalues
 
-from oracles import bernoulli_success_exact, wht_naive
+from oracles import bernoulli_success_exact, find_min_samples_full, wht_naive
 
 
 class TestPauliMle:
@@ -149,7 +149,7 @@ class TestSuccessProbability:
         for model, theta, m, eps in cases:
             expected = 0
             for rng, size in _block_streams(4, 2, 1100):
-                estimates = _estimate_batch(model, theta, m, rng, size)
+                estimates = model.estimate_batch(theta, m, rng, size)
                 err_linf, err_l2 = _errors(estimates, theta)
                 error = err_linf if norm == "linf" else err_l2
                 expected += int((error <= eps).sum())
@@ -245,6 +245,108 @@ class TestFindMinSamples:
                              strict_monotonicity=True)
 
 
+CURTAIL_CASES = {
+    "entangled-n1-linf": (lambda: entangled_pauli_model(1), np.zeros(3), 0.1, "linf"),
+    "entangled-n1-l2": (lambda: entangled_pauli_model(1), np.zeros(3), 0.15, "l2"),
+    "entangled-n2-linf": (lambda: entangled_pauli_model(2),
+                          random_valid_eigenvalues(2, np.random.default_rng(4))[1:],
+                          0.15, "linf"),
+    "entangled-n2-l2": (lambda: entangled_pauli_model(2), np.zeros(15), 0.3, "l2"),
+    "separable": (lambda: separable_pauli_model(1, np.array([2.0, 1.0, 1.0]) / math.sqrt(6)),
+                  np.array([0.1, -0.2, 0.0]), 0.2, "linf"),
+    "bernoulli": (bernoulli_model, np.array([0.3]), 0.05, "linf"),
+    "multinomial": (lambda: multinomial_model(3), np.array([0.2, 0.3, 0.1]), 0.05, "l2"),
+    "gaussian": (lambda: GaussianKnownCovModel(np.diag([1.0, 0.5])), np.zeros(2), 0.1,
+                 "linf"),
+}
+
+
+class TestCurtailedSearch:
+    """Failing probes stop early; every search outcome matches the full search."""
+
+    TRIALS = 1500  # three blocks: 512, 512, 476
+
+    @staticmethod
+    def _full(model, theta, eps, delta, norm, trials, seed, **kwargs):
+        def probe(m, context):
+            return success_probability(model, theta, m, eps, norm, trials, seed,
+                                       context=context)
+
+        return find_min_samples_full(probe, 1.0 - delta, **kwargs)
+
+    @pytest.mark.parametrize("resolution", [1, 8])
+    @pytest.mark.parametrize("case", sorted(CURTAIL_CASES))
+    def test_matches_full_search(self, case, resolution):
+        build, theta, eps, norm = CURTAIL_CASES[case]
+        model, delta, trials, seed = build(), 0.1, self.TRIALS, 5
+        target = 1.0 - delta
+        result = find_min_samples(model, theta, eps, delta, norm, trials=trials,
+                                  seed=seed, resolution=resolution)
+        full = self._full(model, theta, eps, delta, norm, trials, seed,
+                          resolution=resolution)
+
+        assert result.m_star == full["m_star"]
+        assert result.bracket == full["bracket"]
+        assert result.stable_at_double == full["stable_at_double"]
+        at_m_star = next(p for p in full["probes"] if p.m == full["m_star"])
+        assert result.rate_at_m_star == at_m_star.rate
+        assert (result.wilson_lo, result.wilson_hi) == (at_m_star.wilson_lo,
+                                                        at_m_star.wilson_hi)
+        assert [p.m for p in result.probes] == [p.m for p in full["probes"]]
+        curtailed = 0
+        for got, want in zip(result.probes, full["probes"]):
+            assert (got.wilson_lo >= target) == (want.wilson_lo >= target)
+            if got.trials < trials:
+                curtailed += 1
+                assert got.wilson_lo < target
+                assert got.rate == got.successes / got.trials
+            else:
+                assert got == want
+        assert curtailed >= 1
+
+    def test_budget_exceeded_last_probe_runs_in_full(self):
+        model = entangled_pauli_model(1)
+        args = (model, np.zeros(3), 0.01, 0.1, "linf")
+        with pytest.raises(BudgetExceededError) as err:
+            find_min_samples(*args, trials=self.TRIALS, seed=0, m_max=48)
+        full = self._full(*args, trials=self.TRIALS, seed=0, m_max=48)
+        probes = err.value.probes
+        assert full["m_star"] is None
+        assert [p.m for p in probes] == [1, 2, 4, 8, 16, 32, 48]
+        assert probes[-1] == full["probes"][-1]
+        assert probes[-1].trials == self.TRIALS
+        assert all(p.trials < self.TRIALS for p in probes[:-1])
+
+    def test_strict_monotonicity_runs_every_probe_in_full(self):
+        model = entangled_pauli_model(1)
+        args = (model, np.zeros(3), 0.2, 0.1, "linf")
+        result = find_min_samples(*args, trials=self.TRIALS, seed=5,
+                                  strict_monotonicity=True)
+        full = self._full(*args, trials=self.TRIALS, seed=5)
+        assert result.probes == full["probes"]
+        assert all(p.trials == self.TRIALS for p in result.probes)
+
+    def test_probe_stops_exactly_when_it_cannot_pass(self):
+        model = bernoulli_model()
+        theta = np.array([0.5])
+        kwargs = dict(m=40, eps=0.1, norm="linf", trials=self.TRIALS, seed=3)
+        full = success_probability(model, theta, **kwargs)
+        assert full.trials == self.TRIALS and 0.7 < full.rate < 0.9
+        # block 0 has the same stream at any trial count
+        first = success_probability(model, theta, **{**kwargs, "trials": 512})
+        edge = wilson_interval(first.successes + self.TRIALS - 512, self.TRIALS)[0]
+        # at the edge the probe could still pass after block 0, so it goes on
+        assert success_probability(model, theta, target=edge, **kwargs).trials > 512
+        # a probe that passes runs every trial
+        assert success_probability(model, theta, target=full.wilson_lo, **kwargs) == full
+        # one ulp above it, all-successful remaining blocks cannot reach target
+        stopped = success_probability(model, theta, target=math.nextafter(edge, 1.0),
+                                      **kwargs)
+        # it reports block 0 alone: its trials, rate and interval
+        assert stopped == first
+        assert stopped.wilson_lo < edge
+
+
 class TestMseVsCrb:
     def test_gaussian_ratio_is_one_up_to_noise(self):
         # the true per-trial MSE equals the CRB exactly for every m
@@ -272,10 +374,8 @@ class TestMseVsCrb:
         biases = []
         for m in (100, 1000, 10000):
             total = np.zeros(3)
-            from fisherbound.mle_lab import _block_streams, _estimate_batch
-
             for rng, size in _block_streams(123, 0, 2000):
-                total += _estimate_batch(model, theta, m, rng, size).sum(axis=0)
+                total += model.estimate_batch(theta, m, rng, size).sum(axis=0)
             biases.append(np.abs(total / 2000 - theta).max())
         assert biases[0] > biases[1] > biases[2]
 
