@@ -190,7 +190,7 @@ def estimate_coefficients(
         finv = f.pinv_matrix()
         known = exact_hook()
         sigma_diag = np.sqrt(np.diag(finv))
-        lam_max_inv = f.lambda_max_inverse()
+        lam_max_inv = f.opnorm_inverse()
         rho_scale = 2.0 * math.sqrt(2.0 / math.pi)
         return BoundCoefficients(
             d=d,
@@ -220,7 +220,7 @@ def estimate_coefficients(
 
     top = f.eigenvectors[:, 0]  # top eigenvector of F^-1
     rho_top = float(p @ np.abs(projected @ top) ** 3)
-    sigma_top = math.sqrt(f.lambda_max_inverse())
+    sigma_top = math.sqrt(f.opnorm_inverse())
 
     v_h = model.hessian_fluctuation(theta, p, scores, f)
 

@@ -29,6 +29,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
+# Esseen's lower limit (sqrt(10) + 3) / (6 sqrt(2 pi)) on the Berry-Esseen
+# constant: for smaller constants the inequality fails for some distribution
+_ESSEEN_LOWER_LIMIT = (math.sqrt(10.0) + 3.0) / (6.0 * math.sqrt(2.0 * math.pi))
+
 PAULI_SCHEMES = ("entangled-pauli", "separable-pauli", "two-copy-bell")
 CLASSICAL_SCHEMES = ("bernoulli", "multinomial", "poisson", "gaussian-known-var")
 
@@ -113,19 +117,29 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"norm must be 'linf' or 'l2', got {cfg['norm']!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+    for key in ("n", "n_min", "n_max", "dim", "truncation", "grid_points",
+                "simulate_upto", "seed", "param_seed", "trials", "m_max", "resolution"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    for key in ("epsilon", "delta", "be_constant", "wilson_level"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
     if not 0.0 < cfg["delta"] < 1.0:
         raise ConfigError("delta must be in (0, 1)")
     if not cfg["epsilon"] > 0.0:
         raise ConfigError("epsilon must be positive")
+    if not cfg["be_constant"] >= _ESSEEN_LOWER_LIMIT:
+        raise ConfigError(
+            f"be_constant must be >= {_ESSEEN_LOWER_LIMIT:.5f}, below which no "
+            f"Berry-Esseen constant holds, got {cfg['be_constant']!r}"
+        )
     if cfg["n"] < 1 or cfg["n_min"] < 1 or cfg["n_max"] < cfg["n_min"]:
         raise ConfigError("qubit counts must satisfy 1 <= n and n_min <= n_max")
-    for key in ("trials", "m_max", "resolution"):
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
-            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    if cfg["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
-    if cfg["resolution"] < 1:
-        raise ConfigError("resolution must be >= 1")
+    for key, least in (("dim", 1), ("truncation", 1), ("grid_points", 0),
+                       ("simulate_upto", 0), ("seed", 0), ("param_seed", 0),
+                       ("trials", 1), ("resolution", 1)):
+        if cfg[key] < least:
+            raise ConfigError(f"{key} must be >= {least}")
     # sample counts are scored in float64, which holds integers exactly to 2**53
     if not 1 <= cfg["m_max"] <= 2**53:
         raise ConfigError("m_max must be in [1, 2**53]")
@@ -312,19 +326,12 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
                                eps, delta, model.d))
 
     if cfg["scheme"] in PAULI_SCHEMES:
-        n = cfg["n"]
-        rows.append({
-            "bound_id": "entangled-upper-asymptotic", "kind": "upper", "norm": "linf",
-            "value": bounds.entangled_pauli_upper(n, eps, delta), "applicable": True,
-            "reason": "", "limiting_term": "small-eps limit", "provenance": "exact",
-            "epsilon": eps, "delta": delta, "d": model.d,
-        })
-        rows.append({
-            "bound_id": "separable-lower-asymptotic", "kind": "lower", "norm": "linf",
-            "value": bounds.separable_pauli_lower(n, eps, delta), "applicable": True,
-            "reason": "", "limiting_term": "small-eps limit", "provenance": "exact",
-            "epsilon": eps, "delta": delta, "d": model.d,
-        })
+        for bound_id, kind, limit in (
+            ("entangled-upper-asymptotic", "upper", bounds.entangled_pauli_upper),
+            ("separable-lower-asymptotic", "lower", bounds.separable_pauli_lower),
+        ):
+            result = bounds.BoundResult(limit(cfg["n"], eps, delta), True, "small-eps limit")
+            rows.append(_bound_row(bound_id, kind, "linf", result, eps, delta, model.d))
     meta = _meta(cfg, "bounds", grid_points=len(grid), domain_shrink=DOMAIN_SHRINK)
     return rows, meta, EXIT_OK
 
@@ -364,7 +371,7 @@ def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     if norm == "linf":
         lower = bounds.asymptotic_lower_linf(eps, delta, float(f.inverse_diag().max()))
     else:
-        lower = bounds.asymptotic_lower_l2(eps, delta, f.lambda_max_inverse())
+        lower = bounds.asymptotic_lower_l2(eps, delta, f.opnorm_inverse())
     coeffs = bounds.estimate_coefficients(model, theta, eps, norm,
                                           constant=cfg["be_constant"], fisher=f)
     upper_fn = bounds.upper_bound_linf if norm == "linf" else bounds.upper_bound_l2
@@ -423,7 +430,7 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
         })
     stats = fisher.spectral_stats(f)
     meta = _meta(cfg, "fisher", fim_defined=True, opnorm_inv=stats.opnorm_inv,
-                 lambda_max_inv=stats.max_eig_inv,
+                 lambda_max_inv=stats.opnorm_inv,
                  used_pseudoinverse=stats.used_pseudoinverse)
     return rows, meta, EXIT_OK
 

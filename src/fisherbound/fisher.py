@@ -26,7 +26,6 @@ __all__ = [
     "depolarizing_qfi_sum",
     "estimable",
     "fim",
-    "pseudo_inverse",
     "qfim_inverse_diag_pauli",
     "separable_qfim_inverse_diag",
     "single_copy_trace_bound",
@@ -103,10 +102,6 @@ class FisherMatrix:
             return 0.0
         return 1.0 / float(kept[0])
 
-    def lambda_max_inverse(self) -> float:
-        """Largest eigenvalue of the (pseudo)inverse; equals opnorm_inverse."""
-        return self.opnorm_inverse()
-
 
 def fim(model, theta, p_floor: float = P_FLOOR) -> FisherMatrix:
     """Classical Fisher information matrix of a model at theta.
@@ -166,17 +161,8 @@ def separable_qfim_inverse_diag(r, lam):
     return values, witness
 
 
-def pseudo_inverse(f, rank_tol: float = RANK_TOL) -> FisherMatrix:
-    """Moore-Penrose pseudoinverse of a symmetric PSD matrix."""
-    if not isinstance(f, FisherMatrix):
-        f = FisherMatrix(f, rank_tol=rank_tol)
-    return FisherMatrix(f.pinv_matrix(), rank_tol=rank_tol)
-
-
-def estimable(f, a: int, tol: float = 1e-8) -> bool:
+def estimable(f: FisherMatrix, a: int, tol: float = 1e-8) -> bool:
     """Whether coordinate a admits an unbiased estimator: F F^+ e_a = e_a."""
-    if not isinstance(f, FisherMatrix):
-        f = FisherMatrix(f)
     e = np.zeros(f.d)
     e[a] = 1.0
     residual = f.matrix @ (f.pinv_matrix() @ e) - e
@@ -189,23 +175,19 @@ class SpectralStats:
 
     opnorm_inv: float
     max_inv_diag: float
-    max_eig_inv: float
     used_pseudoinverse: bool
 
 
-def spectral_stats(f) -> SpectralStats:
-    """Operator norm of F^-1, its largest diagonal entry, and lambda_max(F^-1).
+def spectral_stats(f: FisherMatrix) -> SpectralStats:
+    """Operator norm of F^-1 and its largest diagonal entry.
 
-    For symmetric PSD input these satisfy max_inv_diag <= max_eig_inv ==
-    opnorm_inv.  Singular matrices are summarised through the
-    pseudoinverse and flagged.
+    For a symmetric PSD matrix these satisfy
+    max_inv_diag <= opnorm_inv = lambda_max(F^-1).  Singular matrices are
+    summarised through the pseudoinverse and flagged.
     """
-    if not isinstance(f, FisherMatrix):
-        f = FisherMatrix(f)
     return SpectralStats(
         opnorm_inv=f.opnorm_inverse(),
         max_inv_diag=float(f.inverse_diag().max()),
-        max_eig_inv=f.lambda_max_inverse(),
         used_pseudoinverse=f.is_singular,
     )
 

@@ -22,20 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import fwht
-
 __all__ = [
     "BudgetExceededError",
     "MinSamplesResult",
     "MonotonicityError",
     "SuccessEstimate",
-    "TrialOutcome",
     "find_min_samples",
-    "mle_classical",
-    "mle_pauli_eigenvalues",
     "mse_vs_crb",
     "resolve_threads",
-    "run_trial",
     "success_probability",
     "wilson_interval",
 ]
@@ -94,86 +88,6 @@ def wilson_interval(successes: int, trials: int, level: float = WILSON_LEVEL):
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def mle_pauli_eigenvalues(counts, n: int) -> np.ndarray:
-    """MLE of all Pauli eigenvalues from Bell-measurement counts.
-
-    lam_hat_a = sum_b (n_b / M) (-1)^<a, b>, i.e. the Walsh-Hadamard
-    transform of the empirical frequencies; the identity component is 1
-    exactly.  Returns the full length-4^n vector.
-    """
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (4**n,):
-        raise ValueError(f"expected {4**n} counts for n={n}")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty counts")
-    lam = fwht(counts / total)
-    lam[0] = 1.0
-    return lam
-
-
-def mle_classical(kind: str, **stats):
-    """Closed-form MLEs of the classical models from sufficient statistics.
-
-    bernoulli: successes, total -> successes/total (flagged when on the
-    boundary); gaussian: samples -> sample mean; multinomial: counts ->
-    frequencies; poisson: samples -> sample mean.
-    Returns (estimate, on_boundary).
-    """
-    if kind == "bernoulli":
-        s, m = stats["successes"], stats["total"]
-        est = s / m
-        return np.array([est]), est in (0.0, 1.0)
-    if kind == "gaussian":
-        samples = np.atleast_2d(np.asarray(stats["samples"], dtype=float))
-        return samples.mean(axis=0), False
-    if kind == "multinomial":
-        counts = np.asarray(stats["counts"], dtype=float)
-        freqs = counts / counts.sum()
-        return freqs[:-1], bool(np.any(freqs == 0.0))
-    if kind == "poisson":
-        samples = np.asarray(stats["samples"], dtype=float)
-        est = float(samples.mean())
-        return np.array([est]), est == 0.0
-    raise ValueError(f"unknown model kind: {kind!r}")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One Monte Carlo trial: estimate, both error norms, and the verdict."""
-
-    estimate: np.ndarray
-    error_linf: float
-    error_l2: float
-    success: bool
-
-
-def _errors(estimates, theta):
-    diff = estimates - theta[None, :]
-    return np.abs(diff).max(axis=1), np.linalg.norm(diff, axis=1)
-
-
-def run_trial(model, theta, m, eps, norm, rng) -> TrialOutcome:
-    """Sample m measurements, apply the model MLE, score the accuracy event.
-
-    eps = inf is accepted as an always-succeed sentinel.
-    """
-    if m < 1:
-        raise ValueError("sample size must be >= 1")
-    if norm not in ("linf", "l2"):
-        raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
-    theta = model.validate_theta(theta)
-    estimates = model.estimate_batch(theta, m, rng, trials=1)
-    err_linf, err_l2 = _errors(estimates, theta)
-    error = err_linf[0] if norm == "linf" else err_l2[0]
-    return TrialOutcome(
-        estimate=estimates[0],
-        error_linf=float(err_linf[0]),
-        error_l2=float(err_l2[0]),
-        success=bool(error <= eps),
-    )
-
-
 @dataclass(frozen=True)
 class SuccessEstimate:
     rate: float
@@ -208,6 +122,8 @@ def success_probability(
     estimate then counts only the trials run, and its interval over them
     also lies below target.  Without a target every trial runs.
     """
+    if m < 1:
+        raise ValueError(f"sample size must be >= 1, got {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     theta = model.validate_theta(theta)
@@ -388,6 +304,8 @@ def mse_vs_crb(model, theta, m, trials, seed, fisher_matrix=None) -> MseCrbRepor
     """Empirical MLE mean squared error against [F^-1]_aa / m per coordinate."""
     from .fisher import fim
 
+    if m < 1:
+        raise ValueError(f"sample size must be >= 1, got {m!r}")
     theta = model.validate_theta(theta)
     f = fisher_matrix if fisher_matrix is not None else fim(model, theta)
     crb = f.inverse_diag() / m

@@ -1,10 +1,13 @@
 """Finite-outcome statistical models with analytic log-likelihood derivatives.
 
 Each model exposes the outcome distribution p_theta(x), its first three
-log-likelihood derivatives, a closed-form maximum-likelihood estimator for
-count data, and multinomial sampling.  The Pauli measurement schemes and
-the classical textbook models (Bernoulli, multinomial, truncated Poisson,
-Gaussian with known covariance) all fit this surface.
+log-likelihood derivatives, and a closed-form maximum-likelihood
+estimator: mle_batch maps a (trials, K) count matrix to its row-wise
+estimates, and StatModel.mle applies it to one count vector.
+estimate_batch draws the counts of many trials at once and returns their
+estimates.  The Pauli measurement schemes and the classical textbook
+models (Bernoulli, multinomial, truncated Poisson, Gaussian with known
+covariance) all fit this surface.
 
 Models whose outcome probabilities are affine in the parameters share the
 LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score is
@@ -32,7 +35,6 @@ __all__ = [
     "classical_models",
     "entangled_pauli_model",
     "multinomial_model",
-    "sample_counts",
     "separable_pauli_model",
     "two_copy_bell_model",
 ]
@@ -52,8 +54,9 @@ class DomainError(ValueError):
 class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
-    Subclasses implement probs/dlogp/d2logp/d3logp and mle.  theta is
-    always a length-d float vector interior to the domain.
+    Subclasses implement probs/dprobs/d2logp/d3logp,
+    third_derivative_envelope and mle_batch.  theta is always a length-d
+    float vector interior to the domain.
     """
 
     d: int
@@ -87,29 +90,8 @@ class StatModel:
         The supremum runs over parameter points within Euclidean distance
         `radius` of theta.  Returns (envelope, exact_flag); entries may be
         +inf when the ball touches the domain boundary.
-
-        The default is a search: multi-start ascent over ball points with
-        tensor power iteration for the operator norm.  It can only under-
-        estimate the true supremum, so exact_flag is False; models with
-        closed-form envelopes override this.
         """
-        theta = np.asarray(theta, dtype=float)
-        rng = np.random.default_rng(0)  # fixed stream: deterministic search
-        points = [theta]
-        for _ in range(8):
-            direction = rng.standard_normal(self.d)
-            direction /= np.linalg.norm(direction)
-            for frac in (0.5, 1.0):
-                candidate = theta + frac * radius * direction
-                if self.contains(candidate):
-                    points.append(candidate)
-        envelope = np.zeros(self.K)
-        for point in points:
-            tensors = self.d3logp(point)
-            for k in range(self.K):
-                value = 0.5 * _tensor_opnorm(tensors[k], rng)
-                envelope[k] = max(envelope[k], value)
-        return envelope, False
+        raise NotImplementedError
 
     def contains(self, theta: np.ndarray) -> bool:
         raise NotImplementedError
@@ -126,14 +108,17 @@ class StatModel:
         return theta
 
     def mle(self, counts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """MLE from one length-K vector of outcome counts."""
+        counts = np.asarray(counts)
+        if counts.shape != (self.K,):
+            raise ValueError(f"expected {self.K} outcome counts, got shape {counts.shape}")
+        if not counts.sum() > 0:
+            raise ValueError("empty counts")
+        return self.mle_batch(counts[None, :])[0]
 
     def mle_batch(self, counts: np.ndarray) -> np.ndarray:
         """Row-wise MLE for a (trials, K) count matrix."""
-        return np.stack([self.mle(row) for row in counts])
-
-    def sample(self, theta, m, rng):
-        return sample_counts(self, theta, m, rng)
+        raise NotImplementedError
 
     def estimate_batch(self, theta, m, rng, trials):
         """MLEs of `trials` independent size-m samples, a (trials, d) array.
@@ -158,42 +143,6 @@ class StatModel:
         """
         centred = self.d2logp(theta) + fisher.matrix[None, :, :]
         return float(p @ (centred**2).sum(axis=(1, 2)))
-
-
-def _tensor_opnorm(tensor, rng, starts=3, iters=40):
-    """Operator norm of a symmetric 3-tensor by power iteration.
-
-    Iterates u <- T[., u, u] / |T[., u, u]| from several random unit
-    starts and returns the best |T[u, u, u]|; a lower estimate in general,
-    exact for rank-one symmetric tensors.
-    """
-    d = tensor.shape[0]
-    if d == 1:
-        return abs(float(tensor[0, 0, 0]))
-    best = 0.0
-    for _ in range(starts):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        for _ in range(iters):
-            contracted = np.einsum("ijk,j,k->i", tensor, u, u)
-            norm = np.linalg.norm(contracted)
-            if norm == 0.0:
-                break
-            u = contracted / norm
-        best = max(best, abs(float(np.einsum("ijk,i,j,k->", tensor, u, u, u))))
-    return best
-
-
-def sample_counts(model, theta, m, rng) -> np.ndarray:
-    """Multinomial outcome counts for m independent measurements.
-
-    Deterministic given the generator state; counts sum to m.
-    """
-    if m < 1:
-        raise ValueError(f"sample size must be >= 1, got {m!r}")
-    p = model.probs(model.validate_theta(theta))
-    p = np.clip(p, 0.0, None)
-    return rng.multinomial(m, p / p.sum())
 
 
 class LinearOutcomeModel(StatModel):
@@ -276,15 +225,6 @@ def _pauli_linear_system(n):
 
 class _PauliBellModel(LinearOutcomeModel):
     """Shared machinery for the two schemes measured in the Bell basis."""
-
-    def mle(self, counts):
-        counts = np.asarray(counts, dtype=float)
-        if counts.ndim != 1 or counts.shape[0] != self.K:
-            raise ValueError(f"expected {self.K} outcome counts")
-        total = counts.sum()
-        if total <= 0:
-            raise ValueError("empty counts")
-        return self.mle_batch(counts[None, :])[0]
 
     def mle_batch(self, counts):
         # integer counts are cast inside the ufuncs, not copied to floats first
@@ -386,9 +326,6 @@ class SeparablePauliModel(LinearOutcomeModel):
             return False
         return bool(np.all(self.b + self.A @ theta > 0.0))
 
-    def mle(self, counts):
-        return self.mle_batch(np.asarray(counts, dtype=float)[None, :])[0]
-
     def mle_batch(self, counts):
         counts = np.asarray(counts)
         plus = counts[:, 0::2]
@@ -408,13 +345,6 @@ def separable_pauli_model(n: int, r) -> SeparablePauliModel:
 
 class _FrequencyMLEModel(LinearOutcomeModel):
     """Affine model whose MLE is the empirical frequency of the first d outcomes."""
-
-    def mle(self, counts):
-        counts = np.asarray(counts, dtype=float)
-        total = counts.sum()
-        if total <= 0:
-            raise ValueError("empty counts")
-        return counts[: self.d] / total
 
     def mle_batch(self, counts):
         counts = np.asarray(counts, dtype=float)
@@ -519,13 +449,6 @@ class PoissonTruncatedModel(StatModel):
         t = float(np.asarray(theta, dtype=float)[0])
         return 1.0 - math.exp(-t) * self._partial_sum(t, 0)
 
-    def mle(self, counts):
-        counts = np.asarray(counts, dtype=float)
-        total = counts.sum()
-        if total <= 0:
-            raise ValueError("empty counts")
-        return np.array([float(self._ks @ counts) / total])
-
     def mle_batch(self, counts):
         counts = np.asarray(counts, dtype=float)
         return (counts @ self._ks)[:, None] / counts.sum(axis=1)[:, None]
@@ -572,11 +495,6 @@ class GaussianKnownCovModel(StatModel):
             "rho_diag": rho_scale * sigma_diag**3,
         }
 
-    def sample_mean(self, theta, m, rng):
-        """Sample mean of m draws, distributed N(theta, Sigma / m)."""
-        z = rng.standard_normal(self.d)
-        return np.asarray(theta, dtype=float) + (self._chol @ z) / math.sqrt(m)
-
     def sample_mean_batch(self, theta, m, rng, trials):
         z = rng.standard_normal((trials, self.d))
         return np.asarray(theta, dtype=float) + (z @ self._chol.T) / math.sqrt(m)
@@ -584,10 +502,6 @@ class GaussianKnownCovModel(StatModel):
     def estimate_batch(self, theta, m, rng, trials):
         # the MLE is the sample mean, which is drawn directly
         return self.sample_mean_batch(theta, m, rng, trials)
-
-    def mle(self, samples):
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        return samples.mean(axis=0)
 
 
 def classical_models(kind: str, **params) -> StatModel:

@@ -370,7 +370,7 @@ class TestAsymptoticEvaluators:
                 continue
             bound = entangled_pauli_l2_lower(1, p, 0.1, 0.1)
             f = bell_fim_structural(p, 1)
-            exact = asymptotic_lower_l2(0.1, 0.1, f.lambda_max_inverse())
+            exact = asymptotic_lower_l2(0.1, 0.1, f.opnorm_inverse())
             assert bound <= exact + 1e-9
 
     def test_generic_asymptotics(self):

@@ -86,6 +86,13 @@ class TestConfigHandling:
         {"trials": 1.5}, {"trials": "10"}, {"trials": True}, {"trials": 0},
         {"resolution": 2.0}, {"resolution": 0}, {"m_max": 1e20}, {"m_max": 0},
         {"m_max": 2**53 + 1},
+        {"n": "2"}, {"n": 2.0}, {"n_min": True}, {"n_max": "8"},
+        {"grid_points": "3"}, {"grid_points": -1}, {"simulate_upto": 0.5},
+        {"simulate_upto": -1}, {"dim": "3", "scheme": "multinomial"}, {"dim": 0},
+        {"truncation": 2.0}, {"truncation": 0}, {"seed": "1"}, {"seed": -1},
+        {"param_seed": 1.0}, {"param_seed": -1},
+        {"epsilon": "0.1"}, {"delta": True}, {"be_constant": "0.5"},
+        {"wilson_level": None}, {"be_constant": -1}, {"be_constant": 0.4097},
     ])
     def test_search_fields_typed_and_bounded(self, tmp_path, capsys, field):
         path = tmp_path / "cfg.json"

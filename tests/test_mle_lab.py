@@ -6,18 +6,15 @@ import pytest
 from fisherbound.mle_lab import (
     BudgetExceededError,
     _block_streams,
-    _errors,
     find_min_samples,
-    mle_classical,
-    mle_pauli_eigenvalues,
     mse_vs_crb,
     resolve_threads,
-    run_trial,
     success_probability,
     wilson_interval,
 )
 from fisherbound.models import (
     GaussianKnownCovModel,
+    PoissonTruncatedModel,
     bernoulli_model,
     entangled_pauli_model,
     multinomial_model,
@@ -30,18 +27,18 @@ from oracles import bernoulli_success_exact, find_min_samples_full, wht_naive
 
 class TestPauliMle:
     def test_all_counts_on_identity_outcome(self):
-        lam = mle_pauli_eigenvalues(np.array([50, 0, 0, 0]), 1)
-        np.testing.assert_allclose(lam, np.ones(4))
+        lam = entangled_pauli_model(1).mle(np.array([50, 0, 0, 0]))
+        np.testing.assert_allclose(lam, np.ones(3))
 
     def test_uniform_counts(self):
-        lam = mle_pauli_eigenvalues(np.full(4, 25), 1)
-        np.testing.assert_allclose(lam, [1.0, 0, 0, 0], atol=1e-15)
+        lam = entangled_pauli_model(1).mle(np.full(4, 25))
+        np.testing.assert_allclose(lam, [0, 0, 0], atol=1e-15)
 
     def test_matches_naive_wht_oracle(self):
         counts = np.array([3, 1, 0, 0])
         expected = wht_naive(counts / 4.0, 1)
         np.testing.assert_allclose(
-            mle_pauli_eigenvalues(counts, 1), expected, atol=1e-15
+            entangled_pauli_model(1).mle(counts), expected[1:], atol=1e-15
         )
         np.testing.assert_allclose(expected, [1.0, 1.0, 0.5, 0.5], atol=1e-15)
 
@@ -50,32 +47,42 @@ class TestPauliMle:
         p = rng.dirichlet(np.ones(16))
         lam = wht_naive(p, 2)
         np.testing.assert_allclose(
-            mle_pauli_eigenvalues(p * 1e7, 2), lam, atol=1e-9
+            entangled_pauli_model(2).mle(p * 1e7), lam[1:], atol=1e-9
         )
 
     def test_empty_counts_rejected(self):
-        with pytest.raises(ValueError):
-            mle_pauli_eigenvalues(np.zeros(4), 1)
+        with pytest.raises(ValueError, match="empty counts"):
+            entangled_pauli_model(1).mle(np.zeros(4))
+        with pytest.raises(ValueError, match="outcome counts"):
+            entangled_pauli_model(1).mle(np.ones(16))
 
 
 class TestClassicalMle:
     def test_bernoulli(self):
-        est, boundary = mle_classical("bernoulli", successes=5, total=10)
-        assert est[0] == 0.5 and not boundary
-        _, boundary = mle_classical("bernoulli", successes=0, total=10)
-        assert boundary
+        # outcomes are (success, failure)
+        assert bernoulli_model().mle(np.array([5, 5]))[0] == 0.5
+        assert bernoulli_model().mle(np.array([0, 10]))[0] == 0.0
 
     def test_gaussian_sample_mean(self):
-        samples = np.array([[1.0, 2.0], [3.0, 4.0]])
-        est, _ = mle_classical("gaussian", samples=samples)
-        np.testing.assert_allclose(est, [2.0, 3.0])
+        # the MLE is the sample mean of m draws, distributed N(theta, Sigma / m)
+        cov = np.array([[2.0, 0.6], [0.6, 1.0]])
+        theta, m = np.array([1.0, -2.0]), 50
+        est = GaussianKnownCovModel(cov).estimate_batch(
+            theta, m, np.random.default_rng(17), 20000
+        )
+        tolerance = 5 * math.sqrt(2.0 / m / 20000)  # five standard errors
+        np.testing.assert_allclose(est.mean(axis=0), theta, atol=tolerance)
+        np.testing.assert_allclose(np.cov(est.T), cov / m, rtol=0.1)
 
     def test_poisson(self):
-        est, boundary = mle_classical("poisson", samples=np.array([2.0, 0.0, 4.0]))
-        assert est[0] == pytest.approx(2.0) and not boundary
+        # samples 2, 0, 4 as outcome counts; the MLE is their mean
+        counts = np.zeros(21)
+        counts[[0, 2, 4]] = 1
+        est = PoissonTruncatedModel(20).mle(counts)
+        assert est[0] == pytest.approx(2.0)
 
     def test_multinomial(self):
-        est, _ = mle_classical("multinomial", counts=np.array([2, 3, 5]))
+        est = multinomial_model(2).mle(np.array([2, 3, 5]))
         np.testing.assert_allclose(est, [0.2, 0.3])
 
 
@@ -83,29 +90,29 @@ class TestRunTrial:
     def test_deterministic_model_always_succeeds(self):
         model = entangled_pauli_model(1)
         theta = np.array([1.0, 1.0, 1.0]) - 1e-13
-        outcome = run_trial(model, theta, 20, 0.05, "linf", np.random.default_rng(0))
-        assert outcome.success and outcome.error_linf <= 1e-6
+        est = success_probability(model, theta, 20, 1e-6, "l2", trials=50, seed=0)
+        assert est.rate == 1.0
 
     def test_infinite_eps_sentinel(self):
-        model = bernoulli_model()
-        outcome = run_trial(model, np.array([0.5]), 3, math.inf, "linf",
-                            np.random.default_rng(1))
-        assert outcome.success
+        est = success_probability(bernoulli_model(), np.array([0.5]), 3, math.inf,
+                                  "linf", trials=50, seed=1)
+        assert est.rate == 1.0
 
     def test_reproducible_verdict(self):
         model = entangled_pauli_model(1)
-        outcomes = [
-            run_trial(model, np.zeros(3), 100, 0.3, "linf", np.random.default_rng(7))
+        runs = [
+            success_probability(model, np.zeros(3), 100, 0.3, "linf", trials=600, seed=7)
             for _ in range(2)
         ]
-        np.testing.assert_array_equal(outcomes[0].estimate, outcomes[1].estimate)
-        assert outcomes[0].success == outcomes[1].success
+        assert runs[0] == runs[1]
 
     def test_error_norms_consistent(self):
+        # the Euclidean error is never below the max-norm error
         model = multinomial_model(3)
-        outcome = run_trial(model, np.full(3, 0.25), 50, 0.5, "l2",
-                            np.random.default_rng(5))
-        assert outcome.error_linf <= outcome.error_l2 + 1e-15
+        args = (np.full(3, 0.25), 50, 0.1)
+        l2 = success_probability(model, *args, "l2", trials=600, seed=5)
+        linf = success_probability(model, *args, "linf", trials=600, seed=5)
+        assert 0 < l2.successes <= linf.successes < 600
 
 
 class TestSuccessProbability:
@@ -138,7 +145,7 @@ class TestSuccessProbability:
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_counts_match_scoring_both_norms(self, norm):
-        # reference: score every block through _errors, which computes both norms
+        # reference: score every block in both norms
         cases = [
             (entangled_pauli_model(2), np.zeros(15), 300, 0.1),
             (separable_pauli_model(1, np.array([0.9, 0.0, 0.4])),
@@ -150,7 +157,8 @@ class TestSuccessProbability:
             expected = 0
             for rng, size in _block_streams(4, 2, 1100):
                 estimates = model.estimate_batch(theta, m, rng, size)
-                err_linf, err_l2 = _errors(estimates, theta)
+                diff = estimates - theta[None, :]
+                err_linf, err_l2 = np.abs(diff).max(axis=1), np.linalg.norm(diff, axis=1)
                 error = err_linf if norm == "linf" else err_l2
                 expected += int((error <= eps).sum())
             got = success_probability(model, theta, m, eps, norm, 1100, seed=4,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fisherbound.models import (
-    StatModel,
     GaussianKnownCovModel,
     NotIdentifiableError,
     PoissonTruncatedModel,
@@ -12,10 +11,10 @@ from fisherbound.models import (
     classical_models,
     entangled_pauli_model,
     multinomial_model,
-    sample_counts,
     separable_pauli_model,
     two_copy_bell_model,
 )
+from fisherbound.mle_lab import mse_vs_crb, success_probability
 from fisherbound.pauli import (
     PauliIndex,
     pauli_matrix,
@@ -297,20 +296,6 @@ class TestSharedIdentities:
                 fd3, model.d3logp(theta)[:, :, :, i], atol=1e-3, rtol=1e-3
             )
 
-    def test_generic_search_envelope_stays_below_closed_form(self):
-        # the base-class search is a lower estimate of the exact affine envelope
-        model = entangled_pauli_model(1)
-        theta = np.array([0.2, -0.1, 0.3])
-        exact_env, exact = model.third_derivative_envelope(theta, 0.05)
-        search_env, flagged_exact = StatModel.third_derivative_envelope(
-            model, theta, 0.05
-        )
-        assert exact and not flagged_exact
-        assert np.all(search_env <= exact_env + 1e-9)
-        # power iteration is exact for these rank-one tensors at the centre
-        centre_norms = 0.5 * 2.0 * np.linalg.norm(model.dlogp(theta), axis=1) ** 3
-        assert np.all(search_env >= centre_norms - 1e-9)
-
     def test_normalization_on_random_draws(self):
         rng = np.random.default_rng(55)
         samplers = [
@@ -357,30 +342,35 @@ class TestSharedIdentities:
 
 class TestSampling:
     def test_deterministic_outcome(self):
+        # every shot lands on the identity outcome, whose MLE is lam = 1
         model = entangled_pauli_model(1)
         rng = np.random.default_rng(0)
-        counts = sample_counts(model, np.array([1.0, 1.0, 1.0]) - 1e-13, 1, rng)
-        assert counts[0] == 1 and counts.sum() == 1
+        estimates = model.estimate_batch(np.array([1.0, 1.0, 1.0]) - 1e-13, 1, rng, 5)
+        assert np.array_equal(estimates, np.ones((5, 3)))
 
     def test_counts_near_uniform_within_five_sigma(self):
+        # at the depolarizing point each eigenvalue estimate has variance 1/m
         model = entangled_pauli_model(1)
         rng = np.random.default_rng(123)
         m = 40000
-        counts = sample_counts(model, np.zeros(3), m, rng)
-        sigma = math.sqrt(m * 0.25 * 0.75)
-        assert np.abs(counts - m / 4).max() <= 5 * sigma
-        assert counts.sum() == m
+        estimates = model.estimate_batch(np.zeros(3), m, rng, 20)
+        assert np.abs(estimates).max() <= 5 / math.sqrt(m)
+        # each estimate is the WHT of the frequencies of m shots
+        counts = m * np.array([model.probs(row) for row in estimates])
+        assert np.abs(counts - np.rint(counts)).max() <= 1e-6
 
     def test_seed_reproducibility(self):
         model = entangled_pauli_model(1)
-        a = sample_counts(model, np.zeros(3), 500, np.random.default_rng(42))
-        b = sample_counts(model, np.zeros(3), 500, np.random.default_rng(42))
+        a = model.estimate_batch(np.zeros(3), 500, np.random.default_rng(42), 8)
+        b = model.estimate_batch(np.zeros(3), 500, np.random.default_rng(42), 8)
         assert np.array_equal(a, b)
 
     def test_sample_size_precondition(self):
         model = bernoulli_model()
-        with pytest.raises(ValueError):
-            sample_counts(model, np.array([0.5]), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sample size"):
+            success_probability(model, np.array([0.5]), 0, 0.1, "linf", trials=10, seed=0)
+        with pytest.raises(ValueError, match="sample size"):
+            mse_vs_crb(model, np.array([0.5]), 0, trials=10, seed=0)
 
 
 class TestGaussianModel:

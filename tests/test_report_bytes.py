@@ -1,0 +1,68 @@
+"""Byte identity of CLI reports across refactors.
+
+Each case pins the SHA-256 of the report text that `cli.run_command`
+renders for the CLI defaults plus a few overrides, together with the exit
+code.  Together the cases cover all five subcommands in both formats, a
+singular Fisher matrix, a sample budget that runs out (exit 3), a
+separation table with simulated columns and a verify run with an injected
+fault (exit 1).
+
+A change that is meant to leave the program's output alone must keep
+every digest.  A digest may change only together with a written reason in
+CHANGES.md, the same rule that holds for bench/golden/.  To regenerate a
+digest, print `hashlib.sha256(text.encode()).hexdigest()` for the case.
+"""
+
+import hashlib
+
+import pytest
+
+from fisherbound import cli
+
+CASES = [
+    ("bounds", {"epsilon": 0.05},
+     0, "0eb6c83aa302b8cf4e2c133f3d158e8a6f9e24c0f739f5837a9dc821e9f42a44"),
+    ("bounds", {"n": 2, "epsilon": 0.01, "grid_points": 3, "format": "json"},
+     0, "479ead7dcbc0e5f04663e6fcdd42068e0b4bf05a39b26d3c31f0bcf4ddf0fb8c"),
+    ("bounds", {"scheme": "poisson", "epsilon": 0.05, "format": "json"},
+     0, "509e179f7cce8cae43e7a2545289106d00c2efed5445f963e0f3c64f8c01a0f2"),
+    ("bounds", {"scheme": "separable-pauli", "epsilon": 0.02},
+     0, "60271fa1631800703d7cf59b4fcb2999437868789a76ecab1eb8fe27a3035468"),
+    ("bounds", {"scheme": "two-copy-bell", "preset": "random", "epsilon": 0.001},
+     0, "4555d07b08133df707f66a40cb863edfab98fb1fceb30e0eb74a5a50b17489fd"),
+    ("simulate", {"scheme": "bernoulli", "epsilon": 0.2, "trials": 400},
+     0, "473b5a89e09c3ee4a48e0173276f0ed9883da1bb683464a8e2220a059c1779d0"),
+    ("simulate", {"epsilon": 0.3, "trials": 300, "norm": "l2", "format": "json"},
+     0, "f77cc7cf704b1340db943c4b62ab65672e625d741e95e7d36a9f3375e8508f5f"),
+    ("simulate", {"epsilon": 0.01, "trials": 200, "m_max": 64},
+     3, "39ca253fbe298d79748e6dc2f3a0b7dec4bb443d6ee6effd6ceab6ce4e147efe"),
+    ("simulate", {"scheme": "gaussian-known-var", "dim": 2, "epsilon": 0.2,
+                  "trials": 300, "format": "json"},
+     0, "7a38fb83f86ed0ed3f338894a40b9e10586e6843a81898eee9118aae9feb6622"),
+    ("simulate", {"scheme": "poisson", "epsilon": 0.3, "trials": 300},
+     0, "63eceec7ce56c849090342163e1f35b53f4944f30cccd8733f4e7ddae89149aa"),
+    ("fisher", {"n": 2, "preset": "random", "param_seed": 5},
+     0, "f67e6999e1d5abd8f83d400ae7bbb0bfa96f7546efe0814516c498c06aa812e1"),
+    ("fisher", {"scheme": "separable-pauli", "format": "json"},
+     0, "fa15db1e8437d594177685eda674e615e7b5662d5f5d7004e3b6b4bcd8826d79"),
+    ("fisher", {"scheme": "separable-pauli", "r": [1.0, 0.8, 0.0, 0.5]},
+     0, "f8f2dd63d2cd96edfb218b292ad577734da227ae017cc7323c9d7004a5c30472"),
+    ("separation", {"n_max": 3, "simulate_upto": 1, "epsilon": 0.3, "trials": 200},
+     0, "7a39f2c7696f45438545becc4d458dbafca0834418fe160e3cbd3c9704f175ed"),
+    ("separation", {"n_max": 4, "format": "json"},
+     0, "f6b8bf5d9426c46c680b26536f4f628253f8ab4e3bf8c1fe81fbd6620acead1c"),
+    ("verify", {"seed": 21},
+     0, "d3878cf2197b84772c6af6bf1255ec05e414b97168a96011f8f8962561b57898"),
+    ("verify", {"inject_fault": "fwht", "format": "json"},
+     1, "de0175b1bb7786cca0ae30d229a9c10322835088859aada5b7217f02faf1c12d"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, code, digest", CASES,
+    ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)],
+)
+def test_report_digest(command, overrides, code, digest):
+    text, got_code = cli.run_command(command, {**cli.DEFAULTS, **overrides})
+    assert got_code == code
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
