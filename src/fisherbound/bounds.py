@@ -10,12 +10,15 @@ coefficients:
     mu_R, V_R  mean and variance of the per-outcome envelope r(x) that
                dominates 0.5 * ||third log-likelihood derivative||_op
                over the relevant parameter ball,
-    V_H        E[Tr(B^2)] for the centred Hessian B(x) = l''(x) + F,
-               supplied by the model's hessian_fluctuation (from the
-               score matrix for affine models, no K x d x d stack),
+    V_H        E[Tr(B^2)] for the centred Hessian B(x) = l''(x) + F
+               (from the score matrix for affine models, no K x d x d
+               stack),
     rho        third absolute moment of the projected score,
     sigma      sqrt of the relevant inverse-Fisher scalar,
     C          Berry-Esseen constant (default 0.4748, always overridable).
+
+estimate_coefficients reads the inverse-Fisher scalars from the
+FisherMatrix and every outcome moment from the model's bound_moments.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits of the four bounds are exposed as asymptotic_* helpers,
@@ -60,7 +63,8 @@ class BoundCoefficients:
     sqrt([F^-1]_aa) and E|e_a^T F^-1 score|^3; sigma_top and rho_top are
     the analogues projected on the top eigenvector of F^-1.  norm records
     which parameter ball ("linf" or "l2") the envelope was taken over;
-    None means norm-agnostic (exact zeros).
+    None means norm-agnostic (exact zeros); provenance records whether the
+    envelope is exact.
     """
 
     d: int
@@ -75,14 +79,7 @@ class BoundCoefficients:
     sigma_top: float
     rho_top: float
     norm: str | None = None
-    envelope_exact: bool = True
     provenance: str = "exact"
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def rho(self) -> float:
-        """Largest per-coordinate third moment (summary scalar)."""
-        return float(np.max(self.rho_diag)) if len(self.rho_diag) else 0.0
 
     def finite(self) -> bool:
         values = [self.mu_R, self.V_H, self.V_R, self.sigma, self.opnorm_inv,
@@ -146,7 +143,6 @@ def idealized_coefficients(
         sigma_top=sigma if sigma_top is None else sigma_top,
         rho_top=0.0,
         norm=None,
-        envelope_exact=True,
         provenance="idealized",
     )
 
@@ -161,16 +157,14 @@ def estimate_coefficients(
 ) -> BoundCoefficients:
     """Bound coefficients of a model at an interior parameter point.
 
-    V_H and the projected third moments are exact sums over the outcomes:
-    the projected moments from the (K, d) score matrix, V_H from the
-    model's hessian_fluctuation, which affine models evaluate from the
-    same scores without forming per-outcome Hessians.  mu_R and V_R come
-    from the per-outcome envelope of
-    0.5 * ||third derivative||_op over the parameter ball matching the
-    criterion norm (Euclidean radius sqrt(d)*eps for "linf", eps for
-    "l2").  Models with affine outcome probabilities supply that envelope
-    in closed form; otherwise it is a search-based lower estimate and the
-    result is flagged estimated-coefficient.
+    The inverse-Fisher scalars come from `fisher` (built here when not
+    given): sigma_diag = sqrt([F^-1]_aa), opnorm_inv = lambda_max(F^-1)
+    and sigma_top its square root.  The outcome moments mu_R, V_R, V_H,
+    rho_diag and rho_top come from model.bound_moments, with the envelope
+    taken over the parameter ball matching the criterion norm (Euclidean
+    radius sqrt(d)*eps for "linf", eps for "l2").  A model whose envelope
+    is only a search-based lower estimate yields provenance
+    "estimated-coefficient".
 
     sigma is the largest sqrt([F^-1]_aa) at this point; a supremum over
     the parameter space must be taken by the caller (e.g. over a
@@ -183,55 +177,9 @@ def estimate_coefficients(
     theta = model.validate_theta(np.asarray(theta, dtype=float))
     d = model.d
     radius = math.sqrt(d) * eps if norm == "linf" else eps
-
-    exact_hook = getattr(model, "exact_coefficients", None)
-    if exact_hook is not None:
-        f = fisher if fisher is not None else fim(model, theta)
-        finv = f.pinv_matrix()
-        known = exact_hook()
-        sigma_diag = np.sqrt(np.diag(finv))
-        lam_max_inv = f.opnorm_inverse()
-        rho_scale = 2.0 * math.sqrt(2.0 / math.pi)
-        return BoundCoefficients(
-            d=d,
-            mu_R=known["mu_R"],
-            V_H=known["V_H"],
-            V_R=known["V_R"],
-            C=constant,
-            sigma=float(sigma_diag.max()),
-            opnorm_inv=f.opnorm_inverse(),
-            sigma_diag=sigma_diag,
-            rho_diag=np.asarray(known["rho_diag"], dtype=float),
-            sigma_top=math.sqrt(lam_max_inv),
-            rho_top=rho_scale * lam_max_inv**1.5,
-            norm=norm,
-            envelope_exact=True,
-            provenance="exact",
-        )
-
     f = fisher if fisher is not None else fim(model, theta)
-    finv = f.pinv_matrix()
-    p = model.probs(theta)
-    scores = model.dlogp(theta)
-
-    projected = scores @ finv  # (K, d): column a is e_a^T F^-1 score(x)
-    rho_diag = p @ np.abs(projected) ** 3
-    sigma_diag = np.sqrt(np.clip(np.diag(finv), 0.0, None))
-
-    top = f.eigenvectors[:, 0]  # top eigenvector of F^-1
-    rho_top = float(p @ np.abs(projected @ top) ** 3)
-    sigma_top = math.sqrt(f.opnorm_inverse())
-
-    v_h = model.hessian_fluctuation(theta, p, scores, f)
-
-    envelope, envelope_exact = model.third_derivative_envelope(theta, radius)
-    if np.any(np.isinf(envelope) & (p > 0.0)):
-        mu_r = math.inf
-        v_r = math.inf
-    else:
-        mu_r = float(p @ envelope)
-        v_r = float(p @ (envelope - mu_r) ** 2)
-
+    mu_r, v_r, v_h, rho_diag, rho_top, exact = model.bound_moments(theta, f, radius)
+    sigma_diag = np.sqrt(np.clip(f.inverse_diag(), 0.0, None))
     return BoundCoefficients(
         d=d,
         mu_R=mu_r,
@@ -242,11 +190,10 @@ def estimate_coefficients(
         opnorm_inv=f.opnorm_inverse(),
         sigma_diag=sigma_diag,
         rho_diag=np.asarray(rho_diag, dtype=float),
-        sigma_top=sigma_top,
+        sigma_top=math.sqrt(f.opnorm_inverse()),
         rho_top=rho_top,
         norm=norm,
-        envelope_exact=envelope_exact,
-        provenance="exact" if envelope_exact else "estimated-coefficient",
+        provenance="exact" if exact else "estimated-coefficient",
     )
 
 

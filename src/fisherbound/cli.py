@@ -124,6 +124,11 @@ def _validate_config(cfg: dict) -> None:
     for key in ("epsilon", "delta", "be_constant", "wilson_level"):
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
             raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+    for key in ("lambda", "theta", "r"):
+        value = cfg[key]
+        if value is not None and not (isinstance(value, list) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
+            raise ConfigError(f"{key} must be null or a flat list of numbers, got {value!r}")
     if not 0.0 < cfg["delta"] < 1.0:
         raise ConfigError("delta must be in (0, 1)")
     if not cfg["epsilon"] > 0.0:
@@ -300,7 +305,6 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     grid = _theta_grid(cfg, model, theta)
 
     norms = ("linf", "l2")
-    upper_fns = {"linf": bounds.upper_bound_linf, "l2": bounds.upper_bound_l2}
     lower_fns = {"linf": bounds.lower_bound_linf, "l2": bounds.lower_bound_l2}
     best_upper = dict.fromkeys(norms)
     lower = {}
@@ -311,7 +315,7 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
         for norm in norms:
             coeffs = bounds.estimate_coefficients(model, point, eps, norm,
                                                   constant=c, fisher=f)
-            candidate = upper_fns[norm](eps, delta, coeffs)
+            candidate = _upper_bound(eps, delta, coeffs, f)
             best = best_upper[norm]
             if best is None or _bound_sort_key(candidate) > _bound_sort_key(best):
                 best_upper[norm] = candidate
@@ -334,6 +338,16 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
             rows.append(_bound_row(bound_id, kind, "linf", result, eps, delta, model.d))
     meta = _meta(cfg, "bounds", grid_points=len(grid), domain_shrink=DOMAIN_SHRINK)
     return rows, meta, EXIT_OK
+
+
+def _upper_bound(eps, delta, coeffs, f):
+    """Finite upper bound in coeffs.norm; inapplicable where F is singular,
+    since the pseudoinverse would treat an unidentifiable coordinate as known."""
+    if f.is_singular:
+        return bounds.BoundResult(math.inf, False, "none", reason="singular Fisher matrix",
+                                  provenance=coeffs.provenance)
+    upper_fn = bounds.upper_bound_linf if coeffs.norm == "linf" else bounds.upper_bound_l2
+    return upper_fn(eps, delta, coeffs)
 
 
 def _bound_sort_key(result):
@@ -374,8 +388,7 @@ def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
         lower = bounds.asymptotic_lower_l2(eps, delta, f.opnorm_inverse())
     coeffs = bounds.estimate_coefficients(model, theta, eps, norm,
                                           constant=cfg["be_constant"], fisher=f)
-    upper_fn = bounds.upper_bound_linf if norm == "linf" else bounds.upper_bound_l2
-    upper = upper_fn(eps, delta, coeffs)
+    upper = _upper_bound(eps, delta, coeffs, f)
 
     def base_row(**kwargs):
         row = {"scheme": cfg["scheme"], "n": cfg["n"], "epsilon": eps, "delta": delta,
@@ -428,10 +441,9 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
             "estimable": fisher.estimable(f, a),
             "sigma": float(sigma[a]),
         })
-    stats = fisher.spectral_stats(f)
-    meta = _meta(cfg, "fisher", fim_defined=True, opnorm_inv=stats.opnorm_inv,
-                 lambda_max_inv=stats.opnorm_inv,
-                 used_pseudoinverse=stats.used_pseudoinverse)
+    opnorm_inv = f.opnorm_inverse()
+    meta = _meta(cfg, "fisher", fim_defined=True, opnorm_inv=opnorm_inv,
+                 lambda_max_inv=opnorm_inv, used_pseudoinverse=f.is_singular)
     return rows, meta, EXIT_OK
 
 

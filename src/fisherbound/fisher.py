@@ -20,7 +20,6 @@ from .pauli import PauliIndex, num_paulis, pauli_matrix, sign_matrix, validate_r
 __all__ = [
     "FimUndefinedError",
     "FisherMatrix",
-    "SpectralStats",
     "TraceBoundResult",
     "bell_fim_structural",
     "depolarizing_qfi_sum",
@@ -29,7 +28,6 @@ __all__ = [
     "qfim_inverse_diag_pauli",
     "separable_qfim_inverse_diag",
     "single_copy_trace_bound",
-    "spectral_stats",
 ]
 
 P_FLOOR = 1e-12
@@ -48,10 +46,12 @@ class FisherMatrix:
 
     Eigenvalues are stored ascending.  Inverse-based quantities fall back
     to the Moore-Penrose pseudoinverse when the matrix is numerically
-    singular (eigenvalues below rank_tol * lambda_max are treated as 0).
+    singular (eigenvalues below RANK_TOL * lambda_max are treated as 0).
+    The bounds read inverse_diag, opnorm_inverse = lambda_max(F^-1) and
+    is_singular.
     """
 
-    def __init__(self, matrix, rank_tol: float = RANK_TOL):
+    def __init__(self, matrix):
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"expected a square matrix, got {matrix.shape}")
@@ -60,7 +60,6 @@ class FisherMatrix:
             raise ValueError("matrix is not symmetric")
         self.matrix = 0.5 * (matrix + matrix.T)
         self.d = matrix.shape[0]
-        self.rank_tol = rank_tol
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
         lam_max = float(self.eigenvalues[-1]) if self.d else 0.0
         if self.eigenvalues.size and self.eigenvalues[0] < -PSD_TOL * max(1.0, lam_max):
@@ -68,17 +67,12 @@ class FisherMatrix:
                 f"matrix is not positive semidefinite: min eigenvalue "
                 f"{self.eigenvalues[0]!r}"
             )
-        self._rank_cut = rank_tol * max(lam_max, 0.0)
-        self._nonzero = self.eigenvalues > self._rank_cut
+        self._nonzero = self.eigenvalues > RANK_TOL * max(lam_max, 0.0)
         self._pinv = None
 
     @property
-    def rank(self) -> int:
-        return int(self._nonzero.sum())
-
-    @property
     def is_singular(self) -> bool:
-        return self.rank < self.d
+        return not self._nonzero.all()
 
     def pinv_matrix(self) -> np.ndarray:
         """The (pseudo)inverse, computed on first use; a read-only array."""
@@ -103,10 +97,10 @@ class FisherMatrix:
         return 1.0 / float(kept[0])
 
 
-def fim(model, theta, p_floor: float = P_FLOOR) -> FisherMatrix:
+def fim(model, theta) -> FisherMatrix:
     """Classical Fisher information matrix of a model at theta.
 
-    Outcomes with probability below p_floor are excluded from the sum.
+    Outcomes with probability below P_FLOOR are excluded from the sum.
     If the excluded outcomes carry score mass (excluded probability times
     the largest |dp|/p ratio among them above EXCLUDED_SCORE_TOL) the
     matrix is declared undefined rather than silently truncated; a point
@@ -121,11 +115,11 @@ def fim(model, theta, p_floor: float = P_FLOOR) -> FisherMatrix:
         return FisherMatrix(analytic)
     p = model.probs(theta)
     grads = model.dprobs(theta)
-    keep = p > p_floor
+    keep = p > P_FLOOR
     if not np.all(keep):
         excluded_mass = float(p[~keep].sum())
         grad_scale = np.abs(grads[~keep]).max(axis=1)
-        ratio = grad_scale / np.maximum(p[~keep], p_floor)
+        ratio = grad_scale / np.maximum(p[~keep], P_FLOOR)
         if excluded_mass * float(ratio.max(initial=0.0)) > EXCLUDED_SCORE_TOL:
             raise FimUndefinedError(
                 f"{model.scheme}: FIM undefined at theta; excluded mass "
@@ -161,35 +155,12 @@ def separable_qfim_inverse_diag(r, lam):
     return values, witness
 
 
-def estimable(f: FisherMatrix, a: int, tol: float = 1e-8) -> bool:
+def estimable(f: FisherMatrix, a: int) -> bool:
     """Whether coordinate a admits an unbiased estimator: F F^+ e_a = e_a."""
     e = np.zeros(f.d)
     e[a] = 1.0
     residual = f.matrix @ (f.pinv_matrix() @ e) - e
-    return bool(np.linalg.norm(residual) <= tol)
-
-
-@dataclass(frozen=True)
-class SpectralStats:
-    """Inverse-side spectral summary of a Fisher matrix."""
-
-    opnorm_inv: float
-    max_inv_diag: float
-    used_pseudoinverse: bool
-
-
-def spectral_stats(f: FisherMatrix) -> SpectralStats:
-    """Operator norm of F^-1 and its largest diagonal entry.
-
-    For a symmetric PSD matrix these satisfy
-    max_inv_diag <= opnorm_inv = lambda_max(F^-1).  Singular matrices are
-    summarised through the pseudoinverse and flagged.
-    """
-    return SpectralStats(
-        opnorm_inv=f.opnorm_inverse(),
-        max_inv_diag=float(f.inverse_diag().max()),
-        used_pseudoinverse=f.is_singular,
-    )
+    return bool(np.linalg.norm(residual) <= 1e-8)
 
 
 def bell_fim_structural(p, n: int) -> FisherMatrix:

@@ -5,9 +5,12 @@ log-likelihood derivatives, and a closed-form maximum-likelihood
 estimator: mle_batch maps a (trials, K) count matrix to its row-wise
 estimates, and StatModel.mle applies it to one count vector.
 estimate_batch draws the counts of many trials at once and returns their
-estimates.  The Pauli measurement schemes and the classical textbook
-models (Bernoulli, multinomial, truncated Poisson, Gaussian with known
-covariance) all fit this surface.
+estimates.  bound_moments returns the outcome moments that the
+finite-sample bounds read at a parameter point; the default enumerates
+the outcomes, and the Gaussian model overrides it with closed forms.  The
+Pauli measurement schemes and the classical textbook models (Bernoulli,
+multinomial, truncated Poisson, Gaussian with known covariance) all fit
+this surface, each built by its own factory or constructor.
 
 Models whose outcome probabilities are affine in the parameters share the
 LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score is
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import _fwht_buffers, num_paulis, sign_matrix, validate_eigenvalues
+from .pauli import _fwht_buffers, num_paulis, sign_matrix
 
 __all__ = [
     "GaussianKnownCovModel",
@@ -32,7 +35,6 @@ __all__ = [
     "PoissonTruncatedModel",
     "StatModel",
     "bernoulli_model",
-    "classical_models",
     "entangled_pauli_model",
     "multinomial_model",
     "separable_pauli_model",
@@ -40,10 +42,6 @@ __all__ = [
 ]
 
 DOMAIN_MARGIN = 1e-6
-
-
-class NotIdentifiableError(ValueError):
-    """A parameter carries no information under the configured measurement."""
 
 
 class DomainError(ValueError):
@@ -55,8 +53,8 @@ class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
     Subclasses implement probs/dprobs/d2logp/d3logp,
-    third_derivative_envelope and mle_batch.  theta is always a length-d
-    float vector interior to the domain.
+    third_derivative_envelope and mle_batch, or override bound_moments.
+    theta is always a length-d float vector interior to the domain.
     """
 
     d: int
@@ -144,6 +142,29 @@ class StatModel:
         centred = self.d2logp(theta) + fisher.matrix[None, :, :]
         return float(p @ (centred**2).sum(axis=(1, 2)))
 
+    def bound_moments(self, theta, fisher, radius):
+        """(mu_R, V_R, V_H, rho_diag, rho_top, exact) for the bounds at theta.
+
+        fisher is the FisherMatrix at theta, radius that of the parameter
+        ball.  The default sums over the K outcomes: rho_diag[a] =
+        E|e_a^T F^-1 score|^3, rho_top the same along the top eigenvector
+        of F^-1, V_H from hessian_fluctuation, and mu_R, V_R the mean and
+        variance of third_derivative_envelope, whose flag is exact.
+        """
+        p = self.probs(theta)
+        scores = self.dlogp(theta)
+        projected = scores @ fisher.pinv_matrix()  # column a is e_a^T F^-1 score(x)
+        rho_diag = p @ np.abs(projected) ** 3
+        rho_top = float(p @ np.abs(projected @ fisher.eigenvectors[:, 0]) ** 3)
+        v_h = self.hessian_fluctuation(theta, p, scores, fisher)
+        envelope, exact = self.third_derivative_envelope(theta, radius)
+        if np.any(np.isinf(envelope) & (p > 0.0)):
+            mu_r = v_r = math.inf
+        else:
+            mu_r = float(p @ envelope)
+            v_r = float(p @ (envelope - mu_r) ** 2)
+        return mu_r, v_r, v_h, rho_diag, rho_top, exact
+
 
 class LinearOutcomeModel(StatModel):
     """Model with affine outcome probabilities p(x) = b_x + A_x . theta."""
@@ -163,9 +184,6 @@ class LinearOutcomeModel(StatModel):
 
     def dprobs(self, theta):
         return self.A
-
-    def dlogp(self, theta):
-        return self.A / self.probs(theta)[:, None]
 
     def d2logp(self, theta):
         p = self.probs(theta)
@@ -305,20 +323,6 @@ class SeparablePauliModel(LinearOutcomeModel):
         super().__init__(A, b, scheme="separable-pauli", metadata={"n": n})
         self.r = r
         self.identifiable = r != 0.0
-
-    def axis_outcome_probs(self, axis, lam_axis):
-        """(p_plus, p_minus) for a projective measurement along one axis."""
-        q = self.r[axis] * lam_axis
-        return 0.5 * (1.0 + q), 0.5 * (1.0 - q)
-
-    def axis_fisher_info(self, axis, lam_axis):
-        """Per-shot information r_m^2 / (1 - r_m^2 lam_m^2) about lam_m."""
-        if not self.identifiable[axis]:
-            raise NotIdentifiableError(
-                f"axis {axis}: probe component is zero, parameter not identifiable"
-            )
-        q2 = (self.r[axis] * lam_axis) ** 2
-        return self.r[axis] ** 2 / (1.0 - q2)
 
     def contains(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -480,43 +484,19 @@ class GaussianKnownCovModel(StatModel):
     def probs(self, theta):
         raise ValueError("gaussian-known-var has continuous outcomes")
 
-    def exact_coefficients(self):
-        """mu_R = V_R = V_H = 0 and rho_a = 2*sqrt(2/pi)*Sigma_aa^(3/2).
+    def bound_moments(self, theta, fisher, radius):
+        """mu_R = V_R = V_H = 0 and rho = 2*sqrt(2/pi)*variance^(3/2).
 
-        The projected score e_a^T F^-1 grad(log p) equals y_a - theta_a,
-        a centred normal with variance Sigma_aa.
+        The projected score e_a^T F^-1 grad(log p) equals y_a - theta_a, a
+        centred normal with variance Sigma_aa; along the top eigenvector
+        of F^-1 its variance is lambda_max(F^-1).
         """
         rho_scale = 2.0 * math.sqrt(2.0 / math.pi)
-        sigma_diag = np.sqrt(np.diag(self.cov))
-        return {
-            "mu_R": 0.0,
-            "V_R": 0.0,
-            "V_H": 0.0,
-            "rho_diag": rho_scale * sigma_diag**3,
-        }
-
-    def sample_mean_batch(self, theta, m, rng, trials):
-        z = rng.standard_normal((trials, self.d))
-        return np.asarray(theta, dtype=float) + (z @ self._chol.T) / math.sqrt(m)
+        rho_diag = rho_scale * np.sqrt(np.diag(self.cov)) ** 3
+        rho_top = rho_scale * fisher.opnorm_inverse() ** 1.5
+        return 0.0, 0.0, 0.0, rho_diag, rho_top, True
 
     def estimate_batch(self, theta, m, rng, trials):
         # the MLE is the sample mean, which is drawn directly
-        return self.sample_mean_batch(theta, m, rng, trials)
-
-
-def classical_models(kind: str, **params) -> StatModel:
-    """Factory for the classical reference models.
-
-    kind is one of "bernoulli", "multinomial", "poisson",
-    "gaussian-known-var"; params are forwarded (multinomial: d,
-    poisson: truncation, gaussian: cov).
-    """
-    if kind == "bernoulli":
-        return bernoulli_model()
-    if kind == "multinomial":
-        return multinomial_model(params.get("d", 2))
-    if kind == "poisson":
-        return PoissonTruncatedModel(params.get("truncation", 20))
-    if kind == "gaussian-known-var":
-        return GaussianKnownCovModel(params.get("cov", np.eye(params.get("d", 1))))
-    raise ValueError(f"unknown model kind: {kind!r}")
+        z = rng.standard_normal((trials, self.d))
+        return np.asarray(theta, dtype=float) + (z @ self._chol.T) / math.sqrt(m)

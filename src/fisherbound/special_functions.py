@@ -40,9 +40,6 @@ class TailBoundPair:
                 f"invalid tail bracket: lower={self.lower!r}, upper={self.upper!r}"
             )
 
-    def brackets(self, value: float) -> bool:
-        return self.lower < value < self.upper
-
 
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function, w * exp(w) = x.

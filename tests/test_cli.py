@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import fisherbound
 from fisherbound import fisher
 from fisherbound.cli import (
     COLUMNS,
@@ -93,6 +94,8 @@ class TestConfigHandling:
         {"param_seed": 1.0}, {"param_seed": -1},
         {"epsilon": "0.1"}, {"delta": True}, {"be_constant": "0.5"},
         {"wilson_level": None}, {"be_constant": -1}, {"be_constant": 0.4097},
+        {"lambda": {"a": 1}}, {"theta": [True, 0, 0]}, {"theta": [None, 0, 0]},
+        {"theta": 5}, {"r": [[1, 2]]}, {"r": "1,0,0"},
     ])
     def test_search_fields_typed_and_bounded(self, tmp_path, capsys, field):
         path = tmp_path / "cfg.json"
@@ -186,6 +189,27 @@ class TestReports:
         rows = json.loads(text)["rows"]
         estimable_flags = [row["estimable"] for row in rows]
         assert estimable_flags == [True, False, False]
+
+    def test_singular_fisher_has_no_upper_bound(self):
+        # the second axis has probe component 0: F is singular, lambda_2 unidentifiable
+        config = dict(scheme="separable-pauli", r=[1, 0.8, 0, 0.5], theta=[0, 0.5, 0],
+                      epsilon=0.01, format="json")
+        text, _ = run_command("bounds", resolve("bounds", **config))
+        rows = {row["bound_id"]: row for row in json.loads(text)["rows"]}
+        for norm in ("linf", "l2"):
+            upper = rows[f"upper-{norm}"]
+            assert (upper["applicable"], upper["value"]) == (False, None)
+            assert upper["reason"] == "singular Fisher matrix"
+            assert rows[f"lower-{norm}"]["applicable"] is True
+        assert rows["lower-linf"]["value"] == pytest.approx(159902.80623732574, rel=1e-12)
+        assert rows["lower-l2"]["value"] == pytest.approx(207139.43173141216, rel=1e-12)
+
+        config.update(theta=[0, 0, 0], trials=200)
+        payload = json.loads(run_command("simulate", resolve("simulate", **config))[0])
+        assert payload["rows"][0]["upper_bound"] is None
+        assert payload["rows"][0]["m_star"] >= 1
+        assert payload["meta"]["upper_bound_applicable"] is False
+        assert payload["meta"]["upper_bound_reason"] == "singular Fisher matrix"
 
     def test_bounds_inapplicable_row(self):
         cfg = resolve("bounds", epsilon=0.1, delta=0.1, format="json")
@@ -332,6 +356,14 @@ class TestExitCodes:
         result = run_cli(["bounds", "--epsilon", "0.05", "--out", str(out)])
         assert result.returncode == 0
         assert out.read_text().startswith("# fisherbound=")
+
+
+@pytest.mark.parametrize("module", [m for m in fisherbound.__all__ if m != "__version__"])
+def test_every_public_name_resolves(module):
+    # the benchmark tracer looks up every __all__ name of every module
+    mod = getattr(fisherbound, module)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.__all__ names missing {name!r}"
 
 
 def test_main_returns_config_error_code():

@@ -13,7 +13,6 @@ from fisherbound.fisher import (
     qfim_inverse_diag_pauli,
     separable_qfim_inverse_diag,
     single_copy_trace_bound,
-    spectral_stats,
 )
 from fisherbound.models import (
     GaussianKnownCovModel,
@@ -193,28 +192,33 @@ class TestEstimable:
 
 
 class TestSpectralStats:
+    """The inverse-side summary that every bound reads from FisherMatrix."""
+
     def test_identity(self):
-        stats = spectral_stats(FisherMatrix(np.eye(3)))
-        assert (stats.opnorm_inv, stats.max_inv_diag) == (1, 1)
+        f = FisherMatrix(np.eye(3))
+        assert (f.opnorm_inverse(), f.inverse_diag().max()) == (1, 1)
+        assert not f.is_singular
 
     def test_diag_example(self):
-        stats = spectral_stats(FisherMatrix(np.diag([4.0, 1.0])))
-        assert stats.opnorm_inv == pytest.approx(1.0)
-        assert stats.max_inv_diag == pytest.approx(1.0)
+        f = FisherMatrix(np.diag([4.0, 1.0]))
+        assert f.opnorm_inverse() == pytest.approx(1.0)
+        assert f.inverse_diag().max() == pytest.approx(1.0)
 
     def test_random_spd_against_jacobi_oracle(self):
         rng = np.random.default_rng(31)
         basis = rng.standard_normal((5, 5))
         a = basis @ basis.T + 5.0 * np.eye(5)
-        stats = spectral_stats(FisherMatrix(a))
+        f = FisherMatrix(a)
         eigs = jacobi_eigenvalues(a)
-        assert stats.opnorm_inv == pytest.approx(1.0 / eigs[0], rel=1e-9)
-        assert stats.max_inv_diag == pytest.approx(np.diag(np.linalg.inv(a)).max(),
-                                                   rel=1e-9)
-        assert stats.max_inv_diag <= stats.opnorm_inv + 1e-12
+        assert f.opnorm_inverse() == pytest.approx(1.0 / eigs[0], rel=1e-9)
+        max_inv_diag = f.inverse_diag().max()
+        assert max_inv_diag == pytest.approx(np.diag(np.linalg.inv(a)).max(), rel=1e-9)
+        assert max_inv_diag <= f.opnorm_inverse() + 1e-12
 
     def test_singular_flag(self):
-        assert spectral_stats(FisherMatrix(np.diag([1.0, 0.0]))).used_pseudoinverse
+        f = FisherMatrix(np.diag([1.0, 0.0]))
+        assert f.is_singular
+        assert (f.opnorm_inverse(), f.inverse_diag().max()) == (1, 1)
 
 
 class TestBellStructural:

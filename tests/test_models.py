@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fisherbound.fisher import estimable, fim
 from fisherbound.models import (
     GaussianKnownCovModel,
-    NotIdentifiableError,
     PoissonTruncatedModel,
     bernoulli_model,
-    classical_models,
     entangled_pauli_model,
     multinomial_model,
     separable_pauli_model,
@@ -118,35 +117,49 @@ class TestTwoCopyBellModel:
         assert "eps_s" in two_copy_bell_model(1).metadata["accuracy_translation"]
 
 
+def _axis_probs(model, theta, a):
+    """(p_plus, p_minus) of a projective measurement along axis a."""
+    return model.probs(theta)[2 * a:2 * a + 2] * model.d
+
+
+def _axis_info(model, theta, a):
+    """Per-shot information about lam_a once axis a is measured."""
+    return fim(model, theta).matrix[a, a] * model.d
+
+
 class TestSeparablePauliModel:
     def test_axis_probabilities_at_depolarizing(self):
         model = separable_pauli_model(1, np.array([1.0, 0.0, 0.0]))
-        assert model.axis_outcome_probs(0, 0.0) == (0.5, 0.5)
+        np.testing.assert_allclose(_axis_probs(model, np.zeros(3), 0), [0.5, 0.5],
+                                   rtol=1e-15)
 
     def test_single_axis_information_matches_finite_difference(self):
         # binomial-model oracle: I(lam) = q'(lam)^2 * (1/q + 1/(1-q))
         model = separable_pauli_model(1, np.array([1.0, 0.0, 0.0]))
-        got = model.axis_fisher_info(0, 0.0)
-        assert got == pytest.approx(1.0, rel=1e-12)
+        assert _axis_info(model, np.zeros(3), 0) == pytest.approx(1.0, rel=1e-12)
 
         r, lam, h = 0.8, 0.3, 1e-6
         model2 = separable_pauli_model(1, np.array([r, 0.5, 0.1]))
         q = lambda l: 0.5 * (1.0 + r * l)
         dq = (q(lam + h) - q(lam - h)) / (2 * h)
         oracle = dq**2 * (1.0 / q(lam) + 1.0 / (1.0 - q(lam)))
-        assert model2.axis_fisher_info(0, lam) == pytest.approx(oracle, rel=1e-6)
+        theta = np.array([lam, -0.2, 0.4])
+        assert _axis_info(model2, theta, 0) == pytest.approx(oracle, rel=1e-6)
+        np.testing.assert_allclose(_axis_probs(model2, theta, 0), [q(lam), 1.0 - q(lam)],
+                                   rtol=1e-15)
 
     def test_inverse_information_bound_witness(self):
         # r_1^2 = 1/2, lam = 0: 1/I = 2 >= 1/r^2 - 1 = 1
         model = separable_pauli_model(1, np.array([math.sqrt(0.5), 0.5, 0.5]))
-        inv_info = 1.0 / model.axis_fisher_info(0, 0.0)
+        inv_info = 1.0 / _axis_info(model, np.zeros(3), 0)
         assert inv_info == pytest.approx(2.0, rel=1e-12)
         assert inv_info >= 1.0 / 0.5 - 1.0
 
     def test_zero_component_not_identifiable(self):
         model = separable_pauli_model(1, np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(NotIdentifiableError):
-            model.axis_fisher_info(1, 0.0)
+        f = fim(model, np.zeros(3))
+        assert [estimable(f, a) for a in range(3)] == [True, False, False]
+        assert f.is_singular
         assert list(model.identifiable) == [True, False, False]
 
     def test_purity_violation_rejected(self):
@@ -218,17 +231,17 @@ class TestMleBatchBitwise:
 
 class TestClassicalModels:
     def test_bernoulli_distribution(self):
-        model = classical_models("bernoulli")
+        model = bernoulli_model()
         np.testing.assert_allclose(model.probs(np.array([0.5])), [0.5, 0.5])
 
     def test_multinomial_uniform(self):
-        model = classical_models("multinomial", d=2)
+        model = multinomial_model(2)
         np.testing.assert_allclose(
             model.probs(np.array([1 / 3, 1 / 3])), np.full(3, 1 / 3), atol=1e-15
         )
 
     def test_poisson_series_oracle(self):
-        model = classical_models("poisson", truncation=20)
+        model = PoissonTruncatedModel(20)
         p = model.probs(np.array([1.0]))
         weights = np.array([math.exp(-1.0) / math.factorial(k) for k in range(21)])
         np.testing.assert_allclose(p, weights / weights.sum(), atol=1e-14)
@@ -244,14 +257,10 @@ class TestClassicalModels:
 
     def test_gaussian_analytic_fisher(self):
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        model = classical_models("gaussian-known-var", cov=cov)
+        model = GaussianKnownCovModel(cov)
         np.testing.assert_allclose(
             model.analytic_fisher(np.zeros(2)), np.linalg.inv(cov), atol=1e-12
         )
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            classical_models("geometric")
 
 
 class TestSharedIdentities:
@@ -377,19 +386,23 @@ class TestGaussianModel:
     def test_sample_mean_distribution(self):
         model = GaussianKnownCovModel(np.diag([4.0, 1.0]))
         rng = np.random.default_rng(11)
-        means = model.sample_mean_batch(np.array([1.0, -2.0]), m=100, rng=rng, trials=4000)
+        means = model.estimate_batch(np.array([1.0, -2.0]), m=100, rng=rng, trials=4000)
         np.testing.assert_allclose(means.mean(axis=0), [1.0, -2.0], atol=0.01 * 5)
         np.testing.assert_allclose(
             means.var(axis=0), [0.04, 0.01], rtol=0.2
         )
 
     def test_exact_coefficients(self):
-        model = GaussianKnownCovModel(np.eye(2))
-        coeffs = model.exact_coefficients()
-        assert coeffs["mu_R"] == coeffs["V_R"] == coeffs["V_H"] == 0.0
-        np.testing.assert_allclose(
-            coeffs["rho_diag"], np.full(2, 2.0 * math.sqrt(2.0 / math.pi))
-        )
+        # E|N(0, s^2)|^3 = 2 sqrt(2/pi) s^3, along each axis and the top eigenvector
+        cov = np.array([[4.0, 1.0], [1.0, 1.0]])
+        model = GaussianKnownCovModel(cov)
+        f = fim(model, np.zeros(2))
+        mu_r, v_r, v_h, rho_diag, rho_top, exact = model.bound_moments(np.zeros(2), f, 0.1)
+        assert (mu_r, v_r, v_h, exact) == (0.0, 0.0, 0.0, True)
+        scale = 2.0 * math.sqrt(2.0 / math.pi)
+        np.testing.assert_allclose(rho_diag, scale * np.array([8.0, 1.0]), rtol=1e-15)
+        lam_max = np.linalg.eigvalsh(cov)[-1]
+        assert rho_top == pytest.approx(scale * lam_max**1.5, rel=1e-12)
 
     def test_probs_raises(self):
         with pytest.raises(ValueError):
