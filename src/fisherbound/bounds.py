@@ -28,7 +28,7 @@ produce a structured result with applicable=False, never a silent clamp.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,11 @@ class BoundResult:
     limiting_term: str
     reason: str = ""
     provenance: str = "exact"
-    inputs: dict = field(default_factory=dict)
+
+
+def _inapplicable(coeffs: BoundCoefficients, reason: str) -> BoundResult:
+    return BoundResult(value=math.inf, applicable=False, limiting_term="none",
+                       reason=reason, provenance=coeffs.provenance)
 
 
 def _check_criteria(eps: float, delta: float) -> None:
@@ -209,21 +213,14 @@ def _eta_mean(coeffs: BoundCoefficients) -> float:
     return float(terms.mean())
 
 
-def _upper_bracket(eps, delta, coeffs, tau0, big_d, inputs):
+def _upper_bracket(eps, delta, coeffs, tau0, big_d):
     """max{(D/tau0)^2, (2 d eta / delta)^2, y*} shared by both upper bounds."""
     d = coeffs.d
     eta = _eta_mean(coeffs)
     if not (math.isfinite(tau0) and math.isfinite(big_d) and math.isfinite(eta)):
-        return BoundResult(
-            value=math.inf, applicable=False, limiting_term="none",
-            reason="non-finite coefficients", provenance=coeffs.provenance,
-            inputs=inputs,
-        )
+        return _inapplicable(coeffs, "non-finite coefficients")
     if tau0 <= 0.0:
-        return BoundResult(
-            value=math.inf, applicable=False, limiting_term="none",
-            reason="tau0 <= 0", provenance=coeffs.provenance, inputs=inputs,
-        )
+        return _inapplicable(coeffs, "tau0 <= 0")
     w0 = lambert_w0(8.0 / math.pi * delta**-2 * d**2)
     term_tau = (big_d / tau0) ** 2
     term_eta = (2.0 * d * eta / delta) ** 2
@@ -232,11 +229,7 @@ def _upper_bracket(eps, delta, coeffs, tau0, big_d, inputs):
     disc = a * a - (2.0 * d * eta / delta) * (big_d / tau0)
     if disc < 0.0:
         if disc < -1e-9 * max(a * a, 1.0):
-            return BoundResult(
-                value=math.inf, applicable=False, limiting_term="none",
-                reason="negative discriminant", provenance=coeffs.provenance,
-                inputs=inputs,
-            )
+            return _inapplicable(coeffs, "negative discriminant")
         disc = 0.0  # provably >= 0; tiny negatives are round-off
     y_star = (a + math.sqrt(disc)) ** 2
     terms = {"tau-regime": term_tau, "eta-regime": term_eta, "y-star": y_star}
@@ -246,7 +239,6 @@ def _upper_bracket(eps, delta, coeffs, tau0, big_d, inputs):
         applicable=True,
         limiting_term=limiting,
         provenance=coeffs.provenance,
-        inputs=inputs,
     )
 
 
@@ -266,8 +258,7 @@ def upper_bound_linf(eps: float, delta: float, coeffs: BoundCoefficients) -> Bou
         math.sqrt(4.0 * coeffs.V_H / delta) * math.sqrt(d)
         + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * d * eps
     ) * coeffs.opnorm_inv * eps
-    inputs = _echo(eps, delta, coeffs, "linf", "upper")
-    return _upper_bracket(eps, delta, coeffs, tau0, big_d, inputs)
+    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
 
 
 def upper_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
@@ -286,8 +277,7 @@ def upper_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> Bound
         math.sqrt(4.0 * coeffs.V_H / delta)
         + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * eps
     ) * coeffs.opnorm_inv * eps
-    inputs = _echo(eps, delta, coeffs, "l2", "upper")
-    return _upper_bracket(eps, delta, coeffs, tau0, big_d, inputs)
+    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
 
 
 def _lower_terms(delta, tau0, big_d, eta, sigma, w0):
@@ -321,13 +311,8 @@ def lower_bound_linf(
     _check_criteria(eps, delta)
     _check_norm(coeffs, "linf")
     d = coeffs.d
-    inputs = _echo(eps, delta, coeffs, "linf", "lower", coordinate=a)
     if not coeffs.finite():
-        return BoundResult(
-            value=math.inf, applicable=False, limiting_term="none",
-            reason="non-finite coefficients", provenance=coeffs.provenance,
-            inputs=inputs,
-        )
+        return _inapplicable(coeffs, "non-finite coefficients")
     tau0 = (1.0 + eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
     big_d = (
         math.sqrt(2.0 * coeffs.V_H / delta) * math.sqrt(d)
@@ -352,7 +337,6 @@ def lower_bound_linf(
         applicable=True,
         limiting_term=best_term,
         provenance=coeffs.provenance,
-        inputs=inputs,
     )
 
 
@@ -366,18 +350,13 @@ def lower_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> Bound
     """
     _check_criteria(eps, delta)
     _check_norm(coeffs, "l2")
-    inputs = _echo(eps, delta, coeffs, "l2", "lower")
     if not coeffs.finite():
-        return BoundResult(
-            value=math.inf, applicable=False, limiting_term="none",
-            reason="non-finite coefficients", provenance=coeffs.provenance,
-            inputs=inputs,
-        )
+        return _inapplicable(coeffs, "non-finite coefficients")
     sigma = coeffs.sigma_top
     if sigma <= 0.0:
         return BoundResult(
             value=1.0, applicable=True, limiting_term="vacuous",
-            provenance=coeffs.provenance, inputs=inputs,
+            provenance=coeffs.provenance,
         )
     tau0 = (1.0 + eps * (coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
     big_d = (
@@ -396,7 +375,6 @@ def lower_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> Bound
         applicable=True,
         limiting_term=term,
         provenance=coeffs.provenance,
-        inputs=inputs,
     )
 
 
@@ -406,23 +384,6 @@ def _check_norm(coeffs: BoundCoefficients, norm: str) -> None:
             f"coefficients were computed for the {coeffs.norm!r} ball "
             f"but the bound uses {norm!r}"
         )
-
-
-def _echo(eps, delta, coeffs, norm, kind, coordinate=None):
-    return {
-        "eps": eps,
-        "delta": delta,
-        "d": coeffs.d,
-        "norm": norm,
-        "kind": kind,
-        "coordinate": coordinate,
-        "C": coeffs.C,
-        "mu_R": coeffs.mu_R,
-        "V_H": coeffs.V_H,
-        "V_R": coeffs.V_R,
-        "sigma": coeffs.sigma,
-        "opnorm_inv": coeffs.opnorm_inv,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ _ESSEEN_LOWER_LIMIT = (math.sqrt(10.0) + 3.0) / (6.0 * math.sqrt(2.0 * math.pi))
 
 PAULI_SCHEMES = ("entangled-pauli", "separable-pauli", "two-copy-bell")
 CLASSICAL_SCHEMES = ("bernoulli", "multinomial", "poisson", "gaussian-known-var")
+# parameter-point presets per scheme; schemes not listed take only "depolarizing"
+PRESETS = {"entangled-pauli": ("depolarizing", "identity", "random"),
+           "two-copy-bell": ("depolarizing", "random")}
 
 DEFAULTS = {
     "scheme": "entangled-pauli",
@@ -124,11 +127,26 @@ def _validate_config(cfg: dict) -> None:
     for key in ("epsilon", "delta", "be_constant", "wilson_level"):
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
             raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+        if not _finite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     for key in ("lambda", "theta", "r"):
         value = cfg[key]
         if value is not None and not (isinstance(value, list) and all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
             raise ConfigError(f"{key} must be null or a flat list of numbers, got {value!r}")
+        if value is not None and not all(_finite(x) for x in value):
+            raise ConfigError(f"{key} must hold finite numbers, got {value!r}")
+    presets = PRESETS.get(cfg["scheme"], ("depolarizing",))
+    if cfg["preset"] not in presets:
+        raise ConfigError(
+            f"preset {cfg['preset']!r} is not available for {cfg['scheme']}; "
+            f"known: {presets}"
+        )
+    if cfg["wilson_level"] not in mle_lab.Z_FOR_LEVEL:
+        raise ConfigError(
+            f"wilson_level must be one of {tuple(mle_lab.Z_FOR_LEVEL)}, "
+            f"got {cfg['wilson_level']!r}"
+        )
     if not 0.0 < cfg["delta"] < 1.0:
         raise ConfigError("delta must be in (0, 1)")
     if not cfg["epsilon"] > 0.0:
@@ -152,6 +170,11 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"unknown fault target {cfg['inject_fault']!r}; known: {verify.FAULT_TARGETS}"
         )
+
+
+def _finite(x) -> bool:
+    """Whether a JSON number is a finite float64 (NaN, +-inf and huge ints are not)."""
+    return abs(x) <= sys.float_info.max
 
 
 def build_model_and_theta(cfg: dict):
@@ -198,12 +221,10 @@ def build_model_and_theta(cfg: dict):
         model = models.PoissonTruncatedModel(cfg["truncation"])
         theta = (np.asarray(explicit, dtype=float) if explicit is not None
                  else np.array([1.0]))
-    elif scheme == "gaussian-known-var":
+    else:  # gaussian-known-var; _validate_config admits no other scheme
         model = models.GaussianKnownCovModel(np.eye(cfg["dim"]))
         theta = (np.asarray(explicit, dtype=float) if explicit is not None
                  else np.zeros(cfg["dim"]))
-    else:  # pragma: no cover - guarded by _validate_config
-        raise ConfigError(f"unknown scheme {scheme!r}")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.d,):
         raise ConfigError(
@@ -227,10 +248,8 @@ def _resolve_pauli_theta(cfg, n, explicit):
         return np.zeros(d)
     if preset == "identity":
         return np.ones(d)
-    if preset == "random":
-        rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
-        return pauli.random_valid_eigenvalues(n, rng)[1:]
-    raise ConfigError(f"unknown preset {preset!r}")
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
+    return pauli.random_valid_eigenvalues(n, rng)[1:]
 
 
 def _fmt(value):
@@ -470,14 +489,13 @@ def cmd_separation(cfg: dict) -> tuple[list, dict, int]:
             sep = models.separable_pauli_model(
                 n, pauli.product_probe(np.tile([0.0, 0.0, 1.0], (n, 1)))
             )
+            search = dict(trials=cfg["trials"], seed=cfg["seed"],
+                          resolution=cfg["resolution"], m_max=cfg["m_max"],
+                          level=cfg["wilson_level"])
             row["m_star_entangled"] = mle_lab.find_min_samples(
-                ent, np.zeros(ent.d), eps, delta, cfg["norm"],
-                trials=cfg["trials"], seed=cfg["seed"], m_max=cfg["m_max"],
-            ).m_star
+                ent, np.zeros(ent.d), eps, delta, cfg["norm"], **search).m_star
             row["m_star_separable"] = mle_lab.find_min_samples(
-                sep, np.zeros(sep.d), eps, delta, cfg["norm"],
-                trials=cfg["trials"], seed=cfg["seed"], m_max=cfg["m_max"],
-            ).m_star
+                sep, np.zeros(sep.d), eps, delta, cfg["norm"], **search).m_star
         rows.append(row)
     meta = _meta(cfg, "separation")
     return rows, meta, EXIT_OK
@@ -566,9 +584,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         text, code = run_command(args.command, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

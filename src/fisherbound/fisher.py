@@ -47,8 +47,8 @@ class FisherMatrix:
     Eigenvalues are stored ascending.  Inverse-based quantities fall back
     to the Moore-Penrose pseudoinverse when the matrix is numerically
     singular (eigenvalues below RANK_TOL * lambda_max are treated as 0).
-    The bounds read inverse_diag, opnorm_inverse = lambda_max(F^-1) and
-    is_singular.
+    The bounds read inverse_diag, opnorm_inverse = lambda_max(F^-1), its
+    eigenvector top_eigvec and is_singular.
     """
 
     def __init__(self, matrix):
@@ -95,6 +95,15 @@ class FisherMatrix:
         if kept.size == 0:
             return 0.0
         return 1.0 / float(kept[0])
+
+    def top_eigvec(self) -> np.ndarray | None:
+        """Top eigenvector of the (pseudo)inverse, or None if nothing is kept.
+
+        It belongs to the smallest kept eigenvalue, the one opnorm_inverse
+        reads; a null direction of a singular F is never returned.
+        """
+        kept = np.flatnonzero(self._nonzero)
+        return self.eigenvectors[:, kept[0]] if kept.size else None
 
 
 def fim(model, theta) -> FisherMatrix:

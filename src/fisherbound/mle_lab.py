@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "BudgetExceededError",
     "MinSamplesResult",
-    "MonotonicityError",
     "SuccessEstimate",
     "find_min_samples",
     "mse_vs_crb",
@@ -36,8 +35,8 @@ __all__ = [
 
 TRIAL_BLOCK = 512
 WILSON_LEVEL = 0.95
-_Z_FOR_LEVEL = {0.90: 1.6448536269514722, 0.95: 1.959963984540054,
-                0.99: 2.5758293035489004}
+Z_FOR_LEVEL = {0.90: 1.6448536269514722, 0.95: 1.959963984540054,
+               0.99: 2.5758293035489004}
 
 
 class BudgetExceededError(RuntimeError):
@@ -46,10 +45,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message, probes=None):
         super().__init__(message)
         self.probes = probes or []
-
-
-class MonotonicityError(RuntimeError):
-    """Success rates decreased with sample size beyond statistical noise."""
 
 
 def resolve_threads() -> int:
@@ -74,7 +69,7 @@ def wilson_interval(successes: int, trials: int, level: float = WILSON_LEVEL):
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    z = _Z_FOR_LEVEL.get(level)
+    z = Z_FOR_LEVEL.get(level)
     if z is None:
         raise ValueError(f"unsupported confidence level {level!r}")
     rate = successes / trials
@@ -165,37 +160,8 @@ class MinSamplesResult:
     wilson_lo: float
     wilson_hi: float
     bracket: tuple
-    trials_per_probe: int
-    seed: int
     stable_at_double: bool
     probes: list = field(default_factory=list)
-    monotonicity_notes: list = field(default_factory=list)
-
-
-def _check_monotonicity(probes, floor_m, strict):
-    """Collect statistically hard rate decreases across probed sizes.
-
-    True success curves of discrete estimators are not monotone: the
-    criterion boundary eps*M sweeps across the count lattice, producing
-    real dips of a few percent (e.g. a fair coin at eps = 0.2 succeeds
-    with probability 0.9586 at M = 20 but 0.9361 at M = 24).  Reversals
-    are therefore recorded on the result rather than resolved; with
-    strict=True a reversal at or above the bisection bracket raises,
-    which is useful as a sampler-bug tripwire when the criterion is known
-    to be lattice-free.
-    """
-    notes = []
-    ordered = sorted(probes, key=lambda s: s.m)
-    for earlier, later in zip(ordered, ordered[1:]):
-        if later.wilson_hi < earlier.wilson_lo - 1e-12:
-            message = (
-                f"success rate fell from {earlier.rate:.4f} at M={earlier.m} "
-                f"to {later.rate:.4f} at M={later.m} beyond interval overlap"
-            )
-            if strict and earlier.m >= floor_m:
-                raise MonotonicityError(message)
-            notes.append(message)
-    return notes
 
 
 def find_min_samples(
@@ -209,24 +175,21 @@ def find_min_samples(
     resolution=1,
     m_max=2**22,
     level=WILSON_LEVEL,
-    strict_monotonicity=False,
 ) -> MinSamplesResult:
     """Search for the minimal sample size meeting the accuracy criterion.
 
     Doubles M from 1 until the Wilson lower bound of the empirical
     success rate reaches 1 - delta, then bisects the bracket down to
-    `resolution`.  Success probability is assumed nondecreasing in M
-    within the search; the result records whether the criterion still
-    holds at twice m_star and lists any statistically hard rate
-    reversals (monotonicity_notes).  strict_monotonicity=True turns a
-    reversal inside the bisection region into MonotonicityError.
+    `resolution`.  The bisection assumes success probability nondecreasing
+    in M, but true success curves dip on the count lattice (a fair coin at
+    eps = 0.2 succeeds with probability 0.9586 at M = 20 and 0.9361 at
+    M = 24), so m_star is the smallest probed passing size, not the
+    smallest passing size, and stable_at_double records whether the
+    criterion still holds at twice m_star.
 
     A probe stops as soon as it cannot pass (see success_probability), so
-    a failing probe may report fewer than `trials` trials.  Two kinds run
-    in full: a probe at M >= m_max, whose rate BudgetExceededError
-    reports, and every probe under strict_monotonicity, whose reversal
-    check compares full-trial intervals.  Without it, monotonicity_notes
-    compare the intervals over the trials each probe ran.
+    a failing probe may report fewer than `trials` trials.  A probe at
+    M >= m_max runs in full, since BudgetExceededError reports its rate.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -239,10 +202,9 @@ def find_min_samples(
 
     def probe(m, index):
         if m not in probes:
-            stop_below = None if strict_monotonicity or m >= m_max else target
             probes[m] = success_probability(
                 model, theta, m, eps, norm, trials, seed, level, context=index,
-                target=stop_below,
+                target=None if m >= m_max else target,
             )
         return probes[m]
 
@@ -272,8 +234,6 @@ def find_min_samples(
 
     context += 1
     stability = probe(min(2 * hi, m_max), context)
-    notes = _check_monotonicity(probes.values(), floor_m=max(lo, 1),
-                                strict=strict_monotonicity)
     final = probes[hi]
     return MinSamplesResult(
         m_star=hi,
@@ -281,11 +241,8 @@ def find_min_samples(
         wilson_lo=final.wilson_lo,
         wilson_hi=final.wilson_hi,
         bracket=(lo, hi),
-        trials_per_probe=trials,
-        seed=seed,
         stable_at_double=stability.wilson_lo >= target,
         probes=sorted(probes.values(), key=lambda s: s.m),
-        monotonicity_notes=notes,
     )
 
 
@@ -300,15 +257,14 @@ class MseCrbReport:
     trials: int
 
 
-def mse_vs_crb(model, theta, m, trials, seed, fisher_matrix=None) -> MseCrbReport:
+def mse_vs_crb(model, theta, m, trials, seed) -> MseCrbReport:
     """Empirical MLE mean squared error against [F^-1]_aa / m per coordinate."""
     from .fisher import fim
 
     if m < 1:
         raise ValueError(f"sample size must be >= 1, got {m!r}")
     theta = model.validate_theta(theta)
-    f = fisher_matrix if fisher_matrix is not None else fim(model, theta)
-    crb = f.inverse_diag() / m
+    crb = fim(model, theta).inverse_diag() / m
 
     sq_sum = np.zeros(model.d)
     for rng, size in _block_streams(seed, 0, trials):

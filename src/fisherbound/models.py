@@ -23,7 +23,7 @@ stack on the way to a bound.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class StatModel:
     d: int
     K: int
     scheme: str
-    metadata: dict = field(default_factory=dict)
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -147,15 +146,16 @@ class StatModel:
 
         fisher is the FisherMatrix at theta, radius that of the parameter
         ball.  The default sums over the K outcomes: rho_diag[a] =
-        E|e_a^T F^-1 score|^3, rho_top the same along the top eigenvector
-        of F^-1, V_H from hessian_fluctuation, and mu_R, V_R the mean and
-        variance of third_derivative_envelope, whose flag is exact.
+        E|e_a^T F^-1 score|^3, rho_top the same along fisher.top_eigvec()
+        (0 when F is zero), V_H from hessian_fluctuation, and mu_R, V_R the
+        mean and variance of third_derivative_envelope, whose flag is exact.
         """
         p = self.probs(theta)
         scores = self.dlogp(theta)
         projected = scores @ fisher.pinv_matrix()  # column a is e_a^T F^-1 score(x)
         rho_diag = p @ np.abs(projected) ** 3
-        rho_top = float(p @ np.abs(projected @ fisher.eigenvectors[:, 0]) ** 3)
+        top = fisher.top_eigvec()
+        rho_top = 0.0 if top is None else float(p @ np.abs(projected @ top) ** 3)
         v_h = self.hessian_fluctuation(theta, p, scores, fisher)
         envelope, exact = self.third_derivative_envelope(theta, radius)
         if np.any(np.isinf(envelope) & (p > 0.0)):
@@ -169,11 +169,10 @@ class StatModel:
 class LinearOutcomeModel(StatModel):
     """Model with affine outcome probabilities p(x) = b_x + A_x . theta."""
 
-    def __init__(self, A, b, scheme, metadata=None):
+    def __init__(self, A, b, scheme):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        super().__init__(d=A.shape[1], K=A.shape[0], scheme=scheme,
-                         metadata=metadata or {})
+        super().__init__(d=A.shape[1], K=A.shape[0], scheme=scheme)
         self.A = A
         self.b = b
         self._row_norms = np.linalg.norm(A, axis=1)
@@ -262,7 +261,7 @@ def entangled_pauli_model(n: int) -> StatModel:
     are the non-identity eigenvalues lam_1..lam_{4^n - 1} (lam_0 = 1).
     """
     A, b = _pauli_linear_system(n)
-    return _PauliBellModel(A, b, scheme="entangled-pauli", metadata={"n": n})
+    return _PauliBellModel(A, b, scheme="entangled-pauli")
 
 
 class _TwoCopyBellModel(_PauliBellModel):
@@ -280,14 +279,11 @@ def two_copy_bell_model(n: int) -> StatModel:
     4^-n * sum_a s_a (-1)^<x, a> with s_a = c_a^2 the squared Pauli
     expectation values (s_0 = 1), the same affine family as the entangled
     channel scheme with lam_a replaced by s_a.  Estimating |c_a| to
-    additive error eps corresponds to estimating s_a to error eps^2;
-    the translation is recorded in the metadata.
+    additive error eps corresponds to estimating s_a to error
+    eps_s = eps**2.
     """
     A, b = _pauli_linear_system(n)
-    return _TwoCopyBellModel(
-        A, b, scheme="two-copy-bell",
-        metadata={"n": n, "accuracy_translation": "eps_s = eps_abs**2"},
-    )
+    return _TwoCopyBellModel(A, b, scheme="two-copy-bell")
 
 
 class SeparablePauliModel(LinearOutcomeModel):
@@ -320,7 +316,7 @@ class SeparablePauliModel(LinearOutcomeModel):
         A[2 * rows, rows] = r / (2.0 * d)
         A[2 * rows + 1, rows] = -r / (2.0 * d)
         b = np.full(2 * d, 1.0 / (2.0 * d))
-        super().__init__(A, b, scheme="separable-pauli", metadata={"n": n})
+        super().__init__(A, b, scheme="separable-pauli")
         self.r = r
         self.identifiable = r != 0.0
 
@@ -384,8 +380,7 @@ class PoissonTruncatedModel(StatModel):
     def __init__(self, truncation: int = 20):
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
-        super().__init__(d=1, K=truncation + 1, scheme="poisson",
-                         metadata={"truncation": truncation})
+        super().__init__(d=1, K=truncation + 1, scheme="poisson")
         self._log_factorials = np.cumsum(
             np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))])
         )
@@ -470,13 +465,13 @@ class GaussianKnownCovModel(StatModel):
     def __init__(self, cov):
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         d = cov.shape[0]
-        super().__init__(d=d, K=0, scheme="gaussian-known-var", metadata={})
+        super().__init__(d=d, K=0, scheme="gaussian-known-var")
         self.cov = cov
         self.cov_inv = np.linalg.inv(cov)
         self._chol = np.linalg.cholesky(cov)
 
     def contains(self, theta):
-        return True
+        return bool(np.all(np.isfinite(theta)))
 
     def analytic_fisher(self, theta):
         return self.cov_inv

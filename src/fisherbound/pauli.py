@@ -144,28 +144,28 @@ def sign_matrix(n: int) -> np.ndarray:
     return 1.0 - 2.0 * parity.astype(float)
 
 
-def validate_rates(p: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def validate_rates(p: np.ndarray) -> np.ndarray:
     """Check that p is a probability vector of length 4^n and return it."""
     p = np.asarray(p, dtype=float)
     _qubit_count_for_length(p.shape[-1])
-    if np.any(p < -tol):
+    if np.any(p < -SIMPLEX_TOL):
         raise ValueError(f"negative Pauli error rate: min={p.min()!r}")
     total = p.sum(axis=-1)
-    if np.any(np.abs(total - 1.0) > tol):
+    if np.any(np.abs(total - 1.0) > SIMPLEX_TOL):
         raise ValueError(f"Pauli error rates must sum to 1, got {total!r}")
     return p
 
 
-def validate_eigenvalues(lam: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def validate_eigenvalues(lam: np.ndarray) -> np.ndarray:
     """Check lam_0 = 1, |lam_a| <= 1, and complete positivity of the channel."""
     lam = np.asarray(lam, dtype=float)
     _qubit_count_for_length(lam.shape[-1])
-    if abs(lam[0] - 1.0) > tol:
+    if abs(lam[0] - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"eigenvalue of the identity must be 1, got {lam[0]!r}")
-    if np.any(np.abs(lam) > 1.0 + tol):
+    if np.any(np.abs(lam) > 1.0 + SIMPLEX_TOL):
         raise ValueError("Pauli eigenvalues must lie in [-1, 1]")
     rates = fwht(lam) / lam.shape[-1]
-    if np.any(rates < -tol):
+    if np.any(rates < -SIMPLEX_TOL):
         raise ValueError(
             "not a channel: eigenvalues map to negative error rates "
             f"(min={rates.min()!r})"

@@ -241,6 +241,21 @@ class TestEstimateCoefficients:
         result = upper_bound_linf(0.6, 0.1, coeffs)
         assert not result.applicable
 
+    def test_rho_top_along_the_pinv_top_eigenvector_at_singular_fisher(self):
+        # the zero probe component leaves lambda_2 unidentifiable, so F is singular
+        model = separable_pauli_model(1, np.array([1.0, 0.8, 0.0, 0.5]))
+        theta = np.array([0.0, 0.5, 0.0])
+        f = fim(model, theta)
+        assert f.is_singular
+        coeffs = estimate_coefficients(model, theta, 0.01, "l2", fisher=f)
+        pinv = f.pinv_matrix()
+        top_value, top_vectors = np.linalg.eigh(pinv)
+        top = top_vectors[:, -1]
+        oracle = model.probs(theta) @ np.abs(model.dlogp(theta) @ pinv @ top) ** 3
+        assert coeffs.opnorm_inv == pytest.approx(top_value[-1], rel=1e-12)
+        assert coeffs.rho_top == pytest.approx(oracle, rel=1e-12)
+        assert coeffs.rho_top > 0.0
+
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SHRINK = st.floats(min_value=0.01, max_value=0.999)
@@ -393,10 +408,3 @@ class TestBoundResultContract:
                     lower_bound_linf(eps, delta, coeffs),
                 ):
                     assert result.value >= 1.0 or not result.applicable
-
-    def test_inputs_echoed(self):
-        coeffs = idealized_coefficients(2)
-        result = upper_bound_linf(0.05, 0.1, coeffs)
-        assert result.inputs["eps"] == 0.05
-        assert result.inputs["delta"] == 0.1
-        assert result.inputs["d"] == 2

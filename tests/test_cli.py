@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -96,12 +97,31 @@ class TestConfigHandling:
         {"wilson_level": None}, {"be_constant": -1}, {"be_constant": 0.4097},
         {"lambda": {"a": 1}}, {"theta": [True, 0, 0]}, {"theta": [None, 0, 0]},
         {"theta": 5}, {"r": [[1, 2]]}, {"r": "1,0,0"},
+        {"epsilon": math.inf}, {"be_constant": math.inf},
+        {"wilson_level": math.nan}, {"wilson_level": 0.8}, {"wilson_level": 1},
+        {"theta": [math.nan]}, {"theta": [-math.inf]}, {"lambda": [10**400]},
+        {"r": [1, 0, math.inf, 0], "scheme": "separable-pauli"},
+        {"preset": "random"}, {"preset": "identity", "scheme": "two-copy-bell"},
+        {"preset": "bogus", "scheme": "two-copy-bell"},
+        {"preset": "bogus", "scheme": "entangled-pauli", "theta": [0.1, 0.0, 0.0]},
+        {"preset": "identity", "scheme": "separable-pauli"},
     ])
     def test_search_fields_typed_and_bounded(self, tmp_path, capsys, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scheme": "bernoulli", "epsilon": 0.3, **field}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert f"config error: {next(iter(field))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"scheme": "gaussian-known-var", "dim": 1, "theta": [math.nan],
+                      "epsilon": 0.1, "trials": 100}),
+        ("bounds", {"epsilon": math.inf}),
+        ("bounds", {"wilson_level": 0.8}),
+    ])
+    def test_non_finite_and_unsupported_numbers_exit_2(self, tmp_path, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))  # writes NaN and Infinity, as json.load reads them
+        assert main([command, "--config", str(path)]) == 2
 
     def test_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -202,7 +222,7 @@ class TestReports:
             assert upper["reason"] == "singular Fisher matrix"
             assert rows[f"lower-{norm}"]["applicable"] is True
         assert rows["lower-linf"]["value"] == pytest.approx(159902.80623732574, rel=1e-12)
-        assert rows["lower-l2"]["value"] == pytest.approx(207139.43173141216, rel=1e-12)
+        assert rows["lower-l2"]["value"] == pytest.approx(191304.0948560928, rel=1e-12)
 
         config.update(theta=[0, 0, 0], trials=200)
         payload = json.loads(run_command("simulate", resolve("simulate", **config))[0])
@@ -241,6 +261,14 @@ class TestReports:
         rows = json.loads(run_command("separation", cfg)[0])["rows"]
         assert rows[0]["m_star_entangled"] >= 1
         assert rows[0]["m_star_separable"] >= rows[0]["m_star_entangled"]
+
+    @pytest.mark.parametrize("search", [{"resolution": 64}, {"wilson_level": 0.99}])
+    def test_separation_search_matches_simulate(self, search):
+        cfg = resolve("separation", n_min=1, n_max=1, simulate_upto=1, epsilon=0.3,
+                      trials=400, format="json", **search)
+        row = json.loads(run_command("separation", cfg)[0])["rows"][0]
+        simulated = json.loads(run_command("simulate", cfg)[0])["rows"][0]
+        assert row["m_star_entangled"] == simulated["m_star"]
 
     def test_separation_ratio_grows(self):
         cfg = resolve("separation", n_min=1, n_max=6, format="json")

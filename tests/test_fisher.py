@@ -220,6 +220,19 @@ class TestSpectralStats:
         assert f.is_singular
         assert (f.opnorm_inverse(), f.inverse_diag().max()) == (1, 1)
 
+    def test_top_eigvec_skips_the_null_direction(self):
+        # eigh puts the null direction first; the pinv's top direction is e_2
+        f = FisherMatrix(np.diag([2.0, 0.0, 0.5]))
+        np.testing.assert_array_equal(np.abs(f.top_eigvec()), [0.0, 0.0, 1.0])
+        assert FisherMatrix(np.zeros((2, 2))).top_eigvec() is None
+
+    def test_top_eigvec_full_rank_is_first_column(self):
+        rng = np.random.default_rng(32)
+        basis = rng.standard_normal((4, 4))
+        f = FisherMatrix(basis @ basis.T + np.eye(4))
+        assert f.top_eigvec() is not None
+        np.testing.assert_array_equal(f.top_eigvec(), f.eigenvectors[:, 0])
+
 
 class TestBellStructural:
     def test_uniform_rates_identity(self):

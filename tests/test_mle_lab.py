@@ -238,19 +238,11 @@ class TestFindMinSamples:
 
     def test_true_lattice_reversal_is_flagged_not_fatal(self):
         # the fair-coin success curve at eps=0.2 really dips between M=20
-        # (exact 0.9586) and M=24 (exact 0.9361); the default search records
-        # it, the strict mode trips on it
-        from fisherbound.mle_lab import MonotonicityError
-
-        model = bernoulli_model()
-        result = find_min_samples(model, np.array([0.5]), eps=0.2, delta=0.1,
-                                  norm="linf", trials=1000, seed=2)
+        # (exact 0.9586) and M=24 (exact 0.9361); the search still completes
         assert bernoulli_success_exact(0.5, 20, 0.2) > bernoulli_success_exact(0.5, 24, 0.2)
-        assert result.monotonicity_notes
-        with pytest.raises(MonotonicityError):
-            find_min_samples(model, np.array([0.5]), eps=0.2, delta=0.1,
-                             norm="linf", trials=1000, seed=2,
-                             strict_monotonicity=True)
+        result = find_min_samples(bernoulli_model(), np.array([0.5]), eps=0.2, delta=0.1,
+                                  norm="linf", trials=1000, seed=2)
+        assert result.bracket[0] < result.m_star == result.bracket[1]
 
 
 CURTAIL_CASES = {
@@ -324,15 +316,6 @@ class TestCurtailedSearch:
         assert probes[-1] == full["probes"][-1]
         assert probes[-1].trials == self.TRIALS
         assert all(p.trials < self.TRIALS for p in probes[:-1])
-
-    def test_strict_monotonicity_runs_every_probe_in_full(self):
-        model = entangled_pauli_model(1)
-        args = (model, np.zeros(3), 0.2, 0.1, "linf")
-        result = find_min_samples(*args, trials=self.TRIALS, seed=5,
-                                  strict_monotonicity=True)
-        full = self._full(*args, trials=self.TRIALS, seed=5)
-        assert result.probes == full["probes"]
-        assert all(p.trials == self.TRIALS for p in result.probes)
 
     def test_probe_stops_exactly_when_it_cannot_pass(self):
         model = bernoulli_model()

@@ -113,9 +113,6 @@ class TestTwoCopyBellModel:
         model = two_copy_bell_model(1)
         assert not model.contains(np.array([-0.1, 0.0, 0.0]))
 
-    def test_accuracy_translation_recorded(self):
-        assert "eps_s" in two_copy_bell_model(1).metadata["accuracy_translation"]
-
 
 def _axis_probs(model, theta, a):
     """(p_plus, p_minus) of a projective measurement along axis a."""
@@ -407,3 +404,9 @@ class TestGaussianModel:
     def test_probs_raises(self):
         with pytest.raises(ValueError):
             GaussianKnownCovModel(np.eye(2)).probs(np.zeros(2))
+
+    def test_domain_excludes_non_finite_theta(self):
+        model = GaussianKnownCovModel(np.eye(2))
+        assert model.contains(np.array([1e300, -2.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            assert not model.contains(np.array([bad, 0.0]))

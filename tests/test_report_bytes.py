@@ -3,9 +3,11 @@
 Each case pins the SHA-256 of the report text that `cli.run_command`
 renders for the CLI defaults plus a few overrides, together with the exit
 code.  Together the cases cover all five subcommands in both formats, a
-singular Fisher matrix, a sample budget that runs out (exit 3), a
-separation table with simulated columns and a verify run with an injected
-fault (exit 1).
+singular Fisher matrix (in `fisher` and in `bounds`, whose lower-l2 row
+reads the pseudoinverse's top direction), a sample budget that runs out
+(exit 3), separation tables with simulated columns (one with a non-default
+resolution and Wilson level) and a verify run with an injected fault
+(exit 1).
 
 A change that is meant to leave the program's output alone must keep
 every digest.  A digest may change only together with a written reason in
@@ -55,6 +57,12 @@ CASES = [
      0, "d3878cf2197b84772c6af6bf1255ec05e414b97168a96011f8f8962561b57898"),
     ("verify", {"inject_fault": "fwht", "format": "json"},
      1, "de0175b1bb7786cca0ae30d229a9c10322835088859aada5b7217f02faf1c12d"),
+    ("bounds", {"scheme": "separable-pauli", "r": [1, 0.8, 0, 0.5], "theta": [0, 0.5, 0],
+                "epsilon": 0.01},
+     0, "e2660c88e1a3a1e427a1e124d9dd110e272f903ca0e01b57fd65dba734b2ab10"),
+    ("separation", {"n_max": 2, "simulate_upto": 1, "resolution": 8, "wilson_level": 0.99,
+                    "epsilon": 0.3, "trials": 400},
+     0, "7b8dbcdace95d1f679b81b6575e45e54c521bc4c7acef9a3d389e1216d1c0f35"),
 ]
 
 
