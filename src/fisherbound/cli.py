@@ -189,7 +189,7 @@ def build_model_and_theta(cfg: dict):
     elif scheme == "two-copy-bell":
         model = models.two_copy_bell_model(n)
         if explicit is not None:
-            theta = np.asarray(explicit, dtype=float)
+            theta = explicit
         elif cfg["preset"] == "random":
             # squared moments of a random pure product state are always valid
             rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
@@ -207,24 +207,19 @@ def build_model_and_theta(cfg: dict):
             bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
             r = pauli.product_probe(bloch)
         model = models.separable_pauli_model(n, r)
-        theta = (np.asarray(explicit, dtype=float) if explicit is not None
-                 else np.zeros(model.d))
+        theta = explicit if explicit is not None else np.zeros(model.d)
     elif scheme == "bernoulli":
         model = models.bernoulli_model()
-        theta = (np.asarray(explicit, dtype=float) if explicit is not None
-                 else np.array([0.5]))
+        theta = explicit if explicit is not None else [0.5]
     elif scheme == "multinomial":
         model = models.multinomial_model(cfg["dim"])
-        theta = (np.asarray(explicit, dtype=float) if explicit is not None
-                 else np.full(cfg["dim"], 1.0 / (cfg["dim"] + 1)))
+        theta = explicit if explicit is not None else np.full(cfg["dim"], 1 / (cfg["dim"] + 1))
     elif scheme == "poisson":
         model = models.PoissonTruncatedModel(cfg["truncation"])
-        theta = (np.asarray(explicit, dtype=float) if explicit is not None
-                 else np.array([1.0]))
+        theta = explicit if explicit is not None else [1.0]
     else:  # gaussian-known-var; _validate_config admits no other scheme
         model = models.GaussianKnownCovModel(np.eye(cfg["dim"]))
-        theta = (np.asarray(explicit, dtype=float) if explicit is not None
-                 else np.zeros(cfg["dim"]))
+        theta = explicit if explicit is not None else np.zeros(cfg["dim"])
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.d,):
         raise ConfigError(
@@ -241,6 +236,10 @@ def _resolve_pauli_theta(cfg, n, explicit):
     if explicit is not None:
         theta = np.asarray(explicit, dtype=float)
         if theta.shape == (d + 1,):
+            if abs(theta[0] - 1.0) > pauli.SIMPLEX_TOL:
+                key = "lambda" if cfg["lambda"] is not None else "theta"
+                raise ConfigError(f"{key}[0] is the identity eigenvalue and must be 1, "
+                                  f"got {theta[0]!r}")
             theta = theta[1:]
         return theta
     preset = cfg["preset"]

@@ -2,15 +2,16 @@
 
 Each model exposes the outcome distribution p_theta(x), its first three
 log-likelihood derivatives, and a closed-form maximum-likelihood
-estimator: mle_batch maps a (trials, K) count matrix to its row-wise
-estimates, and StatModel.mle applies it to one count vector.
-estimate_batch draws the counts of many trials at once and returns their
-estimates.  bound_moments returns the outcome moments that the
-finite-sample bounds read at a parameter point; the default enumerates
-the outcomes, and the Gaussian model overrides it with closed forms.  The
-Pauli measurement schemes and the classical textbook models (Bernoulli,
-multinomial, truncated Poisson, Gaussian with known covariance) all fit
-this surface, each built by its own factory or constructor.
+estimator: mle_batch maps a (trials, K) count matrix to C-ordered rows of
+estimates (the bits of mle_lab's l2 error norm depend on the row layout),
+and StatModel.mle applies it to one count vector.  estimate_batch draws
+the counts of many trials at once and returns their estimates.
+bound_moments returns the outcome moments that the finite-sample bounds
+read at a parameter point; the default enumerates the outcomes, and the
+Gaussian model overrides it with closed forms.  The Pauli measurement
+schemes and the classical textbook models (Bernoulli, multinomial,
+truncated Poisson, Gaussian with known covariance) all fit this surface,
+each built by its own factory or constructor.
 
 Models whose outcome probabilities are affine in the parameters share the
 LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score is
@@ -114,7 +115,7 @@ class StatModel:
         return self.mle_batch(counts[None, :])[0]
 
     def mle_batch(self, counts: np.ndarray) -> np.ndarray:
-        """Row-wise MLE for a (trials, K) count matrix."""
+        """Row-wise MLE for a (trials, K) count matrix, in C-ordered rows."""
         raise NotImplementedError
 
     def estimate_batch(self, theta, m, rng, trials):
@@ -244,12 +245,12 @@ class _PauliBellModel(LinearOutcomeModel):
     """Shared machinery for the two schemes measured in the Bell basis."""
 
     def mle_batch(self, counts):
-        # integer counts are cast inside the ufuncs, not copied to floats first
+        # integer counts are cast inside the ufuncs and land outcome-major
         counts = np.asarray(counts)
-        totals = counts.sum(axis=1, keepdims=True, dtype=float)
-        buffers = np.empty((2,) + counts.shape)
-        np.divide(counts, totals, out=buffers[0])
-        return _fwht_buffers(buffers)[:, 1:]
+        totals = counts.sum(axis=1, dtype=float)
+        buffers = np.empty((2,) + counts.shape[::-1])
+        np.divide(counts.T, totals, out=buffers[0])
+        return _fwht_buffers(buffers)[1:].T.copy()
 
 
 def entangled_pauli_model(n: int) -> StatModel:

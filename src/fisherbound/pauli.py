@@ -11,6 +11,7 @@ Pauli channel are related by the symplectic Walsh-Hadamard transform
 where <a, b> is the symplectic inner product of the bit layouts.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,10 +64,6 @@ class PauliIndex:
     def z_bits(self) -> int:
         return self.a & ((1 << self.n) - 1)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.a == 0
-
 
 def symplectic_product(a: PauliIndex, b: PauliIndex) -> int:
     """Symplectic inner product sum_k (a_xk*b_zk + a_zk*b_xk) mod 2.
@@ -93,42 +90,45 @@ def fwht(v: np.ndarray) -> np.ndarray:
     Input length must be 4^n.  Implemented as the ordinary dyadic
     Hadamard butterfly followed by the index permutation that swaps the x
     and z halves of each index, which converts the dyadic pairing into the
-    symplectic one.  Applying the transform twice multiplies by 4^n.
+    symplectic one.  Applying the transform twice multiplies by 4^n.  It
+    runs on v.T and returns the result's transpose, contiguous for 1-D v.
     """
     v = np.asarray(v, dtype=float)
-    _qubit_count_for_length(v.shape[-1])
-    buffers = np.empty((2,) + v.shape)
-    buffers[0] = v
-    return _fwht_buffers(buffers)
+    buffers = np.empty((2,) + v.shape[::-1])
+    buffers[0] = v.T
+    return _fwht_buffers(buffers).T
 
 
 def _fwht_buffers(buffers: np.ndarray) -> np.ndarray:
-    """fwht of buffers[0], using buffers[1] as scratch; returns one of the two.
+    """fwht along the leading axis of buffers[0], using buffers[1] as scratch.
 
-    buffers is a C-contiguous float array of shape (2, ..., 4^n).  Each
-    butterfly stage writes from one half into the other, and the final
-    permutation writes back, so the transform itself allocates nothing and
-    a caller needs one allocation per transform.
+    buffers is a C-contiguous float array of shape (2, 4^n, ...), batch
+    axes trailing, so each butterfly stage is one np.add and one
+    np.subtract over contiguous runs of h times the batch size.  Each stage
+    writes from one half into the other, and the final permutation writes
+    back, so the transform allocates nothing.  Returns the result's half.
     """
-    size = buffers.shape[-1]
+    size = buffers.shape[1]
     n = _qubit_count_for_length(size)
     src, dst = buffers[0], buffers[1]
     h = 1
     while h < size:
-        shape = src.shape[:-1] + (size // (2 * h), 2, h)
-        a = src.reshape(shape)
-        b = dst.reshape(shape)
-        np.add(a[..., 0, :], a[..., 1, :], out=b[..., 0, :])
-        np.subtract(a[..., 0, :], a[..., 1, :], out=b[..., 1, :])
+        a = src.reshape(size // (2 * h), 2, -1)
+        b = dst.reshape(a.shape)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
         src, dst = dst, src
         h *= 2
-    return np.take(src, _swap_permutation(n), axis=-1, out=dst, mode="clip")
+    return np.take(src, _swap_permutation(n), axis=0, out=dst, mode="clip")
 
 
+@functools.cache
 def _swap_permutation(n: int) -> np.ndarray:
     idx = np.arange(4**n)
     mask = (1 << n) - 1
-    return ((idx & mask) << n) | (idx >> n)
+    perm = ((idx & mask) << n) | (idx >> n)
+    perm.flags.writeable = False  # cached: shared by every later call
+    return perm
 
 
 def sign_matrix(n: int) -> np.ndarray:

@@ -112,6 +112,27 @@ class TestConfigHandling:
         assert main(["simulate", "--config", str(path)]) == 2
         assert f"config error: {next(iter(field))}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [
+        {"lambda": [0.3, 0.1, 0.0, 0.0]}, {"theta": [0.0, 0.1, 0.0, 0.0]},
+        {"lambda": [1.0 + 1e-11, 0.1, 0.0, 0.0]},
+    ])
+    def test_wrong_identity_eigenvalue_rejected(self, tmp_path, capsys, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": "entangled-pauli", **field}))
+        assert main(["fisher", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {next(iter(field))}" in err and "identity eigenvalue" in err
+
+    @pytest.mark.parametrize("lam0", [1.0, 1.0 - 1e-13])
+    def test_identity_eigenvalue_dropped(self, lam0):
+        def report(lam):
+            text, code = run_command("fisher", resolve("fisher", scheme="entangled-pauli",
+                                                       **{"lambda": lam}))
+            header, body = text.split("\n", 1)  # the header echoes the config
+            assert header.startswith("# fisherbound=") and code == 0
+            return body
+        assert report([lam0, 0.1, 0.0, 0.0]) == report([0.1, 0.0, 0.0])
+
     @pytest.mark.parametrize("command, config", [
         ("simulate", {"scheme": "gaussian-known-var", "dim": 1, "theta": [math.nan],
                       "epsilon": 0.1, "trials": 100}),

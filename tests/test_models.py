@@ -13,7 +13,7 @@ from fisherbound.models import (
     separable_pauli_model,
     two_copy_bell_model,
 )
-from fisherbound.mle_lab import mse_vs_crb, success_probability
+from fisherbound.mle_lab import TRIAL_BLOCK, mse_vs_crb, success_probability
 from fisherbound.pauli import (
     PauliIndex,
     pauli_matrix,
@@ -196,6 +196,31 @@ class TestMleBatchBitwise:
         assert np.array_equal(counts, before)
         assert np.array_equal(got, bell_mle_batch_stack(counts))
         assert np.array_equal(model.mle(counts[5]), bell_mle_batch_stack(counts[5:6])[0])
+
+    @pytest.mark.parametrize("factory", [entangled_pauli_model, two_copy_bell_model])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bell_block_rows_in_c_order(self, factory, n):
+        # one production trial block at a random channel point: numpy sums
+        # each row's l2 error norm in an order set by the memory layout
+        rng = np.random.default_rng(70 + n)
+        model = factory(n)
+        if model.scheme == "entangled-pauli":
+            theta = random_valid_eigenvalues(n, rng)[1:]
+        else:
+            bloch = rng.standard_normal((n, 3))
+            bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
+            theta = 0.99 * product_probe(bloch)[1:] ** 2
+        p = np.clip(model.probs(theta), 0.0, None)
+        counts = rng.multinomial(1000 * model.K, p / p.sum(), size=TRIAL_BLOCK)
+        got = model.mle_batch(counts)
+        expected = bell_mle_batch_stack(counts)
+        assert np.array_equal(got, expected)
+        assert got.strides[1] == got.itemsize
+        assert got.strides[0] >= got.shape[1] * got.itemsize
+        norms = np.linalg.norm(got - theta, axis=1)
+        assert np.array_equal(
+            norms, np.linalg.norm(np.ascontiguousarray(expected) - theta, axis=1)
+        )
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_separable_with_unseen_axes_and_zero_probe_components(self, n):

@@ -111,6 +111,10 @@ class TestFwhtBitwise:
         for n in (1, 2, 3):
             self.check(rng.random((7, 4**n)) / 3.0)
 
+    def test_trial_block_at_four_qubits(self):
+        rng = np.random.default_rng(47)
+        self.check(rng.random((512, 256)) / 7.0)
+
     def test_three_dimensional(self):
         rng = np.random.default_rng(43)
         self.check(rng.standard_normal((3, 5, 64)))

@@ -6,8 +6,11 @@ code.  Together the cases cover all five subcommands in both formats, a
 singular Fisher matrix (in `fisher` and in `bounds`, whose lower-l2 row
 reads the pseudoinverse's top direction), a sample budget that runs out
 (exit 3), separation tables with simulated columns (one with a non-default
-resolution and Wilson level) and a verify run with an injected fault
-(exit 1).
+resolution and Wilson level), a verify run with an injected fault
+(exit 1), and Bell searches at n = 3 (entangled-pauli in l2,
+two-copy-bell at a random point in linf).  Every other simulate case runs
+at n = 1, where d = 3 and the order in which the MLE and the error norm
+sum their terms cannot change a bit.
 
 A change that is meant to leave the program's output alone must keep
 every digest.  A digest may change only together with a written reason in
@@ -63,6 +66,11 @@ CASES = [
     ("separation", {"n_max": 2, "simulate_upto": 1, "resolution": 8, "wilson_level": 0.99,
                     "epsilon": 0.3, "trials": 400},
      0, "7b8dbcdace95d1f679b81b6575e45e54c521bc4c7acef9a3d389e1216d1c0f35"),
+    ("simulate", {"n": 3, "epsilon": 0.1, "trials": 300, "norm": "l2", "format": "json"},
+     0, "475c6f3a76d8518215a142bafbd5e810f79aecb53c0f1c919dd288eb536a9e06"),
+    ("simulate", {"scheme": "two-copy-bell", "n": 3, "preset": "random", "epsilon": 0.1,
+                  "trials": 300},
+     0, "3de3c722b612d67d4124c976bbe8f817ad64dbbd3275db72d5b3d718f1f176b2"),
 ]
 
 
