@@ -18,7 +18,10 @@ coefficients:
     C          Berry-Esseen constant (default 0.4748, always overridable).
 
 estimate_coefficients reads the inverse-Fisher scalars from the
-FisherMatrix and every outcome moment from the model's bound_moments.
+FisherMatrix and the outcome moments from the model: V_H and rho from
+score_moments, which a caller evaluating both norms at one point computes
+once and passes in, and mu_R, V_R from envelope_moments over the ball of
+the criterion norm.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits of the four bounds are exposed as asymptotic_* helpers,
@@ -158,16 +161,19 @@ def estimate_coefficients(
     norm: str = "linf",
     constant: float = BERRY_ESSEEN_CONSTANT,
     fisher: FisherMatrix | None = None,
+    score_moments: tuple | None = None,
 ) -> BoundCoefficients:
     """Bound coefficients of a model at an interior parameter point.
 
     The inverse-Fisher scalars come from `fisher` (built here when not
     given): sigma_diag = sqrt([F^-1]_aa), opnorm_inv = lambda_max(F^-1)
-    and sigma_top its square root.  The outcome moments mu_R, V_R, V_H,
-    rho_diag and rho_top come from model.bound_moments, with the envelope
-    taken over the parameter ball matching the criterion norm (Euclidean
-    radius sqrt(d)*eps for "linf", eps for "l2").  A model whose envelope
-    is only a search-based lower estimate yields provenance
+    and sigma_top its square root.  V_H, rho_diag and rho_top come from
+    `score_moments`, the (V_H, rho_diag, rho_top) of
+    model.score_moments(theta, fisher) (computed here when not given;
+    they do not depend on the norm).  mu_R and V_R come from
+    model.envelope_moments over the parameter ball matching the criterion
+    norm (Euclidean radius sqrt(d)*eps for "linf", eps for "l2").  A model
+    whose envelope is only a search-based lower estimate yields provenance
     "estimated-coefficient".
 
     sigma is the largest sqrt([F^-1]_aa) at this point; a supremum over
@@ -182,7 +188,10 @@ def estimate_coefficients(
     d = model.d
     radius = math.sqrt(d) * eps if norm == "linf" else eps
     f = fisher if fisher is not None else fim(model, theta)
-    mu_r, v_r, v_h, rho_diag, rho_top, exact = model.bound_moments(theta, f, radius)
+    if score_moments is None:
+        score_moments = model.score_moments(theta, f)
+    v_h, rho_diag, rho_top = score_moments
+    mu_r, v_r, exact = model.envelope_moments(theta, radius)
     sigma_diag = np.sqrt(np.clip(f.inverse_diag(), 0.0, None))
     return BoundCoefficients(
         d=d,

@@ -326,13 +326,14 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     lower_fns = {"linf": bounds.lower_bound_linf, "l2": bounds.lower_bound_l2}
     best_upper = dict.fromkeys(norms)
     lower = {}
-    # one Fisher matrix per point, shared by both norms; grid[0] is theta,
-    # so its coefficients also feed the lower bounds
+    # one Fisher matrix and one set of score moments per point, shared by
+    # both norms; grid[0] is theta, so its coefficients also feed the lower bounds
     for index, point in enumerate(grid):
         f = fisher.fim(model, point)
+        moments = model.score_moments(point, f)
         for norm in norms:
-            coeffs = bounds.estimate_coefficients(model, point, eps, norm,
-                                                  constant=c, fisher=f)
+            coeffs = bounds.estimate_coefficients(model, point, eps, norm, constant=c,
+                                                  fisher=f, score_moments=moments)
             candidate = _upper_bound(eps, delta, coeffs, f)
             best = best_upper[norm]
             if best is None or _bound_sort_key(candidate) > _bound_sort_key(best):
@@ -388,11 +389,11 @@ def _theta_grid(cfg, model, theta):
     extra = cfg["grid_points"]
     if extra > 0 and cfg["scheme"] in ("entangled-pauli", "two-copy-bell"):
         rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
-        for _ in range(extra):
-            lam = (1.0 - DOMAIN_SHRINK) * pauli.random_valid_eigenvalues(cfg["n"], rng)[1:]
-            point = np.abs(lam) if cfg["scheme"] == "two-copy-bell" else lam
-            if model.contains(point):
-                grid.append(point)
+        draws = pauli.random_valid_eigenvalues(cfg["n"], rng, size=extra)
+        # C order, so every point is a contiguous row like a single draw
+        lam = (1.0 - DOMAIN_SHRINK) * np.ascontiguousarray(draws[:, 1:])
+        points = np.abs(lam) if cfg["scheme"] == "two-copy-bell" else lam
+        grid.extend(point for point in points if model.contains(point))
     return grid
 
 
@@ -447,6 +448,7 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
     inv_diag = f.inverse_diag()
     sigma = np.sqrt(np.clip(inv_diag, 0.0, None))
     closed = _closed_form_inverse_diag(cfg, model, theta)
+    estimable = fisher.estimable(f).tolist()
     rows = []
     for a in range(model.d):
         qfim_value = None if closed is None else float(closed[a])
@@ -456,7 +458,7 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
             "qfim_inv_diag": qfim_value,
             "abs_diff": None if qfim_value is None or not math.isfinite(qfim_value)
             else abs(float(inv_diag[a]) - qfim_value),
-            "estimable": fisher.estimable(f, a),
+            "estimable": estimable[a],
             "sigma": float(sigma[a]),
         })
     opnorm_inv = f.opnorm_inverse()

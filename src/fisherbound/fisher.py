@@ -164,12 +164,16 @@ def separable_qfim_inverse_diag(r, lam):
     return values, witness
 
 
-def estimable(f: FisherMatrix, a: int) -> bool:
-    """Whether coordinate a admits an unbiased estimator: F F^+ e_a = e_a."""
-    e = np.zeros(f.d)
-    e[a] = 1.0
-    residual = f.matrix @ (f.pinv_matrix() @ e) - e
-    return bool(np.linalg.norm(residual) <= 1e-8)
+def estimable(f: FisherMatrix) -> np.ndarray:
+    """Boolean mask of the coordinates that admit an unbiased estimator.
+
+    Coordinate a is estimable when F F^+ e_a = e_a, i.e. when column a of
+    F F^+ - I has Euclidean norm at most 1e-8; one matrix product decides
+    every coordinate.
+    """
+    residual = f.matrix @ f.pinv_matrix()
+    residual[np.diag_indices(f.d)] -= 1.0
+    return np.linalg.norm(residual, axis=0) <= 1e-8
 
 
 def bell_fim_structural(p, n: int) -> FisherMatrix:

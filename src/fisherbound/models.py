@@ -6,12 +6,15 @@ estimator: mle_batch maps a (trials, K) count matrix to C-ordered rows of
 estimates (the bits of mle_lab's l2 error norm depend on the row layout),
 and StatModel.mle applies it to one count vector.  estimate_batch draws
 the counts of many trials at once and returns their estimates.
-bound_moments returns the outcome moments that the finite-sample bounds
-read at a parameter point; the default enumerates the outcomes, and the
-Gaussian model overrides it with closed forms.  The Pauli measurement
-schemes and the classical textbook models (Bernoulli, multinomial,
-truncated Poisson, Gaussian with known covariance) all fit this surface,
-each built by its own factory or constructor.
+The finite-sample bounds read outcome moments at a parameter point from
+two methods: score_moments (V_H and the projected-score third moments,
+the same for both error norms) and envelope_moments (the mean and
+variance of the third-derivative envelope over the ball of one norm).
+The defaults enumerate the outcomes; the Gaussian model overrides both
+with closed forms.  The Pauli measurement schemes and the classical
+textbook models (Bernoulli, multinomial, truncated Poisson, Gaussian with
+known covariance) all fit this surface, each built by its own factory or
+constructor.
 
 Models whose outcome probabilities are affine in the parameters share the
 LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score is
@@ -20,10 +23,13 @@ derivative the rank-one tensor 2 g_x^(3).  That makes the ball supremum of
 the third-derivative operator norm available in closed form, and the
 Hessian-fluctuation moment V_H = E||l''(x) + F||_F^2 a sum over the
 K x d score matrix: no model in this family builds the K x d x d Hessian
-stack on the way to a bound.
+stack on the way to a bound.  The Pauli models are still dense in 4^n x
+4^n arrays; their factories estimate that memory before allocating and
+raise ValueError when it exceeds the machine's physical memory.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,15 @@ __all__ = [
 
 DOMAIN_MARGIN = 1e-6
 
+# Most 4^n x 4^n float64 arrays that a command on a dense Pauli model holds
+# at once, measured as the traced peak of `bounds` (`fisher` needs fewer).
+# Bell models: 9 (building the sign matrix takes 4; A and the K x d score
+# arrays of the Fisher matrix and the moments take the rest), that is
+# 75 MB at n = 5 and 1.2 GB at n = 6 above the interpreter's 45 MB.  The
+# separable model: 15, since its A has 2 * 4^n rows.
+BELL_DENSE_ARRAYS = 9
+SEPARABLE_DENSE_ARRAYS = 15
+
 
 class DomainError(ValueError):
     """Parameter point lies outside the model's open domain."""
@@ -54,7 +69,8 @@ class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
     Subclasses implement probs/dprobs/d2logp/d3logp,
-    third_derivative_envelope and mle_batch, or override bound_moments.
+    third_derivative_envelope and mle_batch, or override score_moments
+    and envelope_moments.
     theta is always a length-d float vector interior to the domain.
     """
 
@@ -142,14 +158,14 @@ class StatModel:
         centred = self.d2logp(theta) + fisher.matrix[None, :, :]
         return float(p @ (centred**2).sum(axis=(1, 2)))
 
-    def bound_moments(self, theta, fisher, radius):
-        """(mu_R, V_R, V_H, rho_diag, rho_top, exact) for the bounds at theta.
+    def score_moments(self, theta, fisher):
+        """(V_H, rho_diag, rho_top), the moments the bounds read at theta
+        that do not depend on the criterion norm.
 
-        fisher is the FisherMatrix at theta, radius that of the parameter
-        ball.  The default sums over the K outcomes: rho_diag[a] =
-        E|e_a^T F^-1 score|^3, rho_top the same along fisher.top_eigvec()
-        (0 when F is zero), V_H from hessian_fluctuation, and mu_R, V_R the
-        mean and variance of third_derivative_envelope, whose flag is exact.
+        fisher is the FisherMatrix at theta.  The default sums over the K
+        outcomes: rho_diag[a] = E|e_a^T F^-1 score|^3, rho_top the same
+        along fisher.top_eigvec() (0 when F is zero), and V_H from
+        hessian_fluctuation.
         """
         p = self.probs(theta)
         scores = self.dlogp(theta)
@@ -158,13 +174,21 @@ class StatModel:
         top = fisher.top_eigvec()
         rho_top = 0.0 if top is None else float(p @ np.abs(projected @ top) ** 3)
         v_h = self.hessian_fluctuation(theta, p, scores, fisher)
+        return v_h, rho_diag, rho_top
+
+    def envelope_moments(self, theta, radius):
+        """(mu_R, V_R, exact) over the parameter ball of the given radius.
+
+        The default takes the mean and variance over the outcomes of
+        third_derivative_envelope, whose flag is exact; an infinite
+        envelope on an outcome of positive probability makes both +inf.
+        """
+        p = self.probs(theta)
         envelope, exact = self.third_derivative_envelope(theta, radius)
         if np.any(np.isinf(envelope) & (p > 0.0)):
-            mu_r = v_r = math.inf
-        else:
-            mu_r = float(p @ envelope)
-            v_r = float(p @ (envelope - mu_r) ** 2)
-        return mu_r, v_r, v_h, rho_diag, rho_top, exact
+            return math.inf, math.inf, exact
+        mu_r = float(p @ envelope)
+        return mu_r, float(p @ (envelope - mu_r) ** 2), exact
 
 
 class LinearOutcomeModel(StatModel):
@@ -235,7 +259,28 @@ class LinearOutcomeModel(StatModel):
         return bool(np.all(self.b + self.A @ theta > 0.0))
 
 
-def _pauli_linear_system(n):
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_dense_size(scheme, n, arrays):
+    """Reject, before anything is allocated, a dense Pauli model whose
+    commands would need more than physical memory for `arrays` float64
+    matrices of 4^n x 4^n.  Sizes are whole GiB in exact integers, which
+    do not overflow at large n as floats would."""
+    need = arrays * 16**n * 8
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"{scheme} at n={n} needs about {-(-need >> 30)} GiB of dense "
+            f"4^{n} x 4^{n} arrays, more than the {have >> 30} GiB of "
+            f"physical memory"
+        )
+
+
+def _pauli_linear_system(n, scheme):
+    _check_dense_size(scheme, n, BELL_DENSE_ARRAYS)
     size = num_paulis(n)
     signs = sign_matrix(n)
     return signs[:, 1:] / size, signs[:, 0] / size
@@ -261,7 +306,7 @@ def entangled_pauli_model(n: int) -> StatModel:
     4^-n * sum_a lam_a (-1)^<x, a>, i.e. the error rate p_x.  Parameters
     are the non-identity eigenvalues lam_1..lam_{4^n - 1} (lam_0 = 1).
     """
-    A, b = _pauli_linear_system(n)
+    A, b = _pauli_linear_system(n, "entangled-pauli")
     return _PauliBellModel(A, b, scheme="entangled-pauli")
 
 
@@ -283,7 +328,7 @@ def two_copy_bell_model(n: int) -> StatModel:
     additive error eps corresponds to estimating s_a to error
     eps_s = eps**2.
     """
-    A, b = _pauli_linear_system(n)
+    A, b = _pauli_linear_system(n, "two-copy-bell")
     return _TwoCopyBellModel(A, b, scheme="two-copy-bell")
 
 
@@ -298,6 +343,7 @@ class SeparablePauliModel(LinearOutcomeModel):
     """
 
     def __init__(self, n, r):
+        _check_dense_size("separable-pauli", n, SEPARABLE_DENSE_ARRAYS)
         r = np.asarray(r, dtype=float)
         d = num_paulis(n) - 1
         if r.shape == (d + 1,):
@@ -480,8 +526,8 @@ class GaussianKnownCovModel(StatModel):
     def probs(self, theta):
         raise ValueError("gaussian-known-var has continuous outcomes")
 
-    def bound_moments(self, theta, fisher, radius):
-        """mu_R = V_R = V_H = 0 and rho = 2*sqrt(2/pi)*variance^(3/2).
+    def score_moments(self, theta, fisher):
+        """V_H = 0 and rho = 2*sqrt(2/pi)*variance^(3/2).
 
         The projected score e_a^T F^-1 grad(log p) equals y_a - theta_a, a
         centred normal with variance Sigma_aa; along the top eigenvector
@@ -490,7 +536,11 @@ class GaussianKnownCovModel(StatModel):
         rho_scale = 2.0 * math.sqrt(2.0 / math.pi)
         rho_diag = rho_scale * np.sqrt(np.diag(self.cov)) ** 3
         rho_top = rho_scale * fisher.opnorm_inverse() ** 1.5
-        return 0.0, 0.0, 0.0, rho_diag, rho_top, True
+        return 0.0, rho_diag, rho_top
+
+    def envelope_moments(self, theta, radius):
+        """mu_R = V_R = 0 exactly: the third derivative vanishes."""
+        return 0.0, 0.0, True
 
     def estimate_batch(self, theta, m, rng, trials):
         # the MLE is the sample mean, which is drawn directly

@@ -159,17 +159,7 @@ def validate_rates(p: np.ndarray) -> np.ndarray:
 def validate_eigenvalues(lam: np.ndarray) -> np.ndarray:
     """Check lam_0 = 1, |lam_a| <= 1, and complete positivity of the channel."""
     lam = np.asarray(lam, dtype=float)
-    _qubit_count_for_length(lam.shape[-1])
-    if abs(lam[0] - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"eigenvalue of the identity must be 1, got {lam[0]!r}")
-    if np.any(np.abs(lam) > 1.0 + SIMPLEX_TOL):
-        raise ValueError("Pauli eigenvalues must lie in [-1, 1]")
-    rates = fwht(lam) / lam.shape[-1]
-    if np.any(rates < -SIMPLEX_TOL):
-        raise ValueError(
-            "not a channel: eigenvalues map to negative error rates "
-            f"(min={rates.min()!r})"
-        )
+    eigenvalues_to_rates(lam)
     return lam
 
 
@@ -182,9 +172,24 @@ def rates_to_eigenvalues(p: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues_to_rates(lam: np.ndarray) -> np.ndarray:
-    """Error rates p = fwht(lam) / 4^n; inverse of rates_to_eigenvalues."""
-    lam = validate_eigenvalues(lam)
-    return fwht(lam) / lam.shape[-1]
+    """Error rates p = fwht(lam) / 4^n; inverse of rates_to_eigenvalues.
+
+    Raises ValueError unless lam passes validate_eigenvalues' checks; the
+    complete-positivity check reads the same transform it returns.
+    """
+    lam = np.asarray(lam, dtype=float)
+    _qubit_count_for_length(lam.shape[-1])
+    if abs(lam[0] - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"eigenvalue of the identity must be 1, got {lam[0]!r}")
+    if np.any(np.abs(lam) > 1.0 + SIMPLEX_TOL):
+        raise ValueError("Pauli eigenvalues must lie in [-1, 1]")
+    rates = fwht(lam) / lam.shape[-1]
+    if np.any(rates < -SIMPLEX_TOL):
+        raise ValueError(
+            "not a channel: eigenvalues map to negative error rates "
+            f"(min={rates.min()!r})"
+        )
+    return rates
 
 
 _FACTORS = {
@@ -208,15 +213,18 @@ def pauli_matrix(index: PauliIndex) -> np.ndarray:
     return mat
 
 
-def random_valid_eigenvalues(n: int, rng: np.random.Generator) -> np.ndarray:
+def random_valid_eigenvalues(n: int, rng: np.random.Generator,
+                             size: int | None = None) -> np.ndarray:
     """Draw a uniformly random valid Pauli channel, returned as eigenvalues.
 
     Samples error rates uniformly on the probability simplex and maps them
     through the Walsh-Hadamard transform.  Because that map is a linear
     bijection, this is distributed identically to rejection sampling of
     eigenvalue vectors from the hypercube, but runs in constant time.
+    With size=k it returns a (k, 4^n) array from one Dirichlet call and
+    one batched transform, row for row the bits of k calls without size.
     """
-    rates = rng.dirichlet(np.ones(num_paulis(n)))
+    rates = rng.dirichlet(np.ones(num_paulis(n)), size=size)
     return rates_to_eigenvalues(rates)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisherbound.bounds import (
+    BoundCoefficients,
     asymptotic_lower_l2,
     asymptotic_lower_linf,
     asymptotic_upper_l2,
@@ -329,6 +331,37 @@ class TestHessianFluctuation:
         f = fim(model, theta)
         got = estimate_coefficients(model, theta, 0.01, "linf", fisher=f).V_H
         assert got == hessian_fluctuation_dense(model, theta, f.matrix)
+
+
+SHARED_MOMENT_CASES = [
+    (entangled_pauli_model(2),
+     0.9 * random_valid_eigenvalues(2, np.random.default_rng(5))[1:]),
+    (two_copy_bell_model(2), np.full(15, 0.05)),
+    (separable_pauli_model(1, np.array([1.0, 0.8, 0.0, 0.5])), np.array([0.0, 0.5, 0.0])),
+    (separable_pauli_model(2, product_probe(np.tile([0.6, 0.0, 0.8], (2, 1)))),
+     np.full(15, 0.1)),
+    (bernoulli_model(), np.array([0.3])),
+    (multinomial_model(3), np.array([0.2, 0.3, 0.1])),
+    (PoissonTruncatedModel(20), np.array([1.3])),
+    (GaussianKnownCovModel(np.array([[2.0, 0.5], [0.5, 1.0]])), np.array([0.4, -1.0])),
+]
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+@pytest.mark.parametrize("model, theta", SHARED_MOMENT_CASES,
+                         ids=[f"{m.scheme}-d{m.d}" for m, _ in SHARED_MOMENT_CASES])
+def test_shared_score_moments_give_the_same_coefficients(model, theta, norm):
+    # cmd_bounds computes score_moments once per grid point for both norms
+    f = fim(model, theta)
+    shared = estimate_coefficients(model, theta, 1e-3, norm, fisher=f,
+                                   score_moments=model.score_moments(theta, f))
+    own = estimate_coefficients(model, theta, 1e-3, norm)
+    for field in dataclasses.fields(BoundCoefficients):
+        got, want = getattr(shared, field.name), getattr(own, field.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
 
 
 class TestAsymptoticEvaluators:

@@ -3,10 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fisherbound
-from fisherbound import fisher
+from fisherbound import cli, fisher, models, pauli
 from fisherbound.cli import (
     COLUMNS,
     ConfigError,
@@ -361,6 +362,57 @@ class TestAllSchemesEndToEnd:
         meta = json.loads(text)["meta"]
         assert meta["grid_points"] >= 2  # configured point plus valid draws
         assert meta["domain_shrink"] == 1e-6
+
+
+class TestThetaGrid:
+    @pytest.mark.parametrize("scheme", ["entangled-pauli", "two-copy-bell"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("param_seed", [1, 11])
+    def test_batched_grid_equals_sequential_draws(self, scheme, n, param_seed):
+        cfg = resolve("bounds", scheme=scheme, n=n, param_seed=param_seed, grid_points=9)
+        model, theta = build_model_and_theta(cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(param_seed))
+        expected = [theta]
+        for _ in range(9):
+            lam = (1.0 - cli.DOMAIN_SHRINK) * pauli.random_valid_eigenvalues(n, rng)[1:]
+            point = np.abs(lam) if scheme == "two-copy-bell" else lam
+            if model.contains(point):
+                expected.append(point)
+        grid = cli._theta_grid(cfg, model, theta)
+        assert len(grid) == len(expected)
+        for got, want in zip(grid, expected):
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+
+class TestDenseMemoryGuard:
+    @pytest.fixture
+    def no_sign_matrix(self, monkeypatch):
+        def fail(n):
+            raise AssertionError(f"sign_matrix({n}) called")
+
+        monkeypatch.setattr(pauli, "sign_matrix", fail)
+        monkeypatch.setattr(models, "sign_matrix", fail)
+
+    @pytest.mark.parametrize("scheme", ["entangled-pauli", "two-copy-bell",
+                                        "separable-pauli"])
+    def test_oversized_model_exits_2_before_allocating(self, scheme, no_sign_matrix,
+                                                       capsys):
+        assert main(["bounds", "--scheme", scheme, "--n", "9"]) == 2
+        err = capsys.readouterr().err
+        assert f"{scheme} at n=9 needs about" in err
+        assert "GiB" in err and "physical memory" in err
+
+    def test_fisher_exits_2_too(self, no_sign_matrix, capsys):
+        assert main(["fisher", "--n", "9"]) == 2
+        assert "n=9" in capsys.readouterr().err
+
+    def test_six_qubits_fit_a_7_gib_box(self, monkeypatch):
+        monkeypatch.setattr(models, "_physical_memory", lambda: 7 * 2**30)
+        for arrays in (models.BELL_DENSE_ARRAYS, models.SEPARABLE_DENSE_ARRAYS):
+            models._check_dense_size("scheme", 6, arrays)  # does not raise
+            with pytest.raises(ValueError, match="n=7 needs about"):
+                models._check_dense_size("scheme", 7, arrays)
 
 
 class TestExitCodes:

@@ -152,8 +152,7 @@ class TestPinvCache:
         lam = random_valid_eigenvalues(2, np.random.default_rng(13))
         f = fim(entangled_pauli_model(2), 0.8 * lam[1:])
         cached = f.pinv_matrix().copy()
-        for a in range(f.d):
-            estimable(f, a)
+        estimable(f)
         fresh = FisherMatrix(f.matrix).pinv_matrix()
         assert np.array_equal(f.pinv_matrix(), cached)
         assert np.array_equal(cached, fresh)
@@ -162,18 +161,17 @@ class TestPinvCache:
 class TestEstimable:
     def test_full_rank_always_estimable(self):
         f = FisherMatrix(np.diag([2.0, 0.5, 1.0]))
-        assert all(estimable(f, a) for a in range(3))
+        assert np.array_equal(estimable(f), [True, True, True])
 
     def test_axis_aligned_projector(self):
         f = FisherMatrix(np.diag([1.0, 0.0]))
-        assert estimable(f, 0)
-        assert not estimable(f, 1)
+        assert np.array_equal(estimable(f), [True, False])
 
     def test_rank_one_diagonal_direction(self):
         v = np.array([1.0, 1.0]) / math.sqrt(2.0)
         f = FisherMatrix(np.outer(v, v))
         # projector oracle: range projection of e_0 is v<v,e_0> != e_0
-        assert not estimable(f, 0)
+        assert np.array_equal(estimable(f), [False, False])
 
     def test_agrees_with_projector_oracle(self):
         rng = np.random.default_rng(21)
@@ -184,11 +182,32 @@ class TestEstimable:
             f = FisherMatrix(basis @ basis.T)
             q, _ = np.linalg.qr(basis)
             projector = q @ q.T
+            mask = estimable(f)
             for a in range(d):
                 e = np.zeros(d)
                 e[a] = 1.0
                 oracle = np.linalg.norm(projector @ e - e) <= 1e-8
-                assert estimable(f, a) == oracle
+                assert mask[a] == oracle
+
+
+    def test_mask_equals_the_per_coordinate_product(self):
+        # F F^+ e_a = e_a one coordinate at a time, on singular (some
+        # coordinates outside the range, some inside) and nonsingular F
+        rng = np.random.default_rng(33)
+        for trial in range(60):
+            d = int(rng.integers(2, 9))
+            rank = int(rng.integers(1, d + 1))
+            basis = rng.standard_normal((d, rank))
+            if trial % 2:
+                basis[rng.choice(d, size=d - rank, replace=False)] = 0.0
+            f = FisherMatrix(basis @ basis.T)
+            per_coordinate = []
+            for a in range(d):
+                e = np.zeros(d)
+                e[a] = 1.0
+                residual = f.matrix @ (f.pinv_matrix() @ e) - e
+                per_coordinate.append(bool(np.linalg.norm(residual) <= 1e-8))
+            assert estimable(f).tolist() == per_coordinate
 
 
 class TestSpectralStats:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fisherbound import pauli
 from fisherbound.pauli import (
     PauliIndex,
     eigenvalues_to_rates,
@@ -189,6 +190,21 @@ class TestRateEigenvalueMaps:
         # lam = (1, 1, 1, -1) maps to a rate vector with a negative entry
         with pytest.raises(ValueError, match="not a channel"):
             eigenvalues_to_rates(np.array([1.0, 1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_batched_draws_equal_sequential_draws(self, n, seed):
+        batched = random_valid_eigenvalues(n, np.random.default_rng(seed), size=7)
+        rng = np.random.default_rng(seed)
+        sequential = np.array([random_valid_eigenvalues(n, rng) for _ in range(7)])
+        assert np.array_equal(batched, sequential)
+
+    def test_eigenvalues_to_rates_transforms_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pauli, "fwht", lambda v: calls.append(1) or fwht(v))
+        lam = np.array([1.0, 0.8, 0.8, 0.8])
+        assert np.array_equal(eigenvalues_to_rates(lam), fwht(lam) / 4)
+        assert len(calls) == 1
 
     def test_random_valid_eigenvalues_are_valid(self):
         rng = np.random.default_rng(7)

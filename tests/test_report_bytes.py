@@ -4,7 +4,9 @@ Each case pins the SHA-256 of the report text that `cli.run_command`
 renders for the CLI defaults plus a few overrides, together with the exit
 code.  Together the cases cover all five subcommands in both formats, a
 singular Fisher matrix (in `fisher` and in `bounds`, whose lower-l2 row
-reads the pseudoinverse's top direction), a sample budget that runs out
+reads the pseudoinverse's top direction), grid suprema whose upper rows
+are inapplicable (n = 2 at eps = 0.01) and applicable (eps = 1e-4 at
+n = 1 for both Bell schemes, eps = 1e-6 at n = 2), a sample budget that runs out
 (exit 3), separation tables with simulated columns (one with a non-default
 resolution and Wilson level), a verify run with an injected fault
 (exit 1), and Bell searches at n = 3 (entangled-pauli in l2,
@@ -71,6 +73,13 @@ CASES = [
     ("simulate", {"scheme": "two-copy-bell", "n": 3, "preset": "random", "epsilon": 0.1,
                   "trials": 300},
      0, "3de3c722b612d67d4124c976bbe8f817ad64dbbd3275db72d5b3d718f1f176b2"),
+    ("bounds", {"epsilon": 1e-4, "grid_points": 10},
+     0, "6d098af84502d33bc1b3a3ce013e3da1f538e8e4c37e1cdb279ae675bbb5f0f1"),
+    ("bounds", {"scheme": "two-copy-bell", "preset": "random", "epsilon": 1e-4,
+                "grid_points": 10},
+     0, "bb245102763d4dd4d8cf76c44e919dc9d64d838b81f6cd331f6c7069dbe0948a"),
+    ("bounds", {"n": 2, "epsilon": 1e-6, "grid_points": 10},
+     0, "a942dafbfeaddd1dcf4ce0c4f78660905363b9dc0a627d2d5ce4b3dba447ec7f"),
 ]
 
 
