@@ -26,8 +26,9 @@ the criterion norm.
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits of the four bounds are exposed as asymptotic_* helpers,
 with Pauli-scheme specialisations for entangled and separable channel
-learning.  Inapplicable regimes (tau0 <= 0, non-finite coefficients)
-produce a structured result with applicable=False, never a silent clamp.
+learning.  Inapplicable regimes (a singular Fisher matrix for the upper
+bounds, tau0 <= 0, non-finite coefficients) produce a structured result
+with applicable=False, never a silent clamp.
 """
 
 import math
@@ -67,7 +68,8 @@ class BoundCoefficients:
     the analogues projected on the top eigenvector of F^-1.  norm records
     which parameter ball ("linf" or "l2") the envelope was taken over;
     None means norm-agnostic (exact zeros); provenance records whether the
-    envelope is exact.
+    envelope is exact.  singular marks a singular F, whose pseudoinverse
+    treats an unidentifiable coordinate as known: no upper bound applies.
     """
 
     d: int
@@ -83,6 +85,7 @@ class BoundCoefficients:
     rho_top: float
     norm: str | None = None
     provenance: str = "exact"
+    singular: bool = False
 
     def finite(self) -> bool:
         values = [self.mu_R, self.V_H, self.V_R, self.sigma, self.opnorm_inv,
@@ -178,7 +181,7 @@ def estimate_coefficients(
 
     sigma is the largest sqrt([F^-1]_aa) at this point; a supremum over
     the parameter space must be taken by the caller (e.g. over a
-    documented grid).
+    documented grid).  singular is fisher.is_singular.
     """
     if norm not in ("linf", "l2"):
         raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
@@ -207,6 +210,7 @@ def estimate_coefficients(
         rho_top=rho_top,
         norm=norm,
         provenance="exact" if exact else "estimated-coefficient",
+        singular=f.is_singular,
     )
 
 
@@ -224,6 +228,8 @@ def _eta_mean(coeffs: BoundCoefficients) -> float:
 
 def _upper_bracket(eps, delta, coeffs, tau0, big_d):
     """max{(D/tau0)^2, (2 d eta / delta)^2, y*} shared by both upper bounds."""
+    if coeffs.singular:
+        return _inapplicable(coeffs, "singular Fisher matrix")
     d = coeffs.d
     eta = _eta_mean(coeffs)
     if not (math.isfinite(tau0) and math.isfinite(big_d) and math.isfinite(eta)):

@@ -179,47 +179,37 @@ def _finite(x) -> bool:
 
 def build_model_and_theta(cfg: dict):
     """Instantiate the configured scheme and resolve its parameter point."""
-    scheme = cfg["scheme"]
-    n = cfg["n"]
-    explicit = cfg["lambda"] if cfg["lambda"] is not None else cfg["theta"]
-
+    scheme, n, dim = cfg["scheme"], cfg["n"], cfg["dim"]
     if scheme == "entangled-pauli":
         model = models.entangled_pauli_model(n)
-        theta = _resolve_pauli_theta(cfg, n, explicit)
+        theta = _eigenvalue_preset(cfg, n, model.d)
     elif scheme == "two-copy-bell":
         model = models.two_copy_bell_model(n)
-        if explicit is not None:
-            theta = explicit
-        elif cfg["preset"] == "random":
-            # squared moments of a random pure product state are always valid
-            rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
-            bloch = rng.standard_normal((n, 3))
-            bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
-            theta = 0.99 * pauli.product_probe(bloch)[1:] ** 2
-        else:
-            theta = np.zeros(model.d)
+        # squared moments of a random pure product state are always valid
+        theta = (0.99 * _random_product_state(cfg["param_seed"], n)[1:] ** 2
+                 if cfg["preset"] == "random" else np.zeros(model.d))
     elif scheme == "separable-pauli":
-        if cfg["r"] is not None:
-            r = np.asarray(cfg["r"], dtype=float)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
-            bloch = rng.standard_normal((n, 3))
-            bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
-            r = pauli.product_probe(bloch)
+        r = cfg["r"] if cfg["r"] is not None else _random_product_state(cfg["param_seed"], n)
         model = models.separable_pauli_model(n, r)
-        theta = explicit if explicit is not None else np.zeros(model.d)
+        theta = np.zeros(model.d)
     elif scheme == "bernoulli":
-        model = models.bernoulli_model()
-        theta = explicit if explicit is not None else [0.5]
+        model, theta = models.bernoulli_model(), [0.5]
     elif scheme == "multinomial":
-        model = models.multinomial_model(cfg["dim"])
-        theta = explicit if explicit is not None else np.full(cfg["dim"], 1 / (cfg["dim"] + 1))
+        model, theta = models.multinomial_model(dim), np.full(dim, 1 / (dim + 1))
     elif scheme == "poisson":
-        model = models.PoissonTruncatedModel(cfg["truncation"])
-        theta = explicit if explicit is not None else [1.0]
+        model, theta = models.PoissonTruncatedModel(cfg["truncation"]), [1.0]
     else:  # gaussian-known-var; _validate_config admits no other scheme
-        model = models.GaussianKnownCovModel(np.eye(cfg["dim"]))
-        theta = explicit if explicit is not None else np.zeros(cfg["dim"])
+        models._check_memory(f"gaussian-known-var at dim={dim}", models.GAUSSIAN_DENSE_ARRAYS,
+                             dim**2, f"dense {dim} x {dim}")
+        model, theta = models.GaussianKnownCovModel(np.eye(dim)), np.zeros(dim)
+    key = "lambda" if cfg["lambda"] is not None else "theta"
+    if cfg[key] is not None:
+        theta = np.asarray(cfg[key], dtype=float)
+        if scheme == "entangled-pauli" and theta.shape == (model.d + 1,):
+            if abs(theta[0] - 1.0) > pauli.SIMPLEX_TOL:
+                raise ConfigError(f"{key}[0] is the identity eigenvalue and must be 1, "
+                                  f"got {theta[0]!r}")
+            theta = theta[1:]
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.d,):
         raise ConfigError(
@@ -231,21 +221,18 @@ def build_model_and_theta(cfg: dict):
     return model, theta
 
 
-def _resolve_pauli_theta(cfg, n, explicit):
-    d = pauli.num_paulis(n) - 1
-    if explicit is not None:
-        theta = np.asarray(explicit, dtype=float)
-        if theta.shape == (d + 1,):
-            if abs(theta[0] - 1.0) > pauli.SIMPLEX_TOL:
-                key = "lambda" if cfg["lambda"] is not None else "theta"
-                raise ConfigError(f"{key}[0] is the identity eigenvalue and must be 1, "
-                                  f"got {theta[0]!r}")
-            theta = theta[1:]
-        return theta
-    preset = cfg["preset"]
-    if preset == "depolarizing":
+def _random_product_state(param_seed, n):
+    """Pauli vector of a pure product state with random Bloch directions."""
+    rng = np.random.default_rng(np.random.SeedSequence(param_seed))
+    bloch = rng.standard_normal((n, 3))
+    bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
+    return pauli.product_probe(bloch)
+
+
+def _eigenvalue_preset(cfg, n, d):
+    if cfg["preset"] == "depolarizing":
         return np.zeros(d)
-    if preset == "identity":
+    if cfg["preset"] == "identity":
         return np.ones(d)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
     return pauli.random_valid_eigenvalues(n, rng)[1:]
@@ -322,28 +309,26 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     eps, delta, c = cfg["epsilon"], cfg["delta"], cfg["be_constant"]
     grid = _theta_grid(cfg, model, theta)
 
-    norms = ("linf", "l2")
-    lower_fns = {"linf": bounds.lower_bound_linf, "l2": bounds.lower_bound_l2}
-    best_upper = dict.fromkeys(norms)
+    evaluators = _evaluators()
+    candidates = {norm: [] for norm in evaluators}
     lower = {}
     # one Fisher matrix and one set of score moments per point, shared by
     # both norms; grid[0] is theta, so its coefficients also feed the lower bounds
     for index, point in enumerate(grid):
         f = fisher.fim(model, point)
         moments = model.score_moments(point, f)
-        for norm in norms:
+        for norm, (upper_fn, lower_fn) in evaluators.items():
             coeffs = bounds.estimate_coefficients(model, point, eps, norm, constant=c,
                                                   fisher=f, score_moments=moments)
-            candidate = _upper_bound(eps, delta, coeffs, f)
-            best = best_upper[norm]
-            if best is None or _bound_sort_key(candidate) > _bound_sort_key(best):
-                best_upper[norm] = candidate
+            candidates[norm].append(upper_fn(eps, delta, coeffs))
             if index == 0:
-                lower[norm] = lower_fns[norm](eps, delta, coeffs)
+                lower[norm] = lower_fn(eps, delta, coeffs)
 
     rows = []
-    for norm in norms:
-        rows.append(_bound_row(f"upper-{norm}", "upper", norm, best_upper[norm],
+    for norm in evaluators:
+        # the supremum over the grid; an inapplicable candidate sorts above all
+        upper = max(candidates[norm], key=_bound_sort_key)
+        rows.append(_bound_row(f"upper-{norm}", "upper", norm, upper,
                                eps, delta, model.d))
         rows.append(_bound_row(f"lower-{norm}", "lower", norm, lower[norm],
                                eps, delta, model.d))
@@ -359,14 +344,10 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     return rows, meta, EXIT_OK
 
 
-def _upper_bound(eps, delta, coeffs, f):
-    """Finite upper bound in coeffs.norm; inapplicable where F is singular,
-    since the pseudoinverse would treat an unidentifiable coordinate as known."""
-    if f.is_singular:
-        return bounds.BoundResult(math.inf, False, "none", reason="singular Fisher matrix",
-                                  provenance=coeffs.provenance)
-    upper_fn = bounds.upper_bound_linf if coeffs.norm == "linf" else bounds.upper_bound_l2
-    return upper_fn(eps, delta, coeffs)
+def _evaluators():
+    """Norm -> (upper, lower) evaluator, looked up per call for bench/spans.py."""
+    return {"linf": (bounds.upper_bound_linf, bounds.lower_bound_linf),
+            "l2": (bounds.upper_bound_l2, bounds.lower_bound_l2)}
 
 
 def _bound_sort_key(result):
@@ -407,7 +388,8 @@ def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
         lower = bounds.asymptotic_lower_l2(eps, delta, f.opnorm_inverse())
     coeffs = bounds.estimate_coefficients(model, theta, eps, norm,
                                           constant=cfg["be_constant"], fisher=f)
-    upper = _upper_bound(eps, delta, coeffs, f)
+    upper_fn, _ = _evaluators()[norm]
+    upper = upper_fn(eps, delta, coeffs)
 
     def base_row(**kwargs):
         row = {"scheme": cfg["scheme"], "n": cfg["n"], "epsilon": eps, "delta": delta,
@@ -588,7 +570,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(text, cfg["out"])
+    try:
+        _emit(text, cfg["out"])
+    except OSError as exc:
+        print(f"config error: cannot write {cfg['out']!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -22,10 +22,12 @@ g_x = A_x / p, the Hessian the rank-one -g_x g_x^T, and the third
 derivative the rank-one tensor 2 g_x^(3).  That makes the ball supremum of
 the third-derivative operator norm available in closed form, and the
 Hessian-fluctuation moment V_H = E||l''(x) + F||_F^2 a sum over the
-K x d score matrix: no model in this family builds the K x d x d Hessian
-stack on the way to a bound.  The Pauli models are still dense in 4^n x
-4^n arrays; their factories estimate that memory before allocating and
-raise ValueError when it exceeds the machine's physical memory.
+K x d score matrix: no model builds the K x d x d Hessian stack on the way
+to a bound.  Their domain, p > 0 within an inclusive theta box, is
+constructor data that contains and probs read through one rule.  The
+Pauli models are dense in 4^n x 4^n arrays; their size, like the
+classical models' dim and truncation, is checked against physical memory
+before allocating, with ValueError when the estimate exceeds it.
 """
 
 import math
@@ -58,6 +60,12 @@ DOMAIN_MARGIN = 1e-6
 # separable model: 15, since its A has 2 * 4^n rows.
 BELL_DENSE_ARRAYS = 9
 SEPARABLE_DENSE_ARRAYS = 15
+# Classical models: the larger traced peak of `bounds` and `fisher` at dim
+# 200-800 and truncation 1e5-4e6, in arrays of dim x dim (multinomial,
+# gaussian-known-var) and of truncation + 1 floats (poisson).
+MULTINOMIAL_DENSE_ARRAYS = 9
+GAUSSIAN_DENSE_ARRAYS = 8
+POISSON_ARRAYS = 8
 
 
 class DomainError(ValueError):
@@ -68,7 +76,7 @@ class DomainError(ValueError):
 class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
-    Subclasses implement probs/dprobs/d2logp/d3logp,
+    Subclasses implement probs/dprobs/d2logp/d3logp, hessian_fluctuation,
     third_derivative_envelope and mle_batch, or override score_moments
     and envelope_moments.
     theta is always a length-d float vector interior to the domain.
@@ -110,15 +118,22 @@ class StatModel:
     def contains(self, theta: np.ndarray) -> bool:
         raise NotImplementedError
 
-    def validate_theta(self, theta: np.ndarray) -> np.ndarray:
+    def _vector(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.d,):
             raise ValueError(
                 f"{self.scheme}: expected parameter vector of length {self.d}, "
                 f"got shape {theta.shape}"
             )
+        return theta
+
+    def _domain_error(self, theta) -> DomainError:
+        return DomainError(f"{self.scheme}: parameter {theta!r} outside the domain")
+
+    def validate_theta(self, theta: np.ndarray) -> np.ndarray:
+        theta = self._vector(theta)
         if not self.contains(theta):
-            raise DomainError(f"{self.scheme}: parameter {theta!r} outside the domain")
+            raise self._domain_error(theta)
         return theta
 
     def mle(self, counts: np.ndarray) -> np.ndarray:
@@ -148,27 +163,18 @@ class StatModel:
         """Closed-form Fisher matrix, or None to request enumeration."""
         return None
 
-    def hessian_fluctuation(self, theta, p, scores, fisher):
-        """V_H = sum_x p_x ||l''(x) + F||_F^2 over all K outcomes.
-
-        p and scores are probs(theta) and dlogp(theta); fisher is the
-        FisherMatrix at theta.  The default enumerates the K x d x d
-        Hessian stack; models with a structured Hessian override this.
-        """
-        centred = self.d2logp(theta) + fisher.matrix[None, :, :]
-        return float(p @ (centred**2).sum(axis=(1, 2)))
-
     def score_moments(self, theta, fisher):
         """(V_H, rho_diag, rho_top), the moments the bounds read at theta
         that do not depend on the criterion norm.
 
         fisher is the FisherMatrix at theta.  The default sums over the K
         outcomes: rho_diag[a] = E|e_a^T F^-1 score|^3, rho_top the same
-        along fisher.top_eigvec() (0 when F is zero), and V_H from
-        hessian_fluctuation.
+        along fisher.top_eigvec() (0 when F is zero), and V_H =
+        sum_x p_x ||l''(x) + F||_F^2 from the model's
+        hessian_fluctuation(theta, p, scores, fisher).
         """
         p = self.probs(theta)
-        scores = self.dlogp(theta)
+        scores = self.dprobs(theta) / p[:, None]
         projected = scores @ fisher.pinv_matrix()  # column a is e_a^T F^-1 score(x)
         rho_diag = p @ np.abs(projected) ** 3
         top = fisher.top_eigvec()
@@ -192,19 +198,32 @@ class StatModel:
 
 
 class LinearOutcomeModel(StatModel):
-    """Model with affine outcome probabilities p(x) = b_x + A_x . theta."""
+    """Model with affine outcome probabilities p(x) = b_x + A_x . theta,
+    on the domain p > 0 and, given a box (lo, hi), lo <= theta_a <= hi."""
 
-    def __init__(self, A, b, scheme):
+    def __init__(self, A, b, scheme, box=None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         super().__init__(d=A.shape[1], K=A.shape[0], scheme=scheme)
         self.A = A
         self.b = b
+        self._box = box
         self._row_norms = np.linalg.norm(A, axis=1)
 
+    def _inside(self, theta, p):
+        """Whether theta, with p = b + A @ theta, lies in the domain."""
+        if self._box is not None:
+            lo, hi = self._box
+            if not ((lo <= theta) & (theta <= hi)).all():
+                return False
+        return bool((p > 0.0).all())
+
     def probs(self, theta):
-        theta = self.validate_theta(theta)
-        return self.b + self.A @ theta
+        theta = self._vector(theta)
+        p = self.b + self.A @ theta
+        if not self._inside(theta, p):
+            raise self._domain_error(theta)
+        return p
 
     def dprobs(self, theta):
         return self.A
@@ -256,7 +275,7 @@ class LinearOutcomeModel(StatModel):
 
     def contains(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return bool(np.all(self.b + self.A @ theta > 0.0))
+        return self._inside(theta, self.b + self.A @ theta)
 
 
 def _physical_memory() -> int:
@@ -264,26 +283,22 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_dense_size(scheme, n, arrays):
-    """Reject, before anything is allocated, a dense Pauli model whose
-    commands would need more than physical memory for `arrays` float64
-    matrices of 4^n x 4^n.  Sizes are whole GiB in exact integers, which
-    do not overflow at large n as floats would."""
-    need = arrays * 16**n * 8
+def _check_memory(what, arrays, elements, shape):
+    """Reject, before allocating, `arrays` float64 arrays of `elements`
+    entries that exceed physical memory.  Sizes are exact integers, which
+    do not overflow as floats would."""
+    need = arrays * elements * 8
     have = _physical_memory()
     if need > have:
         raise ValueError(
-            f"{scheme} at n={n} needs about {-(-need >> 30)} GiB of dense "
-            f"4^{n} x 4^{n} arrays, more than the {have >> 30} GiB of "
-            f"physical memory"
+            f"{what} needs about {-(-need >> 30)} GiB of {shape} arrays, "
+            f"more than the {have >> 30} GiB of physical memory"
         )
 
 
-def _pauli_linear_system(n, scheme):
-    _check_dense_size(scheme, n, BELL_DENSE_ARRAYS)
-    size = num_paulis(n)
-    signs = sign_matrix(n)
-    return signs[:, 1:] / size, signs[:, 0] / size
+def _check_dense_size(scheme, n, arrays):
+    """_check_memory for a dense Pauli model of 4^n x 4^n arrays."""
+    _check_memory(f"{scheme} at n={n}", arrays, 16**n, f"dense 4^{n} x 4^{n}")
 
 
 class _PauliBellModel(LinearOutcomeModel):
@@ -298,6 +313,13 @@ class _PauliBellModel(LinearOutcomeModel):
         return _fwht_buffers(buffers)[1:].T.copy()
 
 
+def _bell_model(n, scheme, box=None):
+    _check_dense_size(scheme, n, BELL_DENSE_ARRAYS)
+    size = num_paulis(n)
+    signs = sign_matrix(n)
+    return _PauliBellModel(signs[:, 1:] / size, signs[:, 0] / size, scheme, box)
+
+
 def entangled_pauli_model(n: int) -> StatModel:
     """Pauli-channel learning with a maximally entangled probe.
 
@@ -306,16 +328,7 @@ def entangled_pauli_model(n: int) -> StatModel:
     4^-n * sum_a lam_a (-1)^<x, a>, i.e. the error rate p_x.  Parameters
     are the non-identity eigenvalues lam_1..lam_{4^n - 1} (lam_0 = 1).
     """
-    A, b = _pauli_linear_system(n, "entangled-pauli")
-    return _PauliBellModel(A, b, scheme="entangled-pauli")
-
-
-class _TwoCopyBellModel(_PauliBellModel):
-    def contains(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta < 0.0) or np.any(theta > 1.0):
-            return False
-        return super().contains(theta)
+    return _bell_model(n, "entangled-pauli")
 
 
 def two_copy_bell_model(n: int) -> StatModel:
@@ -328,11 +341,10 @@ def two_copy_bell_model(n: int) -> StatModel:
     additive error eps corresponds to estimating s_a to error
     eps_s = eps**2.
     """
-    A, b = _pauli_linear_system(n, "two-copy-bell")
-    return _TwoCopyBellModel(A, b, scheme="two-copy-bell")
+    return _bell_model(n, "two-copy-bell", box=(0.0, 1.0))
 
 
-class SeparablePauliModel(LinearOutcomeModel):
+class _SeparablePauliModel(LinearOutcomeModel):
     """Single channel use on an unentangled probe, one Pauli axis per shot.
 
     Each shot picks one of the d = 4^n - 1 non-identity axes uniformly at
@@ -363,15 +375,9 @@ class SeparablePauliModel(LinearOutcomeModel):
         A[2 * rows, rows] = r / (2.0 * d)
         A[2 * rows + 1, rows] = -r / (2.0 * d)
         b = np.full(2 * d, 1.0 / (2.0 * d))
-        super().__init__(A, b, scheme="separable-pauli")
+        super().__init__(A, b, scheme="separable-pauli", box=(-1.0, 1.0))
         self.r = r
         self.identifiable = r != 0.0
-
-    def contains(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if np.any(np.abs(theta) > 1.0):
-            return False
-        return bool(np.all(self.b + self.A @ theta > 0.0))
 
     def mle_batch(self, counts):
         counts = np.asarray(counts)
@@ -386,8 +392,8 @@ class SeparablePauliModel(LinearOutcomeModel):
         return np.clip(est, -1.0, 1.0, out=est)
 
 
-def separable_pauli_model(n: int, r) -> SeparablePauliModel:
-    return SeparablePauliModel(n, r)
+def separable_pauli_model(n: int, r) -> LinearOutcomeModel:
+    return _SeparablePauliModel(n, r)
 
 
 class _FrequencyMLEModel(LinearOutcomeModel):
@@ -409,6 +415,8 @@ def multinomial_model(d: int) -> LinearOutcomeModel:
     """K = d + 1 outcomes with free probabilities theta_1..theta_d."""
     if d < 1:
         raise ValueError("multinomial needs d >= 1")
+    _check_memory(f"multinomial at dim={d}", MULTINOMIAL_DENSE_ARRAYS, int(d) ** 2,
+                  f"dense {d} x {d}")
     A = np.vstack([np.eye(d), -np.ones((1, d))])
     b = np.concatenate([np.zeros(d), [1.0]])
     return _FrequencyMLEModel(A=A, b=b, scheme="multinomial")
@@ -427,6 +435,8 @@ class PoissonTruncatedModel(StatModel):
     def __init__(self, truncation: int = 20):
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
+        _check_memory(f"poisson at truncation={truncation}", POISSON_ARRAYS,
+                      int(truncation) + 1, f"length-{truncation + 1}")
         super().__init__(d=1, K=truncation + 1, scheme="poisson")
         self._log_factorials = np.cumsum(
             np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))])
@@ -472,6 +482,10 @@ class PoissonTruncatedModel(StatModel):
         t = float(np.asarray(theta, dtype=float)[0])
         _, _, l3 = self._logz_derivatives(t)
         return (2.0 * self._ks / t**3 - l3).reshape(self.K, 1, 1, 1)
+
+    def hessian_fluctuation(self, theta, p, scores, fisher):
+        """V_H over the K outcomes of the 1 x 1 Hessians."""
+        return float(p @ (self.d2logp(theta)[:, 0, 0] + fisher.matrix[0, 0]) ** 2)
 
     def third_derivative_envelope(self, theta, radius):
         """Grid-refined supremum over the interval [theta - r, theta + r].

@@ -28,7 +28,6 @@ __all__ = [
     "rates_to_eigenvalues",
     "sign_matrix",
     "symplectic_product",
-    "validate_eigenvalues",
     "validate_rates",
 ]
 
@@ -156,13 +155,6 @@ def validate_rates(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def validate_eigenvalues(lam: np.ndarray) -> np.ndarray:
-    """Check lam_0 = 1, |lam_a| <= 1, and complete positivity of the channel."""
-    lam = np.asarray(lam, dtype=float)
-    eigenvalues_to_rates(lam)
-    return lam
-
-
 def rates_to_eigenvalues(p: np.ndarray) -> np.ndarray:
     """Pauli eigenvalues lam_b = sum_a (-1)^<a,b> p_a of an error-rate vector."""
     p = validate_rates(p)
@@ -174,8 +166,8 @@ def rates_to_eigenvalues(p: np.ndarray) -> np.ndarray:
 def eigenvalues_to_rates(lam: np.ndarray) -> np.ndarray:
     """Error rates p = fwht(lam) / 4^n; inverse of rates_to_eigenvalues.
 
-    Raises ValueError unless lam passes validate_eigenvalues' checks; the
-    complete-positivity check reads the same transform it returns.
+    Raises ValueError unless lam_0 = 1, |lam_a| <= 1 and the channel is
+    completely positive; that check reads the same transform it returns.
     """
     lam = np.asarray(lam, dtype=float)
     _qubit_count_for_length(lam.shape[-1])

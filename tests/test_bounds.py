@@ -326,6 +326,7 @@ class TestHessianFluctuation:
         assert_v_h_matches_dense_stack(model, theta)
 
     def test_poisson_uses_the_dense_default(self):
+        # the 1 x 1 override sums each outcome's one element, as the stack does
         model = PoissonTruncatedModel(12)
         theta = np.array([1.7])
         f = fim(model, theta)
@@ -428,6 +429,35 @@ class TestAsymptoticEvaluators:
         assert asymptotic_lower_linf(0.1, 0.1, 0.25) == pytest.approx(
             W0_DELTA01_LOWER * 25.0
         )
+
+
+class TestSingularFisher:
+    """The upper bounds need an invertible F; the lower bounds do not."""
+
+    # the second axis has probe component 0: F is singular, lambda_2 unidentifiable
+    MODEL = separable_pauli_model(1, np.array([1.0, 0.8, 0.0, 0.5]))
+    THETA = np.array([0.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("norm,upper,lower,lower_value", [
+        ("linf", upper_bound_linf, lower_bound_linf, 159902.80623732574),
+        ("l2", upper_bound_l2, lower_bound_l2, 191304.0948560928),
+    ], ids=["linf", "l2"])
+    def test_upper_bounds_are_inapplicable(self, norm, upper, lower, lower_value):
+        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01, norm)
+        result = upper(0.01, 0.1, coeffs)
+        assert (result.value, result.applicable, result.limiting_term, result.reason,
+                result.provenance) == (math.inf, False, "none", "singular Fisher matrix",
+                                       "exact")
+        bound = lower(0.01, 0.1, coeffs)
+        assert bound.applicable
+        assert bound.value == pytest.approx(lower_value, rel=1e-12)
+
+    def test_singular_flag_follows_the_fisher_matrix(self):
+        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01, "linf")
+        assert coeffs.singular
+        model = separable_pauli_model(1, np.array([1.0, 0.8, 0.3, 0.5]))
+        assert not estimate_coefficients(model, self.THETA, 0.01, "linf").singular
+        assert not idealized_coefficients(3).singular
 
 
 class TestBoundResultContract:

@@ -415,6 +415,40 @@ class TestDenseMemoryGuard:
                 models._check_dense_size("scheme", 7, arrays)
 
 
+class TestClassicalMemoryGuard:
+    """dim and truncation are refused from their estimate, before allocating."""
+
+    @pytest.fixture(autouse=True)
+    def small_box(self, monkeypatch):
+        monkeypatch.setattr(models, "_physical_memory", lambda: 7 * 2**30)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        for name in ("eye", "arange"):
+            monkeypatch.setattr(np, name, fail)
+
+    @pytest.mark.parametrize("scheme,key", [("multinomial", "dim"),
+                                            ("gaussian-known-var", "dim"),
+                                            ("poisson", "truncation")])
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "fisher"])
+    def test_oversized_value_exits_2(self, scheme, key, command, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": scheme, key: 10**9}))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {scheme} at {key}=1000000000 needs about" in err
+        assert "GiB" in err and "more than the 7 GiB of physical memory" in err
+
+    def test_estimates_use_the_measured_array_counts(self):
+        # 9 multinomial arrays of 10^4 x 10^4 doubles are 6.7 GiB; 10^4 + 1000 is not
+        models._check_memory("m", models.MULTINOMIAL_DENSE_ARRAYS, 10**8, "dense")
+        with pytest.raises(ValueError, match="needs about 9 GiB"):
+            models.multinomial_model(11000)
+        with pytest.raises(ValueError, match="needs about 8 GiB"):
+            models.PoissonTruncatedModel(125 * 2**20)
+
+
 class TestExitCodes:
     def test_success(self):
         assert run_cli(["bounds", "--epsilon", "0.05"]).returncode == 0
@@ -457,6 +491,14 @@ class TestExitCodes:
         result = run_cli(["bounds", "--epsilon", "0.05", "--out", str(out)])
         assert result.returncode == 0
         assert out.read_text().startswith("# fisherbound=")
+
+    @pytest.mark.parametrize("where", ["missing/report.csv", "."])
+    def test_unwritable_out_is_config_error(self, tmp_path, where, capsys):
+        out = tmp_path / where
+        assert main(["bounds", "--epsilon", "0.05", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {str(out)!r}: ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("module", [m for m in fisherbound.__all__ if m != "__version__"])

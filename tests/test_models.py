@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisherbound.fisher import estimable, fim
 from fisherbound.models import (
+    DomainError,
     GaussianKnownCovModel,
     PoissonTruncatedModel,
     bernoulli_model,
@@ -177,6 +180,34 @@ class TestSeparablePauliModel:
         lam = np.array([0.4, -0.2, 0.6])
         counts = model.probs(lam) * 6e6
         np.testing.assert_allclose(model.mle(counts), lam, atol=1e-9)
+
+
+AFFINE_MODELS = [
+    entangled_pauli_model(1),
+    two_copy_bell_model(1),
+    separable_pauli_model(1, np.array([1.0, 0.0, 0.0])),  # r = 0: only the box binds
+    bernoulli_model(),
+    multinomial_model(2),
+]
+# box edges, points just outside them, NaN, and the rest of a wider interval
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, -1e-300, 0.5, math.nan]),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(index=st.integers(0, len(AFFINE_MODELS) - 1), data=st.data())
+def test_contains_exactly_where_probs_succeeds(index, data):
+    model = AFFINE_MODELS[index]
+    theta = np.array(data.draw(st.lists(COORDINATES, min_size=model.d, max_size=model.d)))
+    try:
+        model.probs(theta)
+    except DomainError as exc:
+        assert str(exc) == f"{model.scheme}: parameter {theta!r} outside the domain"
+        assert not model.contains(theta)
+    else:
+        assert model.contains(theta)
 
 
 class TestMleBatchBitwise:
