@@ -232,7 +232,8 @@ def _upper_bracket(eps, delta, coeffs, tau0, big_d):
         return _inapplicable(coeffs, "singular Fisher matrix")
     d = coeffs.d
     eta = _eta_mean(coeffs)
-    if not (math.isfinite(tau0) and math.isfinite(big_d) and math.isfinite(eta)):
+    if not (coeffs.finite() and math.isfinite(tau0) and math.isfinite(big_d)
+            and math.isfinite(eta)):
         return _inapplicable(coeffs, "non-finite coefficients")
     if tau0 <= 0.0:
         return _inapplicable(coeffs, "tau0 <= 0")

@@ -8,7 +8,8 @@ rows; re-running from the embedded config reproduces a report byte for
 byte.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 sample
-budget exceeded (partial report still written).
+budget exceeded (partial report still written), 4 internal error (an
+unexpected exception, printed with its traceback).
 """
 
 import argparse
@@ -17,6 +18,7 @@ import io
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 # Esseen's lower limit (sqrt(10) + 3) / (6 sqrt(2 pi)) on the Berry-Esseen
 # constant: for smaller constants the inequality fails for some distribution
@@ -570,6 +573,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        # a fault of the program, not of its input
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         _emit(text, cfg["out"])
     except OSError as exc:

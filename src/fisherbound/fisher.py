@@ -229,15 +229,15 @@ def single_copy_trace_bound(povm, n: int) -> TraceBoundResult:
         if np.linalg.eigvalsh(element).min() < -1e-8:
             raise ValueError("POVM elements must be positive semidefinite")
 
-    size = num_paulis(n)
-    diag = np.zeros(size - 1)
+    paulis = [pauli_matrix(PauliIndex(a, n)) for a in range(1, num_paulis(n))]
+    diag = np.zeros(len(paulis))
     for element in povm:
         weight = float(np.real(np.trace(element)))
         if weight <= 1e-14:
             continue
-        for a in range(1, size):
-            overlap = float(np.real(np.trace(element @ pauli_matrix(PauliIndex(a, n)))))
-            diag[a - 1] += overlap**2 / weight
+        for a, matrix in enumerate(paulis):
+            overlap = float(np.real(np.trace(element @ matrix)))
+            diag[a] += overlap**2 / weight
     diag /= dim
     bound = float(2**n - 1)
     trace_sum = float(diag.sum())

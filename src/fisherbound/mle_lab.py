@@ -10,10 +10,13 @@ Reproducibility: every probe derives its own generator from the master
 seed through numpy SeedSequence spawn keys, and trials are grouped into
 fixed-size blocks each with a pre-assigned stream.  Blocks run in block
 order on the calling thread, so results are bit-identical for a given
-seed.  A search probe that can no longer pass stops after the first block
-at which even all-successful remaining trials would leave its Wilson
-lower bound below 1 - delta; every pass/fail decision, and so the search
-result, is the same as with all trials run.
+seed.  A search probe that can no longer pass stops at the first trial at
+which even all-successful remaining trials would leave its Wilson lower
+bound below 1 - delta; every pass/fail decision, and so the search
+result, is the same as with all trials run.  To stop there it draws each
+block's rows in pieces from the block's stream.  numpy's multinomial and
+normal draws consume the stream row by row, so the pieces are bit for bit
+the block drawn at once.
 """
 
 import math
@@ -104,6 +107,33 @@ def _block_streams(seed, context, trials):
         yield np.random.Generator(np.random.Philox(ss)), min(TRIAL_BLOCK, trials - start)
 
 
+def _failures_to_fail(trials, level, target):
+    """Fewest failures among `trials` that put the Wilson lower bound over
+    all of them below target, by bisection (the bound falls as failures
+    rise, whatever the other trials turn out); 0 when not even `trials`
+    successes reach target."""
+    lo, hi = 0, trials
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if wilson_interval(trials - mid, trials, level)[0] < target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _hits(model, theta, m, eps, norm, rng, rows):
+    """Whether each of the next `rows` trials drawn from rng has error <= eps."""
+    # the estimates are fresh per draw: score the requested norm in place
+    diff = model.estimate_batch(theta, m, rng, rows)
+    np.subtract(diff, theta, out=diff)
+    if norm == "linf":
+        error = np.abs(diff, out=diff).max(axis=1)
+    else:
+        error = np.linalg.norm(diff, axis=1)
+    return error <= eps
+
+
 def success_probability(
     model, theta, m, eps, norm, trials, seed, level=WILSON_LEVEL, context=0,
     target=None,
@@ -112,10 +142,15 @@ def success_probability(
 
     Trials run in fixed blocks, in block order on the calling thread, each
     block on its own pre-assigned stream.  With a target, the probe stops
-    after the first block at which its Wilson lower bound over all `trials`
-    stays below target even if every remaining trial succeeds.  The
-    estimate then counts only the trials run, and its interval over them
-    also lies below target.  Without a target every trial runs.
+    at the first trial at which its Wilson lower bound over all `trials`
+    stays below target even if every remaining trial succeeds.  It draws
+    each block in pieces from the block's stream, each sized to use up the
+    failures the probe can still take at the failure rate seen so far.
+    The size is only a hint: a piece in which failure becomes certain
+    counts its trials up to that failure and drops the rest, so the
+    estimate never depends on it.  The estimate then counts only the
+    trials up to the stop, and its interval over them also lies below
+    target.  Without a target every trial runs, a block per draw.
     """
     if m < 1:
         raise ValueError(f"sample size must be >= 1, got {m!r}")
@@ -123,22 +158,31 @@ def success_probability(
         raise ValueError("trials must be >= 1")
     theta = model.validate_theta(theta)
 
-    successes = 0
-    run = 0
-    for rng, size in _block_streams(seed, context, trials):
-        # the estimates are fresh per block: score the requested norm in place
-        diff = model.estimate_batch(theta, m, rng, size)
-        np.subtract(diff, theta, out=diff)
-        if norm == "linf":
-            error = np.abs(diff, out=diff).max(axis=1)
-        else:
-            error = np.linalg.norm(diff, axis=1)
-        successes += int((error <= eps).sum())
-        run += size
-        # the Wilson lower bound rises with the success count, so this
-        # probe fails however the remaining blocks turn out
-        if (target is not None and run < trials
-                and wilson_interval(successes + trials - run, trials, level)[0] < target):
+    # failures at which the probe fails however the remaining trials turn
+    # out; with no target, more than can happen
+    limit = trials + 1 if target is None else _failures_to_fail(trials, level, target)
+    blocks = _block_streams(seed, context, trials)
+    successes = run = end = 0
+    while run < trials:
+        if run == end:
+            rng, size = next(blocks)
+            end += size
+        rows = end - run
+        failures = run - successes
+        if target is not None:
+            # a hint only: the rows expected to use up the failures left at
+            # the failure rate seen so far (smoothed, so the first piece is
+            # `limit` rows)
+            rows = min(rows, max(1, -(-(limit - failures) * (run + 1) // (failures + 1))))
+        hits = _hits(model, theta, m, eps, norm, rng, rows)
+        count = int(np.count_nonzero(hits))
+        if failures + rows - count >= limit:
+            # count the trials up to the one that decided the probe
+            rows = int(np.argmax(failures + np.cumsum(~hits) >= limit)) + 1
+            count = int(np.count_nonzero(hits[:rows]))
+        successes += count
+        run += rows
+        if run - successes >= limit:
             break
     lo, hi = wilson_interval(successes, run, level)
     return SuccessEstimate(
@@ -187,8 +231,9 @@ def find_min_samples(
     smallest passing size, and stable_at_double records whether the
     criterion still holds at twice m_star.
 
-    A probe stops as soon as it cannot pass (see success_probability), so
-    a failing probe may report fewer than `trials` trials.  A probe at
+    A probe stops at the first trial at which it cannot pass (see
+    success_probability), so a failing probe may report fewer than
+    `trials` trials.  A probe at
     M >= m_max runs in full, since BudgetExceededError reports its rate.
     """
     if not 0.0 < delta < 1.0:

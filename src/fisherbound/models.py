@@ -93,9 +93,10 @@ class StatModel:
         """(K, d) array of outcome-probability gradients."""
         raise NotImplementedError
 
-    def dlogp(self, theta: np.ndarray) -> np.ndarray:
-        """(K, d) score per outcome."""
-        p = self.probs(theta)
+    def dlogp(self, theta: np.ndarray, p=None) -> np.ndarray:
+        """(K, d) score per outcome; p, when given, is probs(theta)."""
+        if p is None:
+            p = self.probs(theta)
         return self.dprobs(theta) / p[:, None]
 
     def d2logp(self, theta: np.ndarray) -> np.ndarray:
@@ -174,7 +175,7 @@ class StatModel:
         hessian_fluctuation(theta, p, scores, fisher).
         """
         p = self.probs(theta)
-        scores = self.dprobs(theta) / p[:, None]
+        scores = self.dlogp(theta, p)
         projected = scores @ fisher.pinv_matrix()  # column a is e_a^T F^-1 score(x)
         rho_diag = p @ np.abs(projected) ** 3
         top = fisher.top_eigvec()
@@ -457,11 +458,12 @@ class PoissonTruncatedModel(StatModel):
         return weights / weights.sum()
 
     def dprobs(self, theta):
+        return self.probs(theta)[:, None] * self.dlogp(theta)
+
+    def dlogp(self, theta, p=None):
+        """(K, 1) score k/theta - Z_1/Z_0, finite also where p_k underflows to 0."""
         t = float(np.asarray(theta, dtype=float)[0])
-        p = self.probs(theta)
-        z0 = self._partial_sum(t, 0)
-        z1 = self._partial_sum(t, 1)
-        return (p * (self._ks / t - z1 / z0))[:, None]
+        return (self._ks / t - self._partial_sum(t, 1) / self._partial_sum(t, 0))[:, None]
 
     def _logz_derivatives(self, t):
         z0 = self._partial_sum(t, 0)

@@ -241,3 +241,23 @@ def find_min_samples_full(probe, target, resolution=1, m_max=2**22):
     stable = run(min(2 * hi, m_max), context).wilson_lo >= target
     return {"m_star": hi, "bracket": (lo, hi), "stable_at_double": stable,
             "probes": ordered()}
+
+
+def replay_hits(model, theta, m, eps, norm, trials, seed, context, block=512):
+    """Per-trial success flags of one success_probability probe, in trial order.
+
+    Rebuilds each block's Philox stream from the (context, block index)
+    spawn key of the probe's seed and draws the block one row per
+    model.estimate_batch call, scoring each row on its own: max-norm or
+    Euclidean error at most eps.
+    """
+    theta = np.asarray(theta, dtype=float)
+    hits = []
+    for index, start in enumerate(range(0, trials, block)):
+        seeds = np.random.SeedSequence(entropy=seed, spawn_key=(context, index))
+        rng = np.random.Generator(np.random.Philox(seeds))
+        for _ in range(min(block, trials - start)):
+            error = model.estimate_batch(theta, m, rng, 1)[0] - theta
+            size = np.abs(error).max() if norm == "linf" else math.sqrt(float(error @ error))
+            hits.append(bool(size <= eps))
+    return np.array(hits)

@@ -460,6 +460,35 @@ class TestSingularFisher:
         assert not idealized_coefficients(3).singular
 
 
+class TestNonFiniteCoefficients:
+    """No bound applies to coefficients that are not finite numbers."""
+
+    @pytest.mark.parametrize("truncation", [200, 400])
+    def test_poisson_tail_outcomes_that_underflow_leave_the_bounds_alone(self, truncation):
+        # beyond k of about 170 at theta = 1, p_k underflows to 0
+        def rows(model):
+            out = []
+            for norm, upper, lower in (("linf", upper_bound_linf, lower_bound_linf),
+                                       ("l2", upper_bound_l2, lower_bound_l2)):
+                coeffs = estimate_coefficients(model, np.array([1.0]), 0.01, norm)
+                out += [upper(0.01, 0.1, coeffs), lower(0.01, 0.1, coeffs)]
+            return out
+
+        reference = rows(PoissonTruncatedModel(150))
+        assert PoissonTruncatedModel(truncation).probs([1.0])[-1] == 0.0
+        for got, want in zip(rows(PoissonTruncatedModel(truncation)), reference):
+            assert got.applicable and want.applicable
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+
+    @pytest.mark.parametrize("upper", [upper_bound_linf, upper_bound_l2])
+    def test_nan_rho_makes_the_upper_bounds_inapplicable(self, upper):
+        coeffs = idealized_coefficients(3)
+        coeffs = dataclasses.replace(coeffs, rho_diag=np.array([1.0, np.nan, 1.0]))
+        result = upper(0.01, 0.1, coeffs)
+        assert (result.value, result.applicable, result.reason) == (
+            math.inf, False, "non-finite coefficients")
+
+
 class TestBoundResultContract:
     def test_values_at_least_one_or_flagged(self):
         model = entangled_pauli_model(1)

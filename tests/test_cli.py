@@ -492,6 +492,17 @@ class TestExitCodes:
         assert result.returncode == 0
         assert out.read_text().startswith("# fisherbound=")
 
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setitem(cli.COMMANDS, "bounds", broken)
+        assert main(["bounds", "--epsilon", "0.05"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:\nTraceback (most recent call last):")
+        assert captured.err.rstrip().endswith("RuntimeError: injected fault")
+
     @pytest.mark.parametrize("where", ["missing/report.csv", "."])
     def test_unwritable_out_is_config_error(self, tmp_path, where, capsys):
         out = tmp_path / where

@@ -5,6 +5,7 @@ import pytest
 
 from fisherbound.mle_lab import (
     BudgetExceededError,
+    SuccessEstimate,
     _block_streams,
     find_min_samples,
     mse_vs_crb,
@@ -22,7 +23,7 @@ from fisherbound.models import (
 )
 from fisherbound.pauli import random_valid_eigenvalues
 
-from oracles import bernoulli_success_exact, find_min_samples_full, wht_naive
+from oracles import bernoulli_success_exact, find_min_samples_full, replay_hits, wht_naive
 
 
 class TestPauliMle:
@@ -323,19 +324,38 @@ class TestCurtailedSearch:
         kwargs = dict(m=40, eps=0.1, norm="linf", trials=self.TRIALS, seed=3)
         full = success_probability(model, theta, **kwargs)
         assert full.trials == self.TRIALS and 0.7 < full.rate < 0.9
-        # block 0 has the same stream at any trial count
-        first = success_probability(model, theta, **{**kwargs, "trials": 512})
-        edge = wilson_interval(first.successes + self.TRIALS - 512, self.TRIALS)[0]
-        # at the edge the probe could still pass after block 0, so it goes on
-        assert success_probability(model, theta, target=edge, **kwargs).trials > 512
+        hits = replay_hits(model, theta, context=0, **kwargs)
+        assert hits.sum() == full.successes
+        successes = np.cumsum(hits)
+
+        def first_rows(r):
+            """The estimate of the probe's first r trials."""
+            s = int(successes[r - 1])
+            lo, hi = wilson_interval(s, r)
+            return SuccessEstimate(rate=s / r, wilson_lo=lo, wilson_hi=hi, successes=s,
+                                   trials=r, m=40)
+
+        def certain_failure(target):
+            """The first trial after which the probe cannot reach target."""
+            return next(r for r in range(1, self.TRIALS + 1)
+                        if wilson_interval(int(successes[r - 1]) + self.TRIALS - r,
+                                           self.TRIALS)[0] < target)
+
+        # the edge: after block 0 the probe could still just pass
+        s0 = int(successes[511])
+        edge = wilson_interval(s0 + self.TRIALS - 512, self.TRIALS)[0]
+        assert certain_failure(edge) > 512
+        # one ulp above it, failure is certain at the last failure of block 0
+        above = math.nextafter(edge, 1.0)
+        r = certain_failure(above)
+        assert r <= 512 and not hits[r - 1] and hits[r:512].all()
         # a probe that passes runs every trial
         assert success_probability(model, theta, target=full.wilson_lo, **kwargs) == full
-        # one ulp above it, all-successful remaining blocks cannot reach target
-        stopped = success_probability(model, theta, target=math.nextafter(edge, 1.0),
-                                      **kwargs)
-        # it reports block 0 alone: its trials, rate and interval
-        assert stopped == first
-        assert stopped.wilson_lo < edge
+        for target in (edge, above, full.wilson_lo + 1e-9, 0.85, 0.9, 0.99, 1.0):
+            stopped = success_probability(model, theta, target=target, **kwargs)
+            # the estimate of the trials up to the one that made failure certain
+            assert stopped == first_rows(certain_failure(target))
+            assert stopped.wilson_lo < target
 
 
 class TestMseVsCrb:

@@ -427,6 +427,26 @@ class TestSampling:
         b = model.estimate_batch(np.zeros(3), 500, np.random.default_rng(42), 8)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("case", range(9))
+    @pytest.mark.parametrize("m", [1, 37, 10**6, 10**9])
+    def test_block_drawn_in_pieces_equals_block_drawn_at_once(self, case, m):
+        # success_probability draws a block's rows in pieces from the block's
+        # stream; numpy's multinomial and normal draws consume it row by row
+        rng = np.random.default_rng(8)
+        model, theta = (interior_zoo() + [
+            (two_copy_bell_model(2), random_valid_eigenvalues(2, rng)[1:] ** 2),
+            (GaussianKnownCovModel(np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2],
+                                             [0.1, 0.2, 0.5]])), np.array([0.1, -2.0, 3.0])),
+        ])[case]
+
+        def stream():
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+
+        at_once = model.estimate_batch(theta, m, stream(), TRIAL_BLOCK)
+        rng = stream()
+        pieces = [model.estimate_batch(theta, m, rng, rows) for rows in (1, 7, 100, 404)]
+        assert np.array_equal(np.concatenate(pieces), at_once)
+
     def test_sample_size_precondition(self):
         model = bernoulli_model()
         with pytest.raises(ValueError, match="sample size"):

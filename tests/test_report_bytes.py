@@ -9,10 +9,12 @@ are inapplicable (n = 2 at eps = 0.01) and applicable (eps = 1e-4 at
 n = 1 for both Bell schemes, eps = 1e-6 at n = 2), a sample budget that runs out
 (exit 3), separation tables with simulated columns (one with a non-default
 resolution and Wilson level), a verify run with an injected fault
-(exit 1), and Bell searches at n = 3 (entangled-pauli in l2,
-two-copy-bell at a random point in linf).  Every other simulate case runs
-at n = 1, where d = 3 and the order in which the MLE and the error norm
-sum their terms cannot change a bit.
+(exit 1), Bell searches at n = 3 (entangled-pauli in l2,
+two-copy-bell at a random point in linf), and a separable-pauli search at
+n = 2 with the balanced probe (1, 1, 1)/sqrt(3) on each qubit, whose MLE
+and max-norm error are per coordinate.  Every other simulate case runs at
+n = 1, where d = 3 and the order in which the MLE and the error norm sum
+their terms cannot change a bit.
 
 A change that is meant to leave the program's output alone must keep
 every digest.  A digest may change only together with a written reason in
@@ -22,9 +24,12 @@ digest, print `hashlib.sha256(text.encode()).hexdigest()` for the case.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from fisherbound import cli
+from fisherbound import cli, pauli
+
+BALANCED_PROBE_N2 = pauli.product_probe(np.tile(np.ones(3) / np.sqrt(3.0), (2, 1))).tolist()
 
 CASES = [
     ("bounds", {"epsilon": 0.05},
@@ -80,6 +85,9 @@ CASES = [
      0, "bb245102763d4dd4d8cf76c44e919dc9d64d838b81f6cd331f6c7069dbe0948a"),
     ("bounds", {"n": 2, "epsilon": 1e-6, "grid_points": 10},
      0, "a942dafbfeaddd1dcf4ce0c4f78660905363b9dc0a627d2d5ce4b3dba447ec7f"),
+    ("simulate", {"scheme": "separable-pauli", "n": 2, "r": BALANCED_PROBE_N2, "epsilon": 0.1,
+                  "trials": 300},
+     0, "8690c338d0753cdded30274162a82411bc3f76591e3d51ceaaf1287a6dea3a15"),
 ]
 
 
