@@ -24,11 +24,12 @@ once and passes in, and mu_R, V_R from envelope_moments over the ball of
 the criterion norm.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
-small-eps limits of the four bounds are exposed as asymptotic_* helpers,
-with Pauli-scheme specialisations for entangled and separable channel
-learning.  Inapplicable regimes (a singular Fisher matrix for the upper
-bounds, tau0 <= 0, non-finite coefficients) produce a structured result
-with applicable=False, never a silent clamp.
+small-eps limits are two Lambert-W forms in one inverse-Fisher scalar,
+asymptotic_upper_linf and asymptotic_lower_linf; the Pauli-scheme
+specialisations call them at the scheme's values.  Inapplicable regimes
+(a singular Fisher matrix for the upper bounds, tau0 <= 0, non-finite
+coefficients) produce a structured result with applicable=False, never a
+silent clamp.
 """
 
 import math
@@ -43,7 +44,6 @@ from .special_functions import BERRY_ESSEEN_CONSTANT, lambert_w0
 __all__ = [
     "BoundCoefficients",
     "BoundResult",
-    "asymptotic_lower_l2",
     "asymptotic_lower_linf",
     "asymptotic_upper_l2",
     "asymptotic_upper_linf",
@@ -413,7 +413,10 @@ def asymptotic_upper_linf(eps: float, delta: float, d: int, sup_inv_diag: float)
 
 
 def asymptotic_lower_linf(eps: float, delta: float, inv_diag_aa: float) -> float:
-    """Small-eps lower limit W0(delta^-2 / 2 pi) * [F^-1]_aa / eps^2."""
+    """Small-eps lower limit W0(delta^-2 / 2 pi) * [F^-1]_aa / eps^2.
+
+    It is also the Euclidean limit, with lambda_max(F^-1) for [F^-1]_aa.
+    """
     _check_criteria(eps, delta)
     return lambert_w0(delta**-2 / (2.0 * math.pi)) * inv_diag_aa / eps**2
 
@@ -423,30 +426,23 @@ def asymptotic_upper_l2(eps: float, delta: float, d: int, sup_inv_diag: float) -
     return d * asymptotic_upper_linf(eps, delta, d, sup_inv_diag)
 
 
-def asymptotic_lower_l2(eps: float, delta: float, lambda_max_inv: float) -> float:
-    """Small-eps Euclidean lower limit W0(delta^-2 / 2 pi) lambda_max(F^-1) / eps^2."""
-    return asymptotic_lower_linf(eps, delta, lambda_max_inv)
-
-
 def entangled_pauli_upper(n: int, eps: float, delta: float) -> float:
     """Entanglement-assisted Pauli eigenvalue learning, small-eps upper bound.
 
-    W0(8 pi^-1 delta^-2 16^n) / eps^2; the supremum of the largest
+    The generic limit at d = 4^n: the supremum of the largest
     inverse-Fisher diagonal equals 1 for the Bell-measurement scheme.
     """
-    _check_criteria(eps, delta)
-    return lambert_w0(8.0 / math.pi * delta**-2 * 16.0**n) / eps**2
+    return asymptotic_upper_linf(eps, delta, 4**n, 1.0)
 
 
 def separable_pauli_lower(n: int, eps: float, delta: float) -> float:
     """Single-use unentangled Pauli eigenvalue learning, small-eps lower bound.
 
-    W0(delta^-2 / 2 pi) * 2^n / eps^2: purity forces some probe component
-    below 2^(-n/2), which inflates the matching inverse-Fisher diagonal
-    to at least 2^n - 1.
+    The generic limit at [F^-1]_aa = 2^n: purity forces some probe
+    component below 2^(-n/2), which inflates the matching inverse-Fisher
+    diagonal to at least 2^n - 1.
     """
-    _check_criteria(eps, delta)
-    return lambert_w0(delta**-2 / (2.0 * math.pi)) * 2.0**n / eps**2
+    return asymptotic_lower_linf(eps, delta, 2.0**n)
 
 
 def entangled_pauli_l2_lower(n: int, rates, eps: float, delta: float) -> float:
@@ -454,10 +450,7 @@ def entangled_pauli_l2_lower(n: int, rates, eps: float, delta: float) -> float:
 
     Eigenvalue interlacing of the Bell Fisher matrix against its rank-one
     completion gives lambda_max(F^-1) >= 4^n * p_(2) with p_(2) the
-    second-largest error rate, hence
-    W0(delta^-2 / 2 pi) * 4^n * p_(2) / eps^2.
+    second-largest error rate, and the generic limit at that value.
     """
-    _check_criteria(eps, delta)
     rates = validate_rates(rates)
-    second = float(np.sort(rates)[-2])
-    return lambert_w0(delta**-2 / (2.0 * math.pi)) * 4.0**n * second / eps**2
+    return asymptotic_lower_linf(eps, delta, 4.0**n * float(np.sort(rates)[-2]))

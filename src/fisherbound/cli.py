@@ -36,6 +36,14 @@ EXIT_INTERNAL = 4
 # constant: for smaller constants the inequality fails for some distribution
 _ESSEEN_LOWER_LIMIT = (math.sqrt(10.0) + 3.0) / (6.0 * math.sqrt(2.0 * math.pi))
 
+# The bounds multiply delta^-2, eps^-2 and, for the Bell models, d^2 < 16^n.
+# Each factor may take a quarter of float64's binary exponent range, 2^256,
+# so that their product with W0 and the inverse-Fisher scalars stays
+# finite: eps in [2^-128, 2^128], delta >= 2^-128 and qubit counts <= 64.
+_FACTOR_EXP = sys.float_info.max_exp // 4
+_SCALE_EXP = _FACTOR_EXP // 2
+_MAX_QUBITS = _FACTOR_EXP // 4
+
 PAULI_SCHEMES = ("entangled-pauli", "separable-pauli", "two-copy-bell")
 CLASSICAL_SCHEMES = ("bernoulli", "multinomial", "poisson", "gaussian-known-var")
 # parameter-point presets per scheme; schemes not listed take only "depolarizing"
@@ -150,17 +158,23 @@ def _validate_config(cfg: dict) -> None:
             f"wilson_level must be one of {tuple(mle_lab.Z_FOR_LEVEL)}, "
             f"got {cfg['wilson_level']!r}"
         )
-    if not 0.0 < cfg["delta"] < 1.0:
-        raise ConfigError("delta must be in (0, 1)")
-    if not cfg["epsilon"] > 0.0:
-        raise ConfigError("epsilon must be positive")
+    if not 2.0**-_SCALE_EXP <= cfg["delta"] < 1.0:
+        raise ConfigError(f"delta must be in [2**-{_SCALE_EXP}, 1) for the bounds to stay "
+                          f"within float64, got {cfg['delta']!r}")
+    if not 2.0**-_SCALE_EXP <= cfg["epsilon"] <= 2.0**_SCALE_EXP:
+        raise ConfigError(f"epsilon must be in [2**-{_SCALE_EXP}, 2**{_SCALE_EXP}] for the "
+                          f"bounds to stay within float64, got {cfg['epsilon']!r}")
     if not cfg["be_constant"] >= _ESSEEN_LOWER_LIMIT:
         raise ConfigError(
             f"be_constant must be >= {_ESSEEN_LOWER_LIMIT:.5f}, below which no "
             f"Berry-Esseen constant holds, got {cfg['be_constant']!r}"
         )
-    if cfg["n"] < 1 or cfg["n_min"] < 1 or cfg["n_max"] < cfg["n_min"]:
-        raise ConfigError("qubit counts must satisfy 1 <= n and n_min <= n_max")
+    for key in ("n", "n_min", "n_max"):
+        if not 1 <= cfg[key] <= _MAX_QUBITS:
+            raise ConfigError(f"{key} must be in [1, {_MAX_QUBITS}] for 16^{key} to stay "
+                              f"within float64, got {cfg[key]!r}")
+    if cfg["n_max"] < cfg["n_min"]:
+        raise ConfigError("n_max must be >= n_min")
     for key, least in (("dim", 1), ("truncation", 1), ("grid_points", 0),
                        ("simulate_upto", 0), ("seed", 0), ("param_seed", 0),
                        ("trials", 1), ("resolution", 1)):
@@ -383,12 +397,17 @@ def _theta_grid(cfg, model, theta):
 
 def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     model, theta = build_model_and_theta(cfg)
+    # the dense guards bound K for every scheme but poisson, whose draws
+    # (K = truncation + 1) are checked here, before any work
+    rows = min(cfg["trials"], mle_lab.TRIAL_BLOCK)
+    models._check_memory(f"simulate on {model.scheme} at trials={cfg['trials']}, "
+                         f"K={model.K} outcomes", mle_lab.DRAW_ARRAYS, rows * model.K,
+                         f"{rows} x {model.K} count")
     eps, delta, norm = cfg["epsilon"], cfg["delta"], cfg["norm"]
     f = fisher.fim(model, theta)
-    if norm == "linf":
-        lower = bounds.asymptotic_lower_linf(eps, delta, float(f.inverse_diag().max()))
-    else:
-        lower = bounds.asymptotic_lower_l2(eps, delta, f.opnorm_inverse())
+    # the small-eps lower limit reads [F^-1]_aa in linf and lambda_max(F^-1) in l2
+    inverse = float(f.inverse_diag().max()) if norm == "linf" else f.opnorm_inverse()
+    lower = bounds.asymptotic_lower_linf(eps, delta, inverse)
     coeffs = bounds.estimate_coefficients(model, theta, eps, norm,
                                           constant=cfg["be_constant"], fisher=f)
     upper_fn, _ = _evaluators()[norm]

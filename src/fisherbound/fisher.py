@@ -22,7 +22,6 @@ __all__ = [
     "FisherMatrix",
     "TraceBoundResult",
     "bell_fim_structural",
-    "depolarizing_qfi_sum",
     "estimable",
     "fim",
     "qfim_inverse_diag_pauli",
@@ -254,29 +253,3 @@ def single_copy_trace_bound(povm, n: int) -> TraceBoundResult:
         witness_value=float(diag[witness]),
     )
 
-
-def depolarizing_qfi_sum(weights, nonunital_vectors, n: int) -> float:
-    """QFIM-diagonal sum cap at the depolarizing point for separable protocols.
-
-    weights is the probability vector over classical branches and each
-    row of nonunital_vectors collects the non-unital Pauli components
-    injected by that branch's final processing channel, constrained by
-    purity to squared norm at most 2^n - 1.  Returns
-    sum_j c_j ||d_j||^2, which never exceeds 2^n - 1.
-    """
-    weights = np.asarray(weights, dtype=float)
-    vectors = np.atleast_2d(np.asarray(nonunital_vectors, dtype=float))
-    if weights.ndim != 1 or vectors.shape[0] != weights.size:
-        raise ValueError("need one non-unital vector per branch weight")
-    if np.any(weights < -1e-12) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("branch weights must form a probability vector")
-    cap = float(2**n - 1)
-    norms_sq = np.sum(vectors**2, axis=1)
-    if np.any(norms_sq > cap + 1e-9):
-        raise ValueError(
-            f"purity constraint violated: max ||d_j||^2 = {norms_sq.max()!r} > {cap!r}"
-        )
-    value = float(weights @ norms_sq)
-    if value > cap + 1e-9:
-        raise AssertionError("convex combination exceeded the purity cap")
-    return value

@@ -16,7 +16,9 @@ bound below 1 - delta; every pass/fail decision, and so the search
 result, is the same as with all trials run.  To stop there it draws each
 block's rows in pieces from the block's stream.  numpy's multinomial and
 normal draws consume the stream row by row, so the pieces are bit for bit
-the block drawn at once.
+the block drawn at once.  A draw holds DRAW_ARRAYS arrays of at most
+TRIAL_BLOCK rows of K counts.  The empirical MSE-vs-Cramer-Rao
+diagnostic is a test oracle (tests/oracles.py), not part of this module.
 """
 
 import math
@@ -30,13 +32,15 @@ __all__ = [
     "MinSamplesResult",
     "SuccessEstimate",
     "find_min_samples",
-    "mse_vs_crb",
     "resolve_threads",
     "success_probability",
     "wilson_interval",
 ]
 
 TRIAL_BLOCK = 512
+# arrays of up to TRIAL_BLOCK x K that one draw holds: the count matrix and
+# the float copy of it that mle_batch makes
+DRAW_ARRAYS = 2
 WILSON_LEVEL = 0.95
 Z_FOR_LEVEL = {0.90: 1.6448536269514722, 0.95: 1.959963984540054,
                0.99: 2.5758293035489004}
@@ -290,30 +294,3 @@ def find_min_samples(
         probes=sorted(probes.values(), key=lambda s: s.m),
     )
 
-
-@dataclass(frozen=True)
-class MseCrbReport:
-    """Per-coordinate empirical MSE against the Cramer-Rao prediction."""
-
-    mse: np.ndarray
-    crb: np.ndarray
-    ratio: np.ndarray
-    m: int
-    trials: int
-
-
-def mse_vs_crb(model, theta, m, trials, seed) -> MseCrbReport:
-    """Empirical MLE mean squared error against [F^-1]_aa / m per coordinate."""
-    from .fisher import fim
-
-    if m < 1:
-        raise ValueError(f"sample size must be >= 1, got {m!r}")
-    theta = model.validate_theta(theta)
-    crb = fim(model, theta).inverse_diag() / m
-
-    sq_sum = np.zeros(model.d)
-    for rng, size in _block_streams(seed, 0, trials):
-        estimates = model.estimate_batch(theta, m, rng, size)
-        sq_sum += ((estimates - theta[None, :]) ** 2).sum(axis=0)
-    mse = sq_sum / trials
-    return MseCrbReport(mse=mse, crb=crb, ratio=mse / crb, m=m, trials=trials)

@@ -429,8 +429,7 @@ class PoissonTruncatedModel(StatModel):
     p_k = (theta^k / k!) / Z(theta) for k = 0..K with Z the truncated
     exponential series.  Derivatives of log Z follow from the identity
     Z^(m) = Z_{K-m}.  The closed-form MLE is the sample mean, exact for
-    the untruncated family; the neglected tail mass is reported by
-    truncation_mass.
+    the untruncated family.
     """
 
     def __init__(self, truncation: int = 20):
@@ -505,11 +504,6 @@ class PoissonTruncatedModel(StatModel):
 
     def contains(self, theta):
         return bool(np.asarray(theta, dtype=float)[0] > 0.0)
-
-    def truncation_mass(self, theta):
-        """Poisson tail probability discarded by the truncation."""
-        t = float(np.asarray(theta, dtype=float)[0])
-        return 1.0 - math.exp(-t) * self._partial_sum(t, 0)
 
     def mle_batch(self, counts):
         counts = np.asarray(counts, dtype=float)

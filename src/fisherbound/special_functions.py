@@ -2,7 +2,8 @@
 
 Provides the principal Lambert W branch, the standard normal density and
 upper tail, the two-sided Mills ratio bracket on that tail, and the
-Berry-Esseen normal-approximation radius C*rho/(sigma^3*sqrt(m)).
+default Berry-Esseen constant.  The bounds form the Berry-Esseen term
+C*rho/sigma^3 themselves, per coordinate.
 """
 
 import math
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 __all__ = [
     "BERRY_ESSEEN_CONSTANT",
     "TailBoundPair",
-    "berry_esseen_radius",
     "gaussian_pdf",
     "gaussian_tail",
     "lambert_w0",
@@ -108,19 +108,3 @@ def mills_bounds(x: float) -> TailBoundPair:
     density = gaussian_pdf(x)
     return TailBoundPair(lower=x * density / (1.0 + x * x), upper=density / x)
 
-
-def berry_esseen_radius(
-    sigma: float, rho: float, m: int, constant: float = BERRY_ESSEEN_CONSTANT
-) -> float:
-    """Uniform normal-approximation error C*rho/(sigma^3 * sqrt(m)).
-
-    sigma is the standard deviation and rho the third absolute moment of a
-    single summand; m is the number of independent terms.
-    """
-    if not sigma > 0.0:
-        raise ValueError(f"berry_esseen_radius requires sigma > 0, got {sigma!r}")
-    if rho < 0.0:
-        raise ValueError(f"berry_esseen_radius requires rho >= 0, got {rho!r}")
-    if m < 1:
-        raise ValueError(f"berry_esseen_radius requires m >= 1, got {m!r}")
-    return constant * rho / (sigma**3 * math.sqrt(m))

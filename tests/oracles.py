@@ -6,6 +6,7 @@ derivatives, cyclic Jacobi instead of LAPACK.  Nothing imports fisherbound.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,3 +262,68 @@ def replay_hits(model, theta, m, eps, norm, trials, seed, context, block=512):
             size = np.abs(error).max() if norm == "linf" else math.sqrt(float(error @ error))
             hits.append(bool(size <= eps))
     return np.array(hits)
+
+
+def depolarizing_qfi_sum(weights, nonunital_vectors, n: int) -> float:
+    """QFIM-diagonal sum cap at the depolarizing point for separable protocols.
+
+    weights is the probability vector over classical branches and each
+    row of nonunital_vectors collects the non-unital Pauli components
+    injected by that branch's final processing channel, constrained by
+    purity to squared norm at most 2^n - 1.  Returns
+    sum_j c_j ||d_j||^2, which never exceeds 2^n - 1.
+    """
+    weights = np.asarray(weights, dtype=float)
+    vectors = np.atleast_2d(np.asarray(nonunital_vectors, dtype=float))
+    if weights.ndim != 1 or vectors.shape[0] != weights.size:
+        raise ValueError("need one non-unital vector per branch weight")
+    if np.any(weights < -1e-12) or abs(weights.sum() - 1.0) > 1e-9:
+        raise ValueError("branch weights must form a probability vector")
+    cap = float(2**n - 1)
+    norms_sq = np.sum(vectors**2, axis=1)
+    if np.any(norms_sq > cap + 1e-9):
+        raise ValueError(
+            f"purity constraint violated: max ||d_j||^2 = {norms_sq.max()!r} > {cap!r}"
+        )
+    value = float(weights @ norms_sq)
+    if value > cap + 1e-9:
+        raise AssertionError("convex combination exceeded the purity cap")
+    return value
+
+
+@dataclass(frozen=True)
+class MseCrbReport:
+    """Per-coordinate empirical MSE against the Cramer-Rao prediction."""
+
+    mse: np.ndarray
+    crb: np.ndarray
+    ratio: np.ndarray
+    m: int
+    trials: int
+
+
+def mse_vs_crb(model, theta, m, trials, seed, block=512) -> MseCrbReport:
+    """Empirical MLE mean squared error against [F^-1]_aa / m per coordinate.
+
+    F is the model's closed form where it has one, else the enumeration
+    sum_x dp_x dp_x^T / p_x, inverted by numpy.  The trials are the
+    full-length blocks of a success_probability probe at context 0.
+    """
+    if m < 1:
+        raise ValueError(f"sample size must be >= 1, got {m!r}")
+    theta = model.validate_theta(theta)
+    matrix = model.analytic_fisher(theta)
+    if matrix is None:
+        p = model.probs(theta)
+        dp = model.dprobs(theta)
+        matrix = dp.T @ (dp / p[:, None])
+    crb = np.diag(np.linalg.inv(matrix)) / m
+
+    sq_sum = np.zeros(model.d)
+    for index, start in enumerate(range(0, trials, block)):
+        seeds = np.random.SeedSequence(entropy=seed, spawn_key=(0, index))
+        rng = np.random.Generator(np.random.Philox(seeds))
+        estimates = model.estimate_batch(theta, m, rng, min(block, trials - start))
+        sq_sum += ((estimates - theta[None, :]) ** 2).sum(axis=0)
+    mse = sq_sum / trials
+    return MseCrbReport(mse=mse, crb=crb, ratio=mse / crb, m=m, trials=trials)

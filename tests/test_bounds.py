@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fisherbound.bounds import (
     BoundCoefficients,
-    asymptotic_lower_l2,
     asymptotic_lower_linf,
     asymptotic_upper_l2,
     asymptotic_upper_linf,
@@ -33,6 +32,7 @@ from fisherbound.models import (
     two_copy_bell_model,
 )
 from fisherbound.pauli import product_probe, random_valid_eigenvalues, rates_to_eigenvalues
+from fisherbound.special_functions import lambert_w0
 
 from oracles import hessian_fluctuation_dense, lambert_bisect
 
@@ -419,8 +419,23 @@ class TestAsymptoticEvaluators:
                 continue
             bound = entangled_pauli_l2_lower(1, p, 0.1, 0.1)
             f = bell_fim_structural(p, 1)
-            exact = asymptotic_lower_l2(0.1, 0.1, f.opnorm_inverse())
+            exact = asymptotic_lower_linf(0.1, 0.1, f.opnorm_inverse())
             assert bound <= exact + 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 30])
+    def test_specialisations_equal_the_spelled_forms(self, n):
+        # the Pauli limits are calls of the generic ones, bit for bit
+        rng = np.random.default_rng(n)
+        for eps, delta in ((0.1, 0.1), (1e-6, 1e-3), (0.37, 0.9), (1e-30, 1e-30)):
+            assert entangled_pauli_upper(n, eps, delta) == (
+                lambert_w0(8.0 / math.pi * delta**-2 * 16.0**n) / eps**2)
+            w0 = lambert_w0(delta**-2 / (2.0 * math.pi))
+            assert separable_pauli_lower(n, eps, delta) == w0 * 2.0**n / eps**2
+            if n <= 5:
+                rates = rng.dirichlet(np.ones(4**n))
+                second = float(np.sort(rates)[-2])
+                assert entangled_pauli_l2_lower(n, rates, eps, delta) == (
+                    w0 * 4.0**n * second / eps**2)
 
     def test_generic_asymptotics(self):
         assert asymptotic_upper_l2(0.1, 0.1, 3, 1.0) == pytest.approx(

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -144,6 +145,50 @@ class TestConfigHandling:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))  # writes NaN and Infinity, as json.load reads them
         assert main([command, "--config", str(path)]) == 2
+
+    # Configs whose bounds left float64 (OverflowError or ZeroDivisionError,
+    # exit 4); the field that leaves its range comes first.
+    @pytest.mark.parametrize("command, config", [
+        ("bounds", {"epsilon": 1e-200, "scheme": "bernoulli"}),
+        ("bounds", {"epsilon": 1e-160}),
+        ("bounds", {"delta": 1e-300, "scheme": "bernoulli"}),
+        ("simulate", {"delta": 1e-300, "scheme": "bernoulli"}),
+        ("separation", {"n_max": 300}),
+        ("separation", {"delta": 1e-200}),
+        ("separation", {"epsilon": 1e-300, "n_max": 60}),
+        ("simulate", {"epsilon": 1e-200, "scheme": "gaussian-known-var", "m_max": 4}),
+        ("simulate", {"epsilon": 1e300}),
+        ("bounds", {"epsilon": 1e300, "scheme": "poisson"}),
+        ("simulate", {"epsilon": 1e-160, "m_max": 8}),
+    ])
+    def test_float64_overflow_exits_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"config error: {next(iter(config))} must be in [" in capsys.readouterr().err
+
+    # Each range edge: the edge itself runs to finite numbers, one float64
+    # step (or one qubit) beyond it exits 2.
+    @pytest.mark.parametrize("command, inside, outside", [
+        ("bounds", {"epsilon": 2.0**-128}, {"epsilon": float(np.nextafter(2.0**-128, 0))}),
+        ("simulate", {"epsilon": 2.0**128, "scheme": "bernoulli", "trials": 50},
+         {"epsilon": float(np.nextafter(2.0**128, math.inf)), "scheme": "bernoulli"}),
+        ("bounds", {"delta": 2.0**-128}, {"delta": float(np.nextafter(2.0**-128, 0))}),
+        ("separation", {"n_max": 64, "epsilon": 2.0**-128, "delta": 2.0**-128},
+         {"n_max": 65}),
+        ("separation", {"n_min": 64, "n_max": 64}, {"n_min": 65, "n_max": 65}),
+        ("bounds", {"n": 64, "scheme": "bernoulli"}, {"n": 65, "scheme": "bernoulli"}),
+    ])
+    def test_float64_range_edges(self, tmp_path, capsys, command, inside, outside):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**inside, "format": "json"}))
+        assert main([command, "--config", str(path)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows and all(math.isfinite(value) for row in rows
+                            for value in row.values() if isinstance(value, float))
+        path.write_text(json.dumps(outside))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"config error: {next(iter(outside))} must be in [" in capsys.readouterr().err
 
     def test_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -447,6 +492,33 @@ class TestClassicalMemoryGuard:
             models.multinomial_model(11000)
         with pytest.raises(ValueError, match="needs about 8 GiB"):
             models.PoissonTruncatedModel(125 * 2**20)
+
+
+class TestSearchMemoryGuard:
+    """A search's draws hold two arrays of up to TRIAL_BLOCK x K counts; the
+    poisson truncation is the one K that no dense guard bounds."""
+
+    @pytest.fixture(autouse=True)
+    def small_box(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(models, "_physical_memory", lambda: 7 * 2**30)
+        self.path = tmp_path / "cfg.json"
+        # 2 x 512 x (10^6 + 1) counts are 7.6 GiB; the model itself is 61 MiB
+        self.path.write_text(json.dumps({"scheme": "poisson", "truncation": 10**6}))
+
+    def test_search_refused_before_any_draw(self, monkeypatch, capsys):
+        # fisher, like bounds, holds no draw and still runs at this truncation
+        assert main(["fisher", "--config", str(self.path), "--out", os.devnull]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("worked before the size check")
+
+        monkeypatch.setattr(models.StatModel, "estimate_batch", fail)
+        monkeypatch.setattr(fisher, "fim", fail)
+        assert main(["simulate", "--config", str(self.path)]) == 2
+        err = capsys.readouterr().err
+        assert ("config error: simulate on poisson at trials=2000, K=1000001 outcomes "
+                "needs about 8 GiB of 512 x 1000001 count arrays") in err
+        assert "more than the 7 GiB of physical memory" in err
 
 
 class TestExitCodes:

@@ -7,7 +7,6 @@ from fisherbound.fisher import (
     FimUndefinedError,
     FisherMatrix,
     bell_fim_structural,
-    depolarizing_qfi_sum,
     estimable,
     fim,
     qfim_inverse_diag_pauli,
@@ -21,7 +20,7 @@ from fisherbound.models import (
 )
 from fisherbound.pauli import random_valid_eigenvalues, rates_to_eigenvalues
 
-from oracles import fim_finite_difference, jacobi_eigenvalues
+from oracles import depolarizing_qfi_sum, fim_finite_difference, jacobi_eigenvalues
 
 
 class TestFim:

@@ -8,7 +8,6 @@ from fisherbound.mle_lab import (
     SuccessEstimate,
     _block_streams,
     find_min_samples,
-    mse_vs_crb,
     resolve_threads,
     success_probability,
     wilson_interval,
@@ -23,7 +22,13 @@ from fisherbound.models import (
 )
 from fisherbound.pauli import random_valid_eigenvalues
 
-from oracles import bernoulli_success_exact, find_min_samples_full, replay_hits, wht_naive
+from oracles import (
+    bernoulli_success_exact,
+    find_min_samples_full,
+    mse_vs_crb,
+    replay_hits,
+    wht_naive,
+)
 
 
 class TestPauliMle:

@@ -16,7 +16,7 @@ from fisherbound.models import (
     separable_pauli_model,
     two_copy_bell_model,
 )
-from fisherbound.mle_lab import TRIAL_BLOCK, mse_vs_crb, success_probability
+from fisherbound.mle_lab import TRIAL_BLOCK, success_probability
 from fisherbound.pauli import (
     PauliIndex,
     pauli_matrix,
@@ -27,6 +27,7 @@ from fisherbound.pauli import (
 from oracles import (
     bell_mle_batch_stack,
     central_diff_grad,
+    mse_vs_crb,
     pauli_matrix_naive,
     separable_mle_batch_masked,
 )
@@ -298,15 +299,6 @@ class TestClassicalModels:
         p = model.probs(np.array([1.0]))
         weights = np.array([math.exp(-1.0) / math.factorial(k) for k in range(21)])
         np.testing.assert_allclose(p, weights / weights.sum(), atol=1e-14)
-        assert model.truncation_mass(np.array([1.0])) < 1e-18
-
-    def test_poisson_truncation_mass_reported(self):
-        model = PoissonTruncatedModel(5)
-        mass = model.truncation_mass(np.array([3.0]))
-        oracle = 1.0 - sum(
-            math.exp(-3.0) * 3.0**k / math.factorial(k) for k in range(6)
-        )
-        assert mass == pytest.approx(oracle, rel=1e-12)
 
     def test_gaussian_analytic_fisher(self):
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisherbound.special_functions import (
-    BERRY_ESSEEN_CONSTANT,
     TailBoundPair,
-    berry_esseen_radius,
     gaussian_pdf,
     gaussian_tail,
     lambert_w0,
@@ -124,30 +122,6 @@ class TestMillsBounds:
             TailBoundPair(lower=0.3, upper=0.2)
         with pytest.raises(ValueError):
             TailBoundPair(lower=-0.1, upper=0.2)
-
-
-class TestBerryEsseenRadius:
-    def test_zero_third_moment(self):
-        assert berry_esseen_radius(1.0, 0.0, 100) == 0.0
-
-    def test_unit_inputs_return_constant(self):
-        assert berry_esseen_radius(1.0, 1.0, 1) == BERRY_ESSEEN_CONSTANT
-
-    def test_arithmetic(self):
-        assert berry_esseen_radius(2.0, 8.0, 4) == pytest.approx(
-            BERRY_ESSEEN_CONSTANT / 2.0, rel=1e-15
-        )
-
-    def test_constant_override(self):
-        assert berry_esseen_radius(1.0, 1.0, 1, constant=0.5600) == 0.5600
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            berry_esseen_radius(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            berry_esseen_radius(1.0, -1.0, 10)
-        with pytest.raises(ValueError):
-            berry_esseen_radius(1.0, 1.0, 0)
 
 
 def test_pdf_matches_tail_derivative():
