@@ -1,11 +1,13 @@
 """Finite-sample upper and lower bounds on maximum-likelihood sample size.
 
-Four evaluators cover the two error norms: upper_bound_linf and
-lower_bound_linf for the per-coordinate criterion
-Pr[max_a |theta_hat_a - theta_a| <= eps] >= 1 - delta, and upper_bound_l2
-/ lower_bound_l2 for the Euclidean criterion.  Each bound is a closed
-form in eps, delta, the parameter dimension d, and model-dependent
-coefficients:
+Two evaluators, upper_bound and lower_bound, take the error norm as an
+argument: "linf" for the per-coordinate criterion
+Pr[max_a |theta_hat_a - theta_a| <= eps] >= 1 - delta and "l2" for the
+Euclidean criterion (NORMS lists both).  The Euclidean upper bound is the
+max-norm one at accuracy eps/sqrt(d), and the Euclidean lower bound is the
+max-norm one of the one-parameter problem along the top eigenvector of
+F^-1.  Each bound is a closed form in eps, delta, the parameter dimension
+d, and model-dependent coefficients:
 
     mu_R, V_R  mean and variance of the per-outcome envelope r(x) that
                dominates 0.5 * ||third log-likelihood derivative||_op
@@ -17,11 +19,11 @@ coefficients:
     sigma      sqrt of the relevant inverse-Fisher scalar,
     C          Berry-Esseen constant (default 0.4748, always overridable).
 
-estimate_coefficients reads the inverse-Fisher scalars from the
-FisherMatrix and the outcome moments from the model: V_H and rho from
-score_moments, which a caller evaluating both norms at one point computes
-once and passes in, and mu_R, V_R from envelope_moments over the ball of
-the criterion norm.
+estimate_coefficients returns the coefficients of both norms at one
+point.  It reads the inverse-Fisher scalars from the FisherMatrix and the
+outcome moments from the model: V_H and rho from one score_moments call,
+shared by the norms, and mu_R, V_R from envelope_moments over each norm's
+ball.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits are two Lambert-W forms in one inverse-Fisher scalar,
@@ -42,6 +44,7 @@ from .pauli import validate_rates
 from .special_functions import BERRY_ESSEEN_CONSTANT, lambert_w0
 
 __all__ = [
+    "NORMS",
     "BoundCoefficients",
     "BoundResult",
     "asymptotic_lower_linf",
@@ -51,25 +54,26 @@ __all__ = [
     "entangled_pauli_upper",
     "estimate_coefficients",
     "idealized_coefficients",
-    "lower_bound_l2",
-    "lower_bound_linf",
+    "lower_bound",
     "separable_pauli_lower",
-    "upper_bound_l2",
-    "upper_bound_linf",
+    "upper_bound",
 ]
+
+NORMS = ("linf", "l2")  # the max-norm and the Euclidean criterion
 
 
 @dataclass
 class BoundCoefficients:
-    """Model-dependent scalars feeding the four bound evaluators.
+    """Model-dependent scalars feeding the two bound evaluators.
 
     sigma_diag and rho_diag hold the per-coordinate values
     sqrt([F^-1]_aa) and E|e_a^T F^-1 score|^3; sigma_top and rho_top are
     the analogues projected on the top eigenvector of F^-1.  norm records
     which parameter ball ("linf" or "l2") the envelope was taken over;
     None means norm-agnostic (exact zeros); provenance records whether the
-    envelope is exact.  singular marks a singular F, whose pseudoinverse
-    treats an unidentifiable coordinate as known: no upper bound applies.
+    Berry-Esseen constant is proven and the envelope exact.  singular
+    marks a singular F, whose pseudoinverse treats an unidentifiable
+    coordinate as known: no upper bound applies.
     """
 
     d: int
@@ -161,57 +165,57 @@ def estimate_coefficients(
     model,
     theta,
     eps: float,
-    norm: str = "linf",
     constant: float = BERRY_ESSEEN_CONSTANT,
     fisher: FisherMatrix | None = None,
-    score_moments: tuple | None = None,
-) -> BoundCoefficients:
-    """Bound coefficients of a model at an interior parameter point.
+) -> dict:
+    """Bound coefficients of a model at an interior parameter point, per norm.
 
-    The inverse-Fisher scalars come from `fisher` (built here when not
-    given): sigma_diag = sqrt([F^-1]_aa), opnorm_inv = lambda_max(F^-1)
-    and sigma_top its square root.  V_H, rho_diag and rho_top come from
-    `score_moments`, the (V_H, rho_diag, rho_top) of
-    model.score_moments(theta, fisher) (computed here when not given;
-    they do not depend on the norm).  mu_R and V_R come from
-    model.envelope_moments over the parameter ball matching the criterion
-    norm (Euclidean radius sqrt(d)*eps for "linf", eps for "l2").  A model
-    whose envelope is only a search-based lower estimate yields provenance
-    "estimated-coefficient".
+    Returns {norm: BoundCoefficients} for every norm in NORMS.  The
+    inverse-Fisher scalars come from `fisher` (built here when not given):
+    sigma_diag = sqrt([F^-1]_aa), opnorm_inv = lambda_max(F^-1) and
+    sigma_top its square root.  V_H, rho_diag and rho_top come from one
+    model.score_moments(theta, fisher) call, since they do not depend on
+    the norm.  mu_R and V_R come from model.envelope_moments over the
+    parameter ball of each criterion norm (Euclidean radius sqrt(d)*eps
+    for "linf", eps for "l2").  The provenance is "unproven-constant"
+    when C is below BERRY_ESSEEN_CONSTANT, the smallest proven value
+    (Shevtsova 2011), else "estimated-coefficient" for a model whose
+    envelope is only a search-based lower estimate, else "exact".
 
     sigma is the largest sqrt([F^-1]_aa) at this point; a supremum over
     the parameter space must be taken by the caller (e.g. over a
     documented grid).  singular is fisher.is_singular.
     """
-    if norm not in ("linf", "l2"):
-        raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
     if not eps > 0.0:
         raise ValueError(f"accuracy eps must be positive, got {eps!r}")
     theta = model.validate_theta(np.asarray(theta, dtype=float))
     d = model.d
-    radius = math.sqrt(d) * eps if norm == "linf" else eps
     f = fisher if fisher is not None else fim(model, theta)
-    if score_moments is None:
-        score_moments = model.score_moments(theta, f)
-    v_h, rho_diag, rho_top = score_moments
-    mu_r, v_r, exact = model.envelope_moments(theta, radius)
+    v_h, rho_diag, rho_top = model.score_moments(theta, f)
     sigma_diag = np.sqrt(np.clip(f.inverse_diag(), 0.0, None))
-    return BoundCoefficients(
-        d=d,
-        mu_R=mu_r,
-        V_H=v_h,
-        V_R=v_r,
-        C=constant,
-        sigma=float(sigma_diag.max()),
-        opnorm_inv=f.opnorm_inverse(),
-        sigma_diag=sigma_diag,
-        rho_diag=np.asarray(rho_diag, dtype=float),
-        sigma_top=math.sqrt(f.opnorm_inverse()),
-        rho_top=rho_top,
-        norm=norm,
-        provenance="exact" if exact else "estimated-coefficient",
-        singular=f.is_singular,
-    )
+    radii = {"linf": math.sqrt(d) * eps, "l2": eps}
+    unproven = constant < BERRY_ESSEEN_CONSTANT
+    coeffs = {}
+    for norm in NORMS:
+        mu_r, v_r, exact = model.envelope_moments(theta, radii[norm])
+        coeffs[norm] = BoundCoefficients(
+            d=d,
+            mu_R=mu_r,
+            V_H=v_h,
+            V_R=v_r,
+            C=constant,
+            sigma=float(sigma_diag.max()),
+            opnorm_inv=f.opnorm_inverse(),
+            sigma_diag=sigma_diag,
+            rho_diag=np.asarray(rho_diag, dtype=float),
+            sigma_top=math.sqrt(f.opnorm_inverse()),
+            rho_top=rho_top,
+            norm=norm,
+            provenance=("unproven-constant" if unproven
+                        else "exact" if exact else "estimated-coefficient"),
+            singular=f.is_singular,
+        )
+    return coeffs
 
 
 def _eta_mean(coeffs: BoundCoefficients) -> float:
@@ -258,40 +262,30 @@ def _upper_bracket(eps, delta, coeffs, tau0, big_d):
     )
 
 
-def upper_bound_linf(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
-    """Sample size guaranteeing the max-norm criterion at one parameter point.
+def upper_bound(eps: float, delta: float, coeffs: BoundCoefficients,
+                norm: str) -> BoundResult:
+    """Sample size guaranteeing the norm's criterion at one parameter point.
 
+    For "linf",
     tau0 = (1 - eps * (d mu_R / 2) ||F^-1||) * eps and
     D = (sqrt(4 V_H / delta) sqrt(d) + 0.5 sqrt(4 V_R / delta) d eps)
         * ||F^-1|| * eps.
-    The parameter-space supremum is the caller's responsibility.
-    """
-    _check_criteria(eps, delta)
-    _check_norm(coeffs, "linf")
-    d = coeffs.d
-    tau0 = (1.0 - eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
-    big_d = (
-        math.sqrt(4.0 * coeffs.V_H / delta) * math.sqrt(d)
-        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * d * eps
-    ) * coeffs.opnorm_inv * eps
-    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
-
-
-def upper_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
-    """Sample size guaranteeing the Euclidean criterion at one parameter point.
-
-    Reduces to the max-norm bound at accuracy eps/sqrt(d):
+    "l2" reduces to the max-norm bound at accuracy eps/sqrt(d):
     tau0 = (1 - eps * (sqrt(d) mu_R / 2) ||F^-1||) * eps / sqrt(d) and
     D = (sqrt(4 V_H / delta) + 0.5 sqrt(4 V_R / delta) eps) * ||F^-1|| * eps.
+    The norm enters only through the four scales (k, a, b, s) below, and
+    a factor of 1.0 is exact.  The parameter-space supremum is the
+    caller's responsibility.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, "l2")
+    _check_norm(coeffs, norm)
     d = coeffs.d
     sqrt_d = math.sqrt(d)
-    tau0 = (1.0 - eps * (sqrt_d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps / sqrt_d
+    k, a, b, s = (d, sqrt_d, d, 1.0) if norm == "linf" else (sqrt_d, 1.0, 1.0, sqrt_d)
+    tau0 = (1.0 - eps * (k * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps / s
     big_d = (
-        math.sqrt(4.0 * coeffs.V_H / delta)
-        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * eps
+        math.sqrt(4.0 * coeffs.V_H / delta) * a
+        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * b * eps
     ) * coeffs.opnorm_inv * eps
     return _upper_bracket(eps, delta, coeffs, tau0, big_d)
 
@@ -312,21 +306,28 @@ def _lower_terms(delta, tau0, big_d, eta, sigma, w0):
     return z_star, fourth
 
 
-def lower_bound_linf(
-    eps: float, delta: float, coeffs: BoundCoefficients, a: int | None = None
+def lower_bound(
+    eps: float, delta: float, coeffs: BoundCoefficients, norm: str, a: int | None = None
 ) -> BoundResult:
-    """Sample size any max-norm guarantee must exceed.
+    """Sample size any guarantee in the norm's criterion must exceed.
 
-    Valid for any single coordinate a at any parameter point, with
-    sigma_a = sqrt([F^-1]_aa), eta = 2 C rho_a / sigma_a^3,
+    For "linf" it is valid for any single coordinate a at any parameter
+    point, with sigma_a = sqrt([F^-1]_aa), eta = 2 C rho_a / sigma_a^3,
     tau0 = (1 + eps * (d mu_R / 2) ||F^-1||) * eps, and
     D = (sqrt(2 V_H / delta) sqrt(d) + 0.5 sqrt(2 V_R / delta) d eps)
-        * ||F^-1|| * eps.
-    With a=None the bound is maximised over coordinates.
+        * ||F^-1|| * eps;
+    with a=None the bound is maximised over coordinates.  "l2" is the same
+    bracket for the one-parameter problem along the top eigenvector of
+    F^-1: d = 1, sigma = sqrt(lambda_max(F^-1)) and rho = rho_top.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, "linf")
-    d = coeffs.d
+    _check_norm(coeffs, norm)
+    if norm == "linf":
+        d, sigmas, rhos = coeffs.d, coeffs.sigma_diag, coeffs.rho_diag
+    elif a is not None:
+        raise ValueError(f"a single coordinate a={a!r} applies only to the 'linf' bound")
+    else:
+        d, sigmas, rhos = 1, [coeffs.sigma_top], [coeffs.rho_top]
     if not coeffs.finite():
         return _inapplicable(coeffs, "non-finite coefficients")
     tau0 = (1.0 + eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
@@ -339,10 +340,10 @@ def lower_bound_linf(
     coords = range(d) if a is None else [a]
     best_value, best_term = 0.0, "vacuous"
     for idx in coords:
-        sigma_a = float(coeffs.sigma_diag[idx])
+        sigma_a = float(sigmas[idx])
         if sigma_a <= 0.0:
             continue  # deterministic coordinate: no requirement
-        eta = 2.0 * coeffs.C * float(coeffs.rho_diag[idx]) / sigma_a**3
+        eta = 2.0 * coeffs.C * float(rhos[idx]) / sigma_a**3
         z_star, fourth = _lower_terms(delta, tau0, big_d, eta, sigma_a, w0)
         if z_star >= fourth and z_star > best_value:
             best_value, best_term = z_star, "z-star"
@@ -356,45 +357,9 @@ def lower_bound_linf(
     )
 
 
-def lower_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
-    """Sample size any Euclidean guarantee must exceed.
-
-    Projects the score on the top eigenvector of F^-1, so
-    sigma = sqrt(lambda_max(F^-1)) and eta = 2 C rho_top / sigma^3, with
-    tau0 = (1 + eps * (mu_R / 2) ||F^-1||) * eps and
-    D = (sqrt(2 V_H / delta) + 0.5 sqrt(2 V_R / delta) eps) * ||F^-1|| * eps.
-    """
-    _check_criteria(eps, delta)
-    _check_norm(coeffs, "l2")
-    if not coeffs.finite():
-        return _inapplicable(coeffs, "non-finite coefficients")
-    sigma = coeffs.sigma_top
-    if sigma <= 0.0:
-        return BoundResult(
-            value=1.0, applicable=True, limiting_term="vacuous",
-            provenance=coeffs.provenance,
-        )
-    tau0 = (1.0 + eps * (coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
-    big_d = (
-        math.sqrt(2.0 * coeffs.V_H / delta)
-        + 0.5 * math.sqrt(2.0 * coeffs.V_R / delta) * eps
-    ) * coeffs.opnorm_inv * eps
-    w0 = lambert_w0(delta**-2 / (2.0 * math.pi))
-    eta = 2.0 * coeffs.C * coeffs.rho_top / sigma**3
-    z_star, fourth = _lower_terms(delta, tau0, big_d, eta, sigma, w0)
-    value = max(z_star, fourth)
-    term = "z-star" if z_star >= fourth else "fourth-power"
-    if value <= 0.0:
-        term = "vacuous"
-    return BoundResult(
-        value=max(value, 1.0),
-        applicable=True,
-        limiting_term=term,
-        provenance=coeffs.provenance,
-    )
-
-
 def _check_norm(coeffs: BoundCoefficients, norm: str) -> None:
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
     if coeffs.norm is not None and coeffs.norm != norm:
         raise ValueError(
             f"coefficients were computed for the {coeffs.norm!r} ball "

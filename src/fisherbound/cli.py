@@ -127,8 +127,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _validate_config(cfg: dict) -> None:
     if cfg["scheme"] not in PAULI_SCHEMES + CLASSICAL_SCHEMES:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-    if cfg["norm"] not in ("linf", "l2"):
-        raise ConfigError(f"norm must be 'linf' or 'l2', got {cfg['norm']!r}")
+    if cfg["norm"] not in bounds.NORMS:
+        raise ConfigError(f"norm must be one of {bounds.NORMS}, got {cfg['norm']!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     for key in ("n", "n_min", "n_max", "dim", "truncation", "grid_points",
@@ -326,23 +326,18 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     eps, delta, c = cfg["epsilon"], cfg["delta"], cfg["be_constant"]
     grid = _theta_grid(cfg, model, theta)
 
-    evaluators = _evaluators()
-    candidates = {norm: [] for norm in evaluators}
+    candidates = {norm: [] for norm in bounds.NORMS}
     lower = {}
-    # one Fisher matrix and one set of score moments per point, shared by
-    # both norms; grid[0] is theta, so its coefficients also feed the lower bounds
+    # grid[0] is theta, so its coefficients also feed the lower bounds
     for index, point in enumerate(grid):
-        f = fisher.fim(model, point)
-        moments = model.score_moments(point, f)
-        for norm, (upper_fn, lower_fn) in evaluators.items():
-            coeffs = bounds.estimate_coefficients(model, point, eps, norm, constant=c,
-                                                  fisher=f, score_moments=moments)
-            candidates[norm].append(upper_fn(eps, delta, coeffs))
+        coeffs = bounds.estimate_coefficients(model, point, eps, constant=c)
+        for norm in bounds.NORMS:
+            candidates[norm].append(bounds.upper_bound(eps, delta, coeffs[norm], norm))
             if index == 0:
-                lower[norm] = lower_fn(eps, delta, coeffs)
+                lower[norm] = bounds.lower_bound(eps, delta, coeffs[norm], norm)
 
     rows = []
-    for norm in evaluators:
+    for norm in bounds.NORMS:
         # the supremum over the grid; an inapplicable candidate sorts above all
         upper = max(candidates[norm], key=_bound_sort_key)
         rows.append(_bound_row(f"upper-{norm}", "upper", norm, upper,
@@ -359,12 +354,6 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
             rows.append(_bound_row(bound_id, kind, "linf", result, eps, delta, model.d))
     meta = _meta(cfg, "bounds", grid_points=len(grid), domain_shrink=DOMAIN_SHRINK)
     return rows, meta, EXIT_OK
-
-
-def _evaluators():
-    """Norm -> (upper, lower) evaluator, looked up per call for bench/spans.py."""
-    return {"linf": (bounds.upper_bound_linf, bounds.lower_bound_linf),
-            "l2": (bounds.upper_bound_l2, bounds.lower_bound_l2)}
 
 
 def _bound_sort_key(result):
@@ -408,10 +397,9 @@ def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     # the small-eps lower limit reads [F^-1]_aa in linf and lambda_max(F^-1) in l2
     inverse = float(f.inverse_diag().max()) if norm == "linf" else f.opnorm_inverse()
     lower = bounds.asymptotic_lower_linf(eps, delta, inverse)
-    coeffs = bounds.estimate_coefficients(model, theta, eps, norm,
-                                          constant=cfg["be_constant"], fisher=f)
-    upper_fn, _ = _evaluators()[norm]
-    upper = upper_fn(eps, delta, coeffs)
+    coeffs = bounds.estimate_coefficients(model, theta, eps, constant=cfg["be_constant"],
+                                          fisher=f)[norm]
+    upper = bounds.upper_bound(eps, delta, coeffs, norm)
 
     def base_row(**kwargs):
         row = {"scheme": cfg["scheme"], "n": cfg["n"], "epsilon": eps, "delta": delta,
@@ -555,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--trials", type=int)
         cmd.add_argument("--epsilon", type=float)
         cmd.add_argument("--delta", type=float)
-        cmd.add_argument("--norm", choices=["linf", "l2"])
+        cmd.add_argument("--norm", choices=bounds.NORMS)
         cmd.add_argument("--scheme")
         cmd.add_argument("--n", type=int)
         cmd.add_argument("--be-constant", dest="be_constant", type=float)

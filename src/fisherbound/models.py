@@ -443,17 +443,19 @@ class PoissonTruncatedModel(StatModel):
         )
         self._ks = np.arange(truncation + 1, dtype=float)
 
-    def _partial_sum(self, theta, order):
-        top = self.K - 1 - order
-        if top < 0:
-            return 0.0
-        ks = np.arange(top + 1)
-        return float(np.exp(ks * math.log(theta) - self._log_factorials[: top + 1]).sum())
+    def _weights(self, t):
+        """theta^k / k! for every outcome k, formed in log space."""
+        return np.exp(self._ks * math.log(t) - self._log_factorials)
+
+    def _partial_sums(self, t):
+        """Z_0..Z_3 from one weight array: Z_m sums the weights of the
+        outcomes k <= truncation - m (0 when there are none)."""
+        weights = self._weights(t)
+        return [float(weights[: max(self.K - m, 0)].sum()) for m in range(4)]
 
     def probs(self, theta):
         theta = self.validate_theta(theta)
-        t = float(theta[0])
-        weights = np.exp(self._ks * math.log(t) - self._log_factorials)
+        weights = self._weights(float(theta[0]))
         return weights / weights.sum()
 
     def dprobs(self, theta):
@@ -462,13 +464,11 @@ class PoissonTruncatedModel(StatModel):
     def dlogp(self, theta, p=None):
         """(K, 1) score k/theta - Z_1/Z_0, finite also where p_k underflows to 0."""
         t = float(np.asarray(theta, dtype=float)[0])
-        return (self._ks / t - self._partial_sum(t, 1) / self._partial_sum(t, 0))[:, None]
+        z0, z1, _, _ = self._partial_sums(t)
+        return (self._ks / t - z1 / z0)[:, None]
 
     def _logz_derivatives(self, t):
-        z0 = self._partial_sum(t, 0)
-        z1 = self._partial_sum(t, 1)
-        z2 = self._partial_sum(t, 2)
-        z3 = self._partial_sum(t, 3)
+        z0, z1, z2, z3 = self._partial_sums(t)
         l1 = z1 / z0
         l2 = z2 / z0 - l1 * l1
         l3 = z3 / z0 - 3.0 * (z2 / z0) * l1 + 2.0 * l1**3

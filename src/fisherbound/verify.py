@@ -303,17 +303,16 @@ def _check_bound_ordering(rng):
     model = models.entangled_pauli_model(1)
     theta = np.zeros(3)
     for eps in (0.01, 0.05):
+        coeffs = bounds.estimate_coefficients(model, theta, eps)
         for delta in (0.05, 0.1, 0.25):
-            coeffs = bounds.estimate_coefficients(model, theta, eps, "linf")
-            upper = bounds.upper_bound_linf(eps, delta, coeffs)
-            lower = bounds.lower_bound_linf(eps, delta, coeffs)
+            upper = bounds.upper_bound(eps, delta, coeffs["linf"], "linf")
+            lower = bounds.lower_bound(eps, delta, coeffs["linf"], "linf")
             if upper.applicable:
                 assert lower.value <= upper.value, (
                     f"ordering violated at eps={eps}, delta={delta}"
                 )
-            coeffs2 = bounds.estimate_coefficients(model, theta, eps, "l2")
-            upper2 = bounds.upper_bound_l2(eps, delta, coeffs2)
-            lower2 = bounds.lower_bound_l2(eps, delta, coeffs2)
+            upper2 = bounds.upper_bound(eps, delta, coeffs["l2"], "l2")
+            lower2 = bounds.lower_bound(eps, delta, coeffs["l2"], "l2")
             if upper2.applicable:
                 assert lower2.value <= upper2.value, "l2 ordering violated"
     return "lower <= upper on the entangled n=1 grid, both norms"
@@ -324,10 +323,10 @@ def _check_small_eps_limits(rng):
         for delta in (0.1, 0.01):
             coeffs = bounds.idealized_coefficients(d)
             for eps in (1e-2, 1e-3, 1e-4):
-                value = bounds.upper_bound_linf(eps, delta, coeffs).value
+                value = bounds.upper_bound(eps, delta, coeffs, "linf").value
                 target = bounds.asymptotic_upper_linf(eps, delta, d, 1.0)
                 assert abs(value / target - 1.0) <= 0.05, "upper limit drifted"
-                low = bounds.lower_bound_linf(eps, delta, coeffs).value
+                low = bounds.lower_bound(eps, delta, coeffs, "linf").value
                 low_target = bounds.asymptotic_lower_linf(eps, delta, 1.0)
                 assert abs(low / low_target - 1.0) <= 0.05, "lower limit drifted"
     return "idealized bounds track their small-eps limits within 5%"
@@ -335,16 +334,15 @@ def _check_small_eps_limits(rng):
 
 def _check_norm_dominance(rng):
     model = models.entangled_pauli_model(1)
-    coeffs_inf = bounds.estimate_coefficients(model, np.zeros(3), 0.01, "linf")
-    coeffs_l2 = bounds.estimate_coefficients(model, np.zeros(3), 0.01, "l2")
+    coeffs = bounds.estimate_coefficients(model, np.zeros(3), 0.01)
     for delta in (0.05, 0.1):
-        up_inf = bounds.upper_bound_linf(0.01, delta, coeffs_inf)
-        up_l2 = bounds.upper_bound_l2(0.01, delta, coeffs_l2)
+        up_inf = bounds.upper_bound(0.01, delta, coeffs["linf"], "linf")
+        up_l2 = bounds.upper_bound(0.01, delta, coeffs["l2"], "l2")
         assert up_l2.value >= up_inf.value, "Euclidean bound below max-norm bound"
     ideal = bounds.idealized_coefficients(4)
     assert (
-        bounds.upper_bound_l2(0.1, 0.1, ideal).value
-        >= bounds.upper_bound_linf(0.1, 0.1, ideal).value
+        bounds.upper_bound(0.1, 0.1, ideal, "l2").value
+        >= bounds.upper_bound(0.1, 0.1, ideal, "linf").value
     )
     return "l2 upper bound dominates the linf upper bound"
 
@@ -352,10 +350,10 @@ def _check_norm_dominance(rng):
 def _check_coordinate_monotonicity(rng):
     model = models.entangled_pauli_model(1)
     theta = np.array([0.5, 0.2, -0.1])
-    coeffs = bounds.estimate_coefficients(model, theta, 0.01, "linf")
-    best = bounds.lower_bound_linf(0.01, 0.1, coeffs).value
+    coeffs = bounds.estimate_coefficients(model, theta, 0.01)["linf"]
+    best = bounds.lower_bound(0.01, 0.1, coeffs, "linf").value
     for a in range(3):
-        single = bounds.lower_bound_linf(0.01, 0.1, coeffs, a=a).value
+        single = bounds.lower_bound(0.01, 0.1, coeffs, "linf", a=a).value
         assert best >= single - 1e-12, f"coordinate {a} exceeds the maximised bound"
     return "maximised lower bound dominates each single coordinate"
 
@@ -387,8 +385,8 @@ def _check_empirical_sandwich(rng):
                                       norm="linf", trials=600, seed=11)
     lower = bounds.asymptotic_lower_linf(eps, delta, 1.0)
     assert lower <= result.m_star, f"lower bound {lower:.1f} > m_star {result.m_star}"
-    coeffs = bounds.estimate_coefficients(model, np.zeros(3), eps, "linf")
-    upper = bounds.upper_bound_linf(eps, delta, coeffs)
+    coeffs = bounds.estimate_coefficients(model, np.zeros(3), eps)["linf"]
+    upper = bounds.upper_bound(eps, delta, coeffs, "linf")
     if upper.applicable:
         assert result.m_star <= upper.value, "m_star above the applicable upper bound"
     return f"lower {lower:.0f} <= m_star {result.m_star}" + (

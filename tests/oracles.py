@@ -2,13 +2,28 @@
 
 Everything here is deliberately slow and simple: bisection instead of Halley,
 double sums instead of butterflies, finite differences instead of analytic
-derivatives, cyclic Jacobi instead of LAPACK.  Nothing imports fisherbound.
+derivatives, cyclic Jacobi instead of LAPACK.  Nothing imports fisherbound,
+except the per-norm bound evaluators at the end: they are the four that
+bounds.upper_bound and bounds.lower_bound replaced, kept unchanged on the
+package's bracket helpers, so that comparing them pins the merge of the
+two norms bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from fisherbound.bounds import (
+    BoundCoefficients,
+    BoundResult,
+    _check_criteria,
+    _check_norm,
+    _inapplicable,
+    _lower_terms,
+    _upper_bracket,
+)
+from fisherbound.special_functions import lambert_w0
 
 
 def lambert_bisect(x, tol=1e-15):
@@ -327,3 +342,140 @@ def mse_vs_crb(model, theta, m, trials, seed, block=512) -> MseCrbReport:
         sq_sum += ((estimates - theta[None, :]) ** 2).sum(axis=0)
     mse = sq_sum / trials
     return MseCrbReport(mse=mse, crb=crb, ratio=mse / crb, m=m, trials=trials)
+
+
+def poisson_partial_sum(log_factorials, theta, order):
+    """Z_order = sum of theta^k / k! over k <= len(log_factorials) - 1 - order.
+
+    Each order forms its own exponent array, as PoissonTruncatedModel did
+    before it took all four sums from one.
+    """
+    top = len(log_factorials) - 1 - order
+    if top < 0:
+        return 0.0
+    ks = np.arange(top + 1)
+    return float(np.exp(ks * math.log(theta) - log_factorials[: top + 1]).sum())
+
+
+# ---------------------------------------------------------------------------
+# the per-norm bound evaluators, unchanged
+
+
+def upper_bound_linf(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
+    """Sample size guaranteeing the max-norm criterion at one parameter point.
+
+    tau0 = (1 - eps * (d mu_R / 2) ||F^-1||) * eps and
+    D = (sqrt(4 V_H / delta) sqrt(d) + 0.5 sqrt(4 V_R / delta) d eps)
+        * ||F^-1|| * eps.
+    The parameter-space supremum is the caller's responsibility.
+    """
+    _check_criteria(eps, delta)
+    _check_norm(coeffs, "linf")
+    d = coeffs.d
+    tau0 = (1.0 - eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
+    big_d = (
+        math.sqrt(4.0 * coeffs.V_H / delta) * math.sqrt(d)
+        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * d * eps
+    ) * coeffs.opnorm_inv * eps
+    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
+
+
+def upper_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
+    """Sample size guaranteeing the Euclidean criterion at one parameter point.
+
+    Reduces to the max-norm bound at accuracy eps/sqrt(d):
+    tau0 = (1 - eps * (sqrt(d) mu_R / 2) ||F^-1||) * eps / sqrt(d) and
+    D = (sqrt(4 V_H / delta) + 0.5 sqrt(4 V_R / delta) eps) * ||F^-1|| * eps.
+    """
+    _check_criteria(eps, delta)
+    _check_norm(coeffs, "l2")
+    d = coeffs.d
+    sqrt_d = math.sqrt(d)
+    tau0 = (1.0 - eps * (sqrt_d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps / sqrt_d
+    big_d = (
+        math.sqrt(4.0 * coeffs.V_H / delta)
+        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * eps
+    ) * coeffs.opnorm_inv * eps
+    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
+
+
+def lower_bound_linf(
+    eps: float, delta: float, coeffs: BoundCoefficients, a: int | None = None
+) -> BoundResult:
+    """Sample size any max-norm guarantee must exceed.
+
+    Valid for any single coordinate a at any parameter point, with
+    sigma_a = sqrt([F^-1]_aa), eta = 2 C rho_a / sigma_a^3,
+    tau0 = (1 + eps * (d mu_R / 2) ||F^-1||) * eps, and
+    D = (sqrt(2 V_H / delta) sqrt(d) + 0.5 sqrt(2 V_R / delta) d eps)
+        * ||F^-1|| * eps.
+    With a=None the bound is maximised over coordinates.
+    """
+    _check_criteria(eps, delta)
+    _check_norm(coeffs, "linf")
+    d = coeffs.d
+    if not coeffs.finite():
+        return _inapplicable(coeffs, "non-finite coefficients")
+    tau0 = (1.0 + eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
+    big_d = (
+        math.sqrt(2.0 * coeffs.V_H / delta) * math.sqrt(d)
+        + 0.5 * math.sqrt(2.0 * coeffs.V_R / delta) * d * eps
+    ) * coeffs.opnorm_inv * eps
+    w0 = lambert_w0(delta**-2 / (2.0 * math.pi))
+
+    coords = range(d) if a is None else [a]
+    best_value, best_term = 0.0, "vacuous"
+    for idx in coords:
+        sigma_a = float(coeffs.sigma_diag[idx])
+        if sigma_a <= 0.0:
+            continue  # deterministic coordinate: no requirement
+        eta = 2.0 * coeffs.C * float(coeffs.rho_diag[idx]) / sigma_a**3
+        z_star, fourth = _lower_terms(delta, tau0, big_d, eta, sigma_a, w0)
+        if z_star >= fourth and z_star > best_value:
+            best_value, best_term = z_star, "z-star"
+        elif fourth > z_star and fourth > best_value:
+            best_value, best_term = fourth, "fourth-power"
+    return BoundResult(
+        value=max(best_value, 1.0),
+        applicable=True,
+        limiting_term=best_term,
+        provenance=coeffs.provenance,
+    )
+
+
+def lower_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
+    """Sample size any Euclidean guarantee must exceed.
+
+    Projects the score on the top eigenvector of F^-1, so
+    sigma = sqrt(lambda_max(F^-1)) and eta = 2 C rho_top / sigma^3, with
+    tau0 = (1 + eps * (mu_R / 2) ||F^-1||) * eps and
+    D = (sqrt(2 V_H / delta) + 0.5 sqrt(2 V_R / delta) eps) * ||F^-1|| * eps.
+    """
+    _check_criteria(eps, delta)
+    _check_norm(coeffs, "l2")
+    if not coeffs.finite():
+        return _inapplicable(coeffs, "non-finite coefficients")
+    sigma = coeffs.sigma_top
+    if sigma <= 0.0:
+        return BoundResult(
+            value=1.0, applicable=True, limiting_term="vacuous",
+            provenance=coeffs.provenance,
+        )
+    tau0 = (1.0 + eps * (coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
+    big_d = (
+        math.sqrt(2.0 * coeffs.V_H / delta)
+        + 0.5 * math.sqrt(2.0 * coeffs.V_R / delta) * eps
+    ) * coeffs.opnorm_inv * eps
+    w0 = lambert_w0(delta**-2 / (2.0 * math.pi))
+    eta = 2.0 * coeffs.C * coeffs.rho_top / sigma**3
+    z_star, fourth = _lower_terms(delta, tau0, big_d, eta, sigma, w0)
+    value = max(z_star, fourth)
+    term = "z-star" if z_star >= fourth else "fourth-power"
+    if value <= 0.0:
+        term = "vacuous"
+    return BoundResult(
+        value=max(value, 1.0),
+        applicable=True,
+        limiting_term=term,
+        provenance=coeffs.provenance,
+    )

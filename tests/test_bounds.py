@@ -15,11 +15,9 @@ from fisherbound.bounds import (
     entangled_pauli_upper,
     estimate_coefficients,
     idealized_coefficients,
-    lower_bound_l2,
-    lower_bound_linf,
+    lower_bound,
     separable_pauli_lower,
-    upper_bound_l2,
-    upper_bound_linf,
+    upper_bound,
 )
 from fisherbound.fisher import bell_fim_structural, fim
 from fisherbound.models import (
@@ -48,7 +46,7 @@ DELTA_UNIT_W0 = 1.0 / math.sqrt(2.0 * math.pi * math.e)  # W0(e) = 1 here
 class TestUpperLinf:
     def test_idealized_collapses_to_lambert_term(self):
         coeffs = idealized_coefficients(3)
-        result = upper_bound_linf(0.05, 0.1, coeffs)
+        result = upper_bound(0.05, 0.1, coeffs, "linf")
         assert result.applicable
         assert result.value == pytest.approx(W0_D3_DELTA01 / 0.0025, rel=1e-12)
         assert result.limiting_term == "y-star"
@@ -60,7 +58,7 @@ class TestUpperLinf:
     def test_asymptotic_ratio_idealized(self):
         coeffs = idealized_coefficients(3)
         for eps in (1e-2, 1e-3, 1e-4):
-            value = upper_bound_linf(eps, 0.1, coeffs).value
+            value = upper_bound(eps, 0.1, coeffs, "linf").value
             assert value * eps**2 == pytest.approx(W0_D3_DELTA01, rel=1e-12)
 
     def test_asymptotic_ratio_exact_coefficients(self):
@@ -68,56 +66,56 @@ class TestUpperLinf:
         target = W0_D3_DELTA01
         previous = math.inf
         for eps in (1e-2, 1e-3, 1e-4):
-            coeffs = estimate_coefficients(model, np.zeros(3), eps, "linf")
-            ratio = upper_bound_linf(eps, 0.1, coeffs).value * eps**2 / target
+            coeffs = estimate_coefficients(model, np.zeros(3), eps)["linf"]
+            ratio = upper_bound(eps, 0.1, coeffs, "linf").value * eps**2 / target
             assert ratio < previous  # converging from above
             previous = ratio
         assert previous == pytest.approx(1.0, rel=0.05)
 
     def test_inapplicable_when_tau_negative(self):
         model = entangled_pauli_model(1)
-        coeffs = estimate_coefficients(model, np.zeros(3), 0.1, "linf")
-        result = upper_bound_linf(0.1, 0.1, coeffs)
+        coeffs = estimate_coefficients(model, np.zeros(3), 0.1)["linf"]
+        result = upper_bound(0.1, 0.1, coeffs, "linf")
         assert not result.applicable
         assert result.reason == "tau0 <= 0"
         assert result.value == math.inf
 
     def test_value_floor(self):
         coeffs = idealized_coefficients(1)
-        assert upper_bound_linf(100.0, 0.9, coeffs).value >= 1.0
+        assert upper_bound(100.0, 0.9, coeffs, "linf").value >= 1.0
 
     def test_preconditions(self):
         coeffs = idealized_coefficients(2)
         with pytest.raises(ValueError):
-            upper_bound_linf(0.0, 0.1, coeffs)
+            upper_bound(0.0, 0.1, coeffs, "linf")
         with pytest.raises(ValueError):
-            upper_bound_linf(0.1, 1.0, coeffs)
+            upper_bound(0.1, 1.0, coeffs, "linf")
 
 
 class TestLowerLinf:
     def test_idealized_matches_small_eps_limit(self):
         coeffs = idealized_coefficients(3)
-        result = lower_bound_linf(0.1, 0.05, coeffs)
+        result = lower_bound(0.1, 0.05, coeffs, "linf")
         assert result.applicable
         assert result.value == pytest.approx(W0_DELTA005_LOWER * 100.0, rel=1e-12)
 
     def test_w0_of_e_normalisation(self):
         coeffs = idealized_coefficients(1)
-        result = lower_bound_linf(0.1, DELTA_UNIT_W0, coeffs)
+        result = lower_bound(0.1, DELTA_UNIT_W0, coeffs, "linf")
         assert result.value == pytest.approx(100.0, rel=1e-9)
 
     def test_coordinate_maximised_dominates(self):
         model = entangled_pauli_model(1)
         theta = np.array([0.5, 0.1, -0.2])
-        coeffs = estimate_coefficients(model, theta, 0.01, "linf")
-        best = lower_bound_linf(0.01, 0.1, coeffs)
+        coeffs = estimate_coefficients(model, theta, 0.01)["linf"]
+        best = lower_bound(0.01, 0.1, coeffs, "linf")
         for a in range(3):
-            single = lower_bound_linf(0.01, 0.1, coeffs, a=a)
+            single = lower_bound(0.01, 0.1, coeffs, "linf", a=a)
             assert best.value >= single.value - 1e-12
 
     def test_vacuous_regime_floors_at_one(self):
         coeffs = idealized_coefficients(2)
-        result = lower_bound_linf(10.0, 0.5, coeffs)
+        result = lower_bound(10.0, 0.5, coeffs, "linf")
         assert result.applicable and result.value >= 1.0
 
 
@@ -125,55 +123,53 @@ class TestL2Bounds:
     def test_upper_reduces_to_linf_for_one_parameter(self):
         ideal = idealized_coefficients(1, sigma=0.7, opnorm_inv=2.0)
         for eps, delta in [(0.05, 0.1), (0.01, 0.02)]:
-            linf = upper_bound_linf(eps, delta, ideal).value
-            euclid = upper_bound_l2(eps, delta, ideal).value
+            linf = upper_bound(eps, delta, ideal, "linf").value
+            euclid = upper_bound(eps, delta, ideal, "l2").value
             assert euclid == pytest.approx(linf, rel=1e-12)
 
     def test_idealized_scaling_is_dimension(self):
         ideal = idealized_coefficients(4)
-        linf = upper_bound_linf(0.1, 0.1, ideal).value
-        euclid = upper_bound_l2(0.1, 0.1, ideal).value
+        linf = upper_bound(0.1, 0.1, ideal, "linf").value
+        euclid = upper_bound(0.1, 0.1, ideal, "l2").value
         assert euclid == pytest.approx(4.0 * linf, rel=1e-12)
 
     def test_upper_asymptotic_ratio(self):
         ideal = idealized_coefficients(3)
         for eps in (1e-2, 1e-3, 1e-4):
-            value = upper_bound_l2(eps, 0.1, ideal).value
+            value = upper_bound(eps, 0.1, ideal, "l2").value
             assert value * eps**2 == pytest.approx(3.0 * W0_D3_DELTA01, rel=1e-12)
 
     def test_lower_reduces_to_linf_for_one_parameter(self):
         model = bernoulli_model()
         theta = np.array([0.3])
-        c_inf = estimate_coefficients(model, theta, 0.01, "linf")
-        c_l2 = estimate_coefficients(model, theta, 0.01, "l2")
-        a = lower_bound_linf(0.01, 0.05, c_inf).value
-        b = lower_bound_l2(0.01, 0.05, c_l2).value
+        coeffs = estimate_coefficients(model, theta, 0.01)
+        a = lower_bound(0.01, 0.05, coeffs["linf"], "linf").value
+        b = lower_bound(0.01, 0.05, coeffs["l2"], "l2").value
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_lower_idealized_limit(self):
         # sigma_top from diag(4,1): F^-1 = diag(1/4, 1), lambda_max = 1
         stats_sigma = 1.0
         ideal = idealized_coefficients(2, sigma=stats_sigma, sigma_top=stats_sigma)
-        result = lower_bound_l2(1e-3, 0.1, ideal)
+        result = lower_bound(1e-3, 0.1, ideal, "l2")
         assert result.value == pytest.approx(W0_DELTA01_LOWER * stats_sigma**2 / 1e-6,
                                              rel=1e-9)
 
     def test_norm_dominance(self):
         ideal = idealized_coefficients(5)
         for eps, delta in [(0.1, 0.1), (0.01, 0.05)]:
-            assert (upper_bound_l2(eps, delta, ideal).value
-                    >= upper_bound_linf(eps, delta, ideal).value)
+            assert (upper_bound(eps, delta, ideal, "l2").value
+                    >= upper_bound(eps, delta, ideal, "linf").value)
         model = entangled_pauli_model(1)
-        c_inf = estimate_coefficients(model, np.zeros(3), 0.01, "linf")
-        c_l2 = estimate_coefficients(model, np.zeros(3), 0.01, "l2")
-        assert (upper_bound_l2(0.01, 0.1, c_l2).value
-                >= upper_bound_linf(0.01, 0.1, c_inf).value)
+        coeffs = estimate_coefficients(model, np.zeros(3), 0.01)
+        assert (upper_bound(0.01, 0.1, coeffs["l2"], "l2").value
+                >= upper_bound(0.01, 0.1, coeffs["linf"], "linf").value)
 
     def test_norm_mismatch_rejected(self):
         model = bernoulli_model()
-        coeffs = estimate_coefficients(model, np.array([0.4]), 0.01, "linf")
+        coeffs = estimate_coefficients(model, np.array([0.4]), 0.01)["linf"]
         with pytest.raises(ValueError, match="ball"):
-            upper_bound_l2(0.01, 0.1, coeffs)
+            upper_bound(0.01, 0.1, coeffs, "l2")
 
 
 class TestOrdering:
@@ -187,9 +183,9 @@ class TestOrdering:
         for model, theta in cases:
             for eps in (0.01, 0.03):
                 for delta in (0.05, 0.1, 0.25):
-                    coeffs = estimate_coefficients(model, theta, eps, "linf")
-                    upper = upper_bound_linf(eps, delta, coeffs)
-                    lower = lower_bound_linf(eps, delta, coeffs)
+                    coeffs = estimate_coefficients(model, theta, eps)["linf"]
+                    upper = upper_bound(eps, delta, coeffs, "linf")
+                    lower = lower_bound(eps, delta, coeffs, "linf")
                     if upper.applicable:
                         assert lower.value <= upper.value
 
@@ -197,7 +193,7 @@ class TestOrdering:
 class TestEstimateCoefficients:
     def test_gaussian_third_derivative_free(self):
         model = GaussianKnownCovModel(np.eye(2))
-        coeffs = estimate_coefficients(model, np.zeros(2), 0.1, "linf")
+        coeffs = estimate_coefficients(model, np.zeros(2), 0.1)["linf"]
         assert coeffs.mu_R == 0.0 and coeffs.V_R == 0.0 and coeffs.V_H == 0.0
         np.testing.assert_allclose(
             coeffs.rho_diag, np.full(2, 2.0 * math.sqrt(2.0 / math.pi))
@@ -208,7 +204,7 @@ class TestEstimateCoefficients:
         # B(1) = (2t-1)/(t^2(1-t)), B(0) = (1-2t)/(t(1-t)^2)
         model = bernoulli_model()
         theta = 0.3
-        coeffs = estimate_coefficients(model, np.array([theta]), 0.01, "linf")
+        coeffs = estimate_coefficients(model, np.array([theta]), 0.01)["linf"]
         b1 = (2 * theta - 1) / (theta**2 * (1 - theta))
         b0 = (1 - 2 * theta) / (theta * (1 - theta) ** 2)
         oracle = theta * b1**2 + (1 - theta) * b0**2
@@ -216,13 +212,13 @@ class TestEstimateCoefficients:
 
     def test_bernoulli_symmetric_point_has_no_fluctuation(self):
         model = bernoulli_model()
-        coeffs = estimate_coefficients(model, np.array([0.5]), 0.01, "linf")
+        coeffs = estimate_coefficients(model, np.array([0.5]), 0.01)["linf"]
         assert coeffs.V_H == 0.0
 
     def test_entangled_depolarizing_moments(self):
         # 4-outcome enumeration: projected scores are +-1, so rho_a = 1
         model = entangled_pauli_model(1)
-        coeffs = estimate_coefficients(model, np.zeros(3), 1e-3, "linf")
+        coeffs = estimate_coefficients(model, np.zeros(3), 1e-3)["linf"]
         np.testing.assert_allclose(coeffs.rho_diag, np.ones(3), atol=1e-12)
         np.testing.assert_allclose(coeffs.sigma_diag, np.ones(3), atol=1e-12)
         assert coeffs.V_H == pytest.approx(6.0, rel=1e-12)
@@ -232,15 +228,15 @@ class TestEstimateCoefficients:
 
     def test_envelope_radius_depends_on_norm(self):
         model = entangled_pauli_model(1)
-        linf = estimate_coefficients(model, np.zeros(3), 0.05, "linf")
-        l2 = estimate_coefficients(model, np.zeros(3), 0.05, "l2")
-        assert linf.mu_R > l2.mu_R  # sqrt(d) larger ball inflates the envelope
+        coeffs = estimate_coefficients(model, np.zeros(3), 0.05)
+        # the sqrt(d) larger ball inflates the envelope
+        assert coeffs["linf"].mu_R > coeffs["l2"].mu_R
 
     def test_envelope_infinite_when_ball_hits_boundary(self):
         model = entangled_pauli_model(1)
-        coeffs = estimate_coefficients(model, np.zeros(3), 0.6, "linf")
+        coeffs = estimate_coefficients(model, np.zeros(3), 0.6)["linf"]
         assert math.isinf(coeffs.mu_R)
-        result = upper_bound_linf(0.6, 0.1, coeffs)
+        result = upper_bound(0.6, 0.1, coeffs, "linf")
         assert not result.applicable
 
     def test_rho_top_along_the_pinv_top_eigenvector_at_singular_fisher(self):
@@ -249,7 +245,7 @@ class TestEstimateCoefficients:
         theta = np.array([0.0, 0.5, 0.0])
         f = fim(model, theta)
         assert f.is_singular
-        coeffs = estimate_coefficients(model, theta, 0.01, "l2", fisher=f)
+        coeffs = estimate_coefficients(model, theta, 0.01, fisher=f)["l2"]
         pinv = f.pinv_matrix()
         top_value, top_vectors = np.linalg.eigh(pinv)
         top = top_vectors[:, -1]
@@ -266,7 +262,7 @@ SHRINK = st.floats(min_value=0.01, max_value=0.999)
 def assert_v_h_matches_dense_stack(model, theta):
     """estimate_coefficients' V_H against the K x d x d Hessian-stack oracle."""
     f = fim(model, theta)
-    got = estimate_coefficients(model, theta, 0.01, "linf", fisher=f).V_H
+    got = estimate_coefficients(model, theta, 0.01, fisher=f)["linf"].V_H
     oracle = hessian_fluctuation_dense(model, theta, f.matrix)
     assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
@@ -330,7 +326,7 @@ class TestHessianFluctuation:
         model = PoissonTruncatedModel(12)
         theta = np.array([1.7])
         f = fim(model, theta)
-        got = estimate_coefficients(model, theta, 0.01, "linf", fisher=f).V_H
+        got = estimate_coefficients(model, theta, 0.01, fisher=f)["linf"].V_H
         assert got == hessian_fluctuation_dense(model, theta, f.matrix)
 
 
@@ -352,13 +348,13 @@ SHARED_MOMENT_CASES = [
 @pytest.mark.parametrize("model, theta", SHARED_MOMENT_CASES,
                          ids=[f"{m.scheme}-d{m.d}" for m, _ in SHARED_MOMENT_CASES])
 def test_shared_score_moments_give_the_same_coefficients(model, theta, norm):
-    # cmd_bounds computes score_moments once per grid point for both norms
-    f = fim(model, theta)
-    shared = estimate_coefficients(model, theta, 1e-3, norm, fisher=f,
-                                   score_moments=model.score_moments(theta, f))
-    own = estimate_coefficients(model, theta, 1e-3, norm)
+    # fisher=f, as cmd_simulate passes the matrix it already built, gives
+    # the coefficients of no fisher, field by field, in both norms
+    given_f = estimate_coefficients(model, theta, 1e-3, fisher=fim(model, theta))[norm]
+    own = estimate_coefficients(model, theta, 1e-3)[norm]
+    assert own.norm == norm
     for field in dataclasses.fields(BoundCoefficients):
-        got, want = getattr(shared, field.name), getattr(own, field.name)
+        got, want = getattr(given_f, field.name), getattr(own, field.name)
         if isinstance(want, np.ndarray):
             assert np.array_equal(got, want), field.name
         else:
@@ -453,25 +449,25 @@ class TestSingularFisher:
     MODEL = separable_pauli_model(1, np.array([1.0, 0.8, 0.0, 0.5]))
     THETA = np.array([0.0, 0.5, 0.0])
 
-    @pytest.mark.parametrize("norm,upper,lower,lower_value", [
-        ("linf", upper_bound_linf, lower_bound_linf, 159902.80623732574),
-        ("l2", upper_bound_l2, lower_bound_l2, 191304.0948560928),
+    @pytest.mark.parametrize("norm,lower_value", [
+        ("linf", 159902.80623732574),
+        ("l2", 191304.0948560928),
     ], ids=["linf", "l2"])
-    def test_upper_bounds_are_inapplicable(self, norm, upper, lower, lower_value):
-        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01, norm)
-        result = upper(0.01, 0.1, coeffs)
+    def test_upper_bounds_are_inapplicable(self, norm, lower_value):
+        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01)[norm]
+        result = upper_bound(0.01, 0.1, coeffs, norm)
         assert (result.value, result.applicable, result.limiting_term, result.reason,
                 result.provenance) == (math.inf, False, "none", "singular Fisher matrix",
                                        "exact")
-        bound = lower(0.01, 0.1, coeffs)
+        bound = lower_bound(0.01, 0.1, coeffs, norm)
         assert bound.applicable
         assert bound.value == pytest.approx(lower_value, rel=1e-12)
 
     def test_singular_flag_follows_the_fisher_matrix(self):
-        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01, "linf")
+        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01)["linf"]
         assert coeffs.singular
         model = separable_pauli_model(1, np.array([1.0, 0.8, 0.3, 0.5]))
-        assert not estimate_coefficients(model, self.THETA, 0.01, "linf").singular
+        assert not estimate_coefficients(model, self.THETA, 0.01)["linf"].singular
         assert not idealized_coefficients(3).singular
 
 
@@ -483,10 +479,10 @@ class TestNonFiniteCoefficients:
         # beyond k of about 170 at theta = 1, p_k underflows to 0
         def rows(model):
             out = []
-            for norm, upper, lower in (("linf", upper_bound_linf, lower_bound_linf),
-                                       ("l2", upper_bound_l2, lower_bound_l2)):
-                coeffs = estimate_coefficients(model, np.array([1.0]), 0.01, norm)
-                out += [upper(0.01, 0.1, coeffs), lower(0.01, 0.1, coeffs)]
+            coeffs = estimate_coefficients(model, np.array([1.0]), 0.01)
+            for norm in ("linf", "l2"):
+                out += [upper_bound(0.01, 0.1, coeffs[norm], norm),
+                        lower_bound(0.01, 0.1, coeffs[norm], norm)]
             return out
 
         reference = rows(PoissonTruncatedModel(150))
@@ -495,11 +491,11 @@ class TestNonFiniteCoefficients:
             assert got.applicable and want.applicable
             assert got.value == pytest.approx(want.value, rel=1e-12)
 
-    @pytest.mark.parametrize("upper", [upper_bound_linf, upper_bound_l2])
-    def test_nan_rho_makes_the_upper_bounds_inapplicable(self, upper):
+    @pytest.mark.parametrize("norm", ["linf", "l2"], ids=lambda norm: f"upper_bound_{norm}")
+    def test_nan_rho_makes_the_upper_bounds_inapplicable(self, norm):
         coeffs = idealized_coefficients(3)
         coeffs = dataclasses.replace(coeffs, rho_diag=np.array([1.0, np.nan, 1.0]))
-        result = upper(0.01, 0.1, coeffs)
+        result = upper_bound(0.01, 0.1, coeffs, norm)
         assert (result.value, result.applicable, result.reason) == (
             math.inf, False, "non-finite coefficients")
 
@@ -508,10 +504,10 @@ class TestBoundResultContract:
     def test_values_at_least_one_or_flagged(self):
         model = entangled_pauli_model(1)
         for eps in (0.01, 0.2, 0.5):
-            coeffs = estimate_coefficients(model, np.zeros(3), eps, "linf")
+            coeffs = estimate_coefficients(model, np.zeros(3), eps)["linf"]
             for delta in (0.05, 0.3):
                 for result in (
-                    upper_bound_linf(eps, delta, coeffs),
-                    lower_bound_linf(eps, delta, coeffs),
+                    upper_bound(eps, delta, coeffs, "linf"),
+                    lower_bound(eps, delta, coeffs, "linf"),
                 ):
                     assert result.value >= 1.0 or not result.applicable

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fisherbound
-from fisherbound import cli, fisher, models, pauli
+from fisherbound import bounds, cli, fisher, models, pauli
 from fisherbound.cli import (
     COLUMNS,
     ConfigError,
@@ -350,6 +350,30 @@ class TestReports:
             bound_rows["entangled-upper-asymptotic"]["value"], rel=1e-12
         )
 
+    @pytest.mark.parametrize("constant,finite_provenance", [
+        (0.45, "unproven-constant"), (0.4748, "exact"), (None, "exact"),
+    ])
+    def test_provenance_marks_an_unproven_berry_esseen_constant(self, constant,
+                                                                finite_provenance):
+        # 0.4748 is the smallest proven constant (Shevtsova 2011)
+        overrides = {} if constant is None else {"be_constant": constant}
+        cfg = resolve("bounds", epsilon=0.05, format="json", **overrides)
+        rows = json.loads(run_command("bounds", cfg)[0])["rows"]
+        provenance = {row["bound_id"]: row["provenance"] for row in rows}
+        assert provenance == {
+            "upper-linf": finite_provenance, "lower-linf": finite_provenance,
+            "upper-l2": finite_provenance, "lower-l2": finite_provenance,
+            # the small-eps limits do not use the constant
+            "entangled-upper-asymptotic": "exact", "separable-lower-asymptotic": "exact",
+        }
+
+    def test_unproven_constant_outranks_an_estimated_envelope(self):
+        model = models.PoissonTruncatedModel(20)
+        for constant, provenance in ((0.45, "unproven-constant"),
+                                     (0.4748, "estimated-coefficient")):
+            coeffs = bounds.estimate_coefficients(model, [1.0], 0.01, constant=constant)
+            assert {c.provenance for c in coeffs.values()} == {provenance}
+
 
 class TestAllSchemesEndToEnd:
     @pytest.mark.parametrize("scheme,eps", [
@@ -392,12 +416,30 @@ class TestAllSchemesEndToEnd:
             calls.append(args[1])
             return real_fim(*args, **kwargs)
 
+        # estimate_coefficients builds it through the name bounds imported
         monkeypatch.setattr(fisher, "fim", counting_fim)
+        monkeypatch.setattr(bounds, "fim", counting_fim)
         cfg = resolve("bounds", n=2, epsilon=0.01, grid_points=6, param_seed=4,
                       format="json")
         text, code = run_command("bounds", cfg)
         assert code == 0
         assert len(calls) == json.loads(text)["meta"]["grid_points"] > 1
+
+    def test_bounds_looks_up_the_bound_functions_at_call_time(self, monkeypatch):
+        # the benchmark's tracer patches these module attributes
+        calls = {}
+        for name in ("estimate_coefficients", "upper_bound", "lower_bound"):
+            def counting(*args, _real=getattr(bounds, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(bounds, name, counting)
+        cfg = resolve("bounds", n=1, epsilon=0.01, grid_points=2, format="json")
+        text, code = run_command("bounds", cfg)
+        assert code == 0
+        # both draws land inside the domain: theta plus two points
+        assert json.loads(text)["meta"]["grid_points"] == 3
+        assert calls == {"estimate_coefficients": 3, "upper_bound": 6, "lower_bound": 2}
 
     def test_supremum_grid_reported(self):
         cfg = resolve("bounds", epsilon=0.01, grid_points=5, param_seed=2,

@@ -29,6 +29,7 @@ from oracles import (
     central_diff_grad,
     mse_vs_crb,
     pauli_matrix_naive,
+    poisson_partial_sum,
     separable_mle_batch_masked,
 )
 
@@ -299,6 +300,15 @@ class TestClassicalModels:
         p = model.probs(np.array([1.0]))
         weights = np.array([math.exp(-1.0) / math.factorial(k) for k in range(21)])
         np.testing.assert_allclose(p, weights / weights.sum(), atol=1e-14)
+
+    @pytest.mark.parametrize("truncation", [1, 2, 3, 4, 5, 20, 150, 400, 10_000])
+    def test_poisson_partial_sums_equal_the_per_order_sums(self, truncation):
+        # Z_0..Z_3 are prefix sums of one weight array, bit for bit
+        model = PoissonTruncatedModel(truncation)
+        for theta in np.geomspace(1e-3, 300.0, 52):
+            want = [poisson_partial_sum(model._log_factorials, float(theta), order)
+                    for order in range(4)]
+            assert model._partial_sums(float(theta)) == want
 
     def test_gaussian_analytic_fisher(self):
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
