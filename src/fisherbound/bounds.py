@@ -23,7 +23,7 @@ estimate_coefficients returns the coefficients of both norms at one
 point.  It reads the inverse-Fisher scalars from the FisherMatrix and the
 outcome moments from the model: V_H and rho from one score_moments call,
 shared by the norms, and mu_R, V_R from envelope_moments over each norm's
-ball.
+ball, one call per distinct ball.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits are two Lambert-W forms in one inverse-Fisher scalar,
@@ -177,10 +177,10 @@ def estimate_coefficients(
     model.score_moments(theta, fisher) call, since they do not depend on
     the norm.  mu_R and V_R come from model.envelope_moments over the
     parameter ball of each criterion norm (Euclidean radius sqrt(d)*eps
-    for "linf", eps for "l2").  The provenance is "unproven-constant"
-    when C is below BERRY_ESSEEN_CONSTANT, the smallest proven value
-    (Shevtsova 2011), else "estimated-coefficient" for a model whose
-    envelope is only a search-based lower estimate, else "exact".
+    for "linf", eps for "l2"), once per distinct ball.  The provenance is
+    "unproven-constant" when C is below BERRY_ESSEEN_CONSTANT, the smallest
+    proven value (Shevtsova 2011), else "estimated-coefficient" for a model
+    whose envelope is only a search-based lower estimate, else "exact".
 
     sigma is the largest sqrt([F^-1]_aa) at this point; a supremum over
     the parameter space must be taken by the caller (e.g. over a
@@ -194,10 +194,11 @@ def estimate_coefficients(
     v_h, rho_diag, rho_top = model.score_moments(theta, f)
     sigma_diag = np.sqrt(np.clip(f.inverse_diag(), 0.0, None))
     radii = {"linf": math.sqrt(d) * eps, "l2": eps}
+    envelopes = {r: model.envelope_moments(theta, r) for r in dict.fromkeys(radii.values())}
     unproven = constant < BERRY_ESSEEN_CONSTANT
     coeffs = {}
     for norm in NORMS:
-        mu_r, v_r, exact = model.envelope_moments(theta, radii[norm])
+        mu_r, v_r, exact = envelopes[radii[norm]]
         coeffs[norm] = BoundCoefficients(
             d=d,
             mu_R=mu_r,
@@ -219,15 +220,9 @@ def estimate_coefficients(
 
 
 def _eta_mean(coeffs: BoundCoefficients) -> float:
-    """(1/d) sum_a C rho_a / sigma_a^3; zero-information coordinates contribute 0."""
-    terms = np.zeros(coeffs.d)
-    rho = coeffs.rho_diag
-    sig = coeffs.sigma_diag
-    active = rho > 0.0
-    if np.any(active & (sig <= 0.0)):
-        return math.inf
-    terms[active] = coeffs.C * rho[active] / sig[active] ** 3
-    return float(terms.mean())
+    """(1/d) sum_a C rho_a / sigma_a^3; non-finite if a sigma_a = 0 (F singular)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.mean(coeffs.C * coeffs.rho_diag / coeffs.sigma_diag ** 3))
 
 
 def _upper_bracket(eps, delta, coeffs, tau0, big_d):

@@ -5,8 +5,8 @@ outcome enumeration, F_ij = sum_x dp_i dp_j / p over outcomes above a
 probability floor.  Closed-form inverse-QFIM diagonals are provided for
 the Pauli schemes, together with the structural Bell-measurement Fisher
 matrix U^T D U, the single-copy trace bound on the Fisher diagonal at the
-maximally mixed state, and the Moore-Penrose machinery that decides which
-coordinates remain unbiasedly estimable when the matrix is singular.
+maximally mixed state, and the Moore-Penrose machinery, in which one split
+of F's eigenvalues at RANK_TOL decides singularity and estimability.
 """
 
 import math
@@ -43,11 +43,11 @@ class FimUndefinedError(ValueError):
 class FisherMatrix:
     """Symmetric PSD matrix with cached spectral data.
 
-    Eigenvalues are stored ascending.  Inverse-based quantities fall back
-    to the Moore-Penrose pseudoinverse when the matrix is numerically
-    singular (eigenvalues below RANK_TOL * lambda_max are treated as 0).
-    The bounds read inverse_diag, opnorm_inverse = lambda_max(F^-1), its
-    eigenvector top_eigvec and is_singular.
+    Eigenvalues are stored ascending; those at or below RANK_TOL * lambda_max
+    are null.  That one split decides is_singular, the Moore-Penrose
+    pseudoinverse the inverse-based quantities fall back to, top_eigvec and
+    fisher.estimable.  The bounds read inverse_diag, opnorm_inverse =
+    lambda_max(F^-1), its eigenvector top_eigvec and is_singular.
     """
 
     def __init__(self, matrix):
@@ -76,9 +76,8 @@ class FisherMatrix:
     def pinv_matrix(self) -> np.ndarray:
         """The (pseudo)inverse, computed on first use; a read-only array."""
         if self._pinv is None:
-            inv_eigs = np.where(self._nonzero, 1.0, 0.0)
-            inv_eigs = np.divide(inv_eigs, self.eigenvalues,
-                                 out=np.zeros(self.d), where=self._nonzero)
+            inv_eigs = np.divide(1.0, self.eigenvalues, out=np.zeros(self.d),
+                                 where=self._nonzero)
             pinv = (self.eigenvectors * inv_eigs) @ self.eigenvectors.T
             pinv.flags.writeable = False
             self._pinv = pinv
@@ -166,13 +165,13 @@ def separable_qfim_inverse_diag(r, lam):
 def estimable(f: FisherMatrix) -> np.ndarray:
     """Boolean mask of the coordinates that admit an unbiased estimator.
 
-    Coordinate a is estimable when F F^+ e_a = e_a, i.e. when column a of
-    F F^+ - I has Euclidean norm at most 1e-8; one matrix product decides
-    every coordinate.
+    Coordinate a is estimable when e_a lies in the range of F: its
+    projection onto the null eigenvectors of FisherMatrix's split (row a
+    of those columns) has Euclidean norm at most 1e-8.  A nonsingular F,
+    however ill-conditioned, has none, so every coordinate is estimable.
     """
-    residual = f.matrix @ f.pinv_matrix()
-    residual[np.diag_indices(f.d)] -= 1.0
-    return np.linalg.norm(residual, axis=0) <= 1e-8
+    null = f.eigenvectors[:, ~f._nonzero]
+    return np.linalg.norm(null, axis=1) <= 1e-8
 
 
 def bell_fim_structural(p, n: int) -> FisherMatrix:

@@ -444,8 +444,12 @@ class PoissonTruncatedModel(StatModel):
         self._ks = np.arange(truncation + 1, dtype=float)
 
     def _weights(self, t):
-        """theta^k / k! for every outcome k, formed in log space."""
-        return np.exp(self._ks * math.log(t) - self._log_factorials)
+        """theta^k / k! for every outcome k, formed in log space; scaled by one
+        factor, which no ratio of them sees, where they or their sum overflow."""
+        logs = self._ks * math.log(t) - self._log_factorials
+        with np.errstate(over="ignore"):
+            weights = np.exp(logs)
+            return weights if math.isfinite(weights.sum()) else np.exp(logs - logs.max())
 
     def _partial_sums(self, t):
         """Z_0..Z_3 from one weight array: Z_m sums the weights of the

@@ -258,13 +258,15 @@ def _check_penrose(rng):
 
 
 def _check_estimable(rng):
-    f = fisher.FisherMatrix(np.diag([1.0, 0.0]))
-    assert fisher.estimable(f).tolist() == [True, False]
-    v = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    f2 = fisher.FisherMatrix(np.outer(v, v))
-    assert fisher.estimable(f2).tolist() == [False, False]
-    full = fisher.FisherMatrix(np.diag([2.0, 0.5, 1.0]))
-    assert fisher.estimable(full).all()
+    # the last matrix has condition 1e9, so it is nonsingular at RANK_TOL
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    for matrix, flags in [(np.diag([1.0, 0.0]), [True, False]),
+                          (np.full((2, 2), 0.5), [False, False]),
+                          (np.diag([2.0, 0.5, 1.0]), [True] * 3),
+                          ((q * np.geomspace(1.0, 1e-9, 6)) @ q.T, [True] * 6)]:
+        f = fisher.FisherMatrix(matrix)
+        assert fisher.estimable(f).tolist() == flags
+        assert f.is_singular == (not all(flags))
     return "estimability flags match range membership on constructed cases"
 
 

@@ -155,6 +155,43 @@ def bernoulli_success_exact(theta, m, eps):
     )
 
 
+def binomial_tail(k, m, p):
+    """Pr[Bin(m, p) >= k], summed term by term in log space."""
+    if k <= 0:
+        return 1.0
+    if p <= 0.0 or k > m:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    head = math.lgamma(m + 1)
+    return min(1.0, sum(
+        math.exp(head - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+                 + j * log_p + (m - j) * log_q)
+        for j in range(k, m + 1)
+    ))
+
+
+def gaussian_linf_success(m, eps, d):
+    """Exact Pr[max_a |theta_hat_a - theta_a| <= eps] for the mean of m
+    draws of N(theta, I_d): (2 Phi(eps sqrt(m)) - 1)^d, where
+    2 Phi(x) - 1 = erf(x / sqrt(2))."""
+    return math.erf(eps * math.sqrt(m / 2.0)) ** d
+
+
+def first_crossing(curve, target, hi=2**40):
+    """Smallest integer M >= 1 with curve(M) >= target, by bisection; the
+    curve must be nondecreasing in M."""
+    lo = 0  # curve(lo) < target, or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if curve(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def central_diff_grad(f, x, h=1e-5):
     x = np.asarray(x, dtype=float)
     g = np.zeros(x.size)

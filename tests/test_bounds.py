@@ -232,6 +232,29 @@ class TestEstimateCoefficients:
         # the sqrt(d) larger ball inflates the envelope
         assert coeffs["linf"].mu_R > coeffs["l2"].mu_R
 
+    @pytest.mark.parametrize("model, theta, calls", [
+        (bernoulli_model(), np.array([0.3]), 1),
+        (PoissonTruncatedModel(20), np.array([2.0]), 1),
+        (entangled_pauli_model(1), np.zeros(3), 2),
+        (multinomial_model(2), np.full(2, 0.3), 2),
+    ], ids=["bernoulli", "poisson", "entangled-n1", "multinomial-d2"])
+    def test_one_envelope_per_distinct_ball(self, monkeypatch, model, theta, calls):
+        # the linf ball has radius sqrt(d)*eps, the l2 ball eps: one ball at d = 1
+        radii = []
+        real = model.envelope_moments
+
+        def counting(theta, radius):
+            radii.append(radius)
+            return real(theta, radius)
+
+        monkeypatch.setattr(model, "envelope_moments", counting)
+        coeffs = estimate_coefficients(model, theta, 0.01)
+        assert len(radii) == calls
+        assert len(set(radii)) == calls
+        for norm, radius in (("linf", math.sqrt(model.d) * 0.01), ("l2", 0.01)):
+            mu_r, v_r, _ = real(theta, radius)
+            assert (coeffs[norm].mu_R, coeffs[norm].V_R) == (mu_r, v_r)
+
     def test_envelope_infinite_when_ball_hits_boundary(self):
         model = entangled_pauli_model(1)
         coeffs = estimate_coefficients(model, np.zeros(3), 0.6)["linf"]
@@ -498,6 +521,14 @@ class TestNonFiniteCoefficients:
         result = upper_bound(0.01, 0.1, coeffs, norm)
         assert (result.value, result.applicable, result.reason) == (
             math.inf, False, "non-finite coefficients")
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_a_null_coordinate_makes_the_upper_bounds_inapplicable(self, norm):
+        # sigma_a = 0 puts coordinate a in the null space of F, whatever rho_a
+        coeffs = dataclasses.replace(idealized_coefficients(3),
+                                     sigma_diag=np.array([1.0, 0.0, 1.0]))
+        result = upper_bound(0.01, 0.1, coeffs, norm)
+        assert (result.applicable, result.reason) == (False, "non-finite coefficients")
 
 
 class TestBoundResultContract:

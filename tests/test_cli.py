@@ -190,6 +190,19 @@ class TestConfigHandling:
         assert main([command, "--config", str(path)]) == 2
         assert f"config error: {next(iter(outside))} must be in [" in capsys.readouterr().err
 
+    # theta^k / k! overflows float64 once theta + eps passes about 2e16 at
+    # truncation 20; the envelope grid must still run without a warning
+    @pytest.mark.parametrize("eps", ["1e20", "3.4e38"])
+    def test_poisson_envelope_far_out_raises_no_warning(self, eps):
+        done = run_cli(["bounds", "--scheme", "poisson", "--epsilon", eps,
+                        "--format", "json"], env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = {row["bound_id"]: row for row in json.loads(done.stdout)["rows"]}
+        for norm in ("linf", "l2"):
+            upper, lower = rows[f"upper-{norm}"], rows[f"lower-{norm}"]
+            assert (upper["applicable"], upper["reason"]) == (False, "tau0 <= 0")
+            assert (lower["applicable"], lower["reason"]) == (True, "")
+
     def test_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")

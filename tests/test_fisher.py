@@ -172,6 +172,28 @@ class TestEstimable:
         # projector oracle: range projection of e_0 is v<v,e_0> != e_0
         assert np.array_equal(estimable(f), [False, False])
 
+    def test_one_rank_split_decides_singular_and_estimable(self):
+        # condition 1e9 under a random rotation: nonsingular at RANK_TOL, so
+        # no coordinate may be called inestimable
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+        f = FisherMatrix((q * np.geomspace(1.0, 1e-9, 6)) @ q.T)
+        assert not f.is_singular
+        assert estimable(f).all()
+        v = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        for matrix, flags in [(np.diag([1.0, 0.0]), [True, False]),
+                              (np.outer(v, v), [False, False])]:
+            f = FisherMatrix(matrix)
+            assert f.is_singular
+            assert estimable(f).tolist() == flags
+
+    def test_singular_exactly_when_some_coordinate_is_inestimable(self):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            d = int(rng.integers(2, 8))
+            basis = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+            f = FisherMatrix(basis @ basis.T)
+            assert f.is_singular == (not estimable(f).all())
+
     def test_agrees_with_projector_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(20):

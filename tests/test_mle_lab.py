@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fisherbound import bounds, cli
 from fisherbound.mle_lab import (
     BudgetExceededError,
     SuccessEstimate,
@@ -24,7 +25,12 @@ from fisherbound.pauli import random_valid_eigenvalues
 
 from oracles import (
     bernoulli_success_exact,
+    binomial_pmf,
+    binomial_tail,
     find_min_samples_full,
+    first_crossing,
+    gauss_tail_quad,
+    gaussian_linf_success,
     mse_vs_crb,
     replay_hits,
     wht_naive,
@@ -402,3 +408,115 @@ class TestSeparableSimulation:
         result = find_min_samples(model, np.zeros(3), eps=0.4, delta=0.2,
                                   norm="linf", trials=400, seed=8)
         assert result.m_star >= 3  # needs several shots to see every axis
+
+
+class TestExactGaussianCurve:
+    """The search against the exact linf success curve of gaussian-known-var.
+
+    The mean of M draws of N(theta, I_d) succeeds with probability
+    P_M = (2 Phi(eps sqrt(M)) - 1)^d, nondecreasing in M.
+    """
+
+    EPS, DELTA, D, TRIALS = 0.05, 0.1, 3, 2000
+    # per-probe tail that defines the window (see the search test)
+    TAIL = 1e-4
+
+    def curve(self, m):
+        return gaussian_linf_success(m, self.EPS, self.D)
+
+    def test_curve_against_quadrature(self):
+        for m in (1, 100, 1788, 10**5):
+            x = self.EPS * math.sqrt(m)
+            assert self.curve(m) == pytest.approx((1.0 - 2.0 * gauss_tail_quad(x)) ** self.D,
+                                                  rel=1e-10)
+
+    def test_binomial_tail_against_pmf_sum(self):
+        for m, p in ((12, 0.3), (40, 0.91), (60, 0.5)):
+            for k in (0, 1, m // 2, m - 1, m):
+                want = sum(binomial_pmf(m, j, p) for j in range(k, m + 1))
+                assert binomial_tail(k, m, p) == pytest.approx(want, rel=1e-11, abs=1e-300)
+
+    def test_true_first_crossing(self):
+        assert first_crossing(self.curve, 1.0 - self.DELTA) == 1788
+
+    def test_search_lands_in_the_wilson_window(self):
+        # A probe passes when its Wilson lower bound over TRIALS clears
+        # 1 - delta, i.e. when its successes reach s_pass, so a probe at M
+        # passes with probability pass(M) = Pr[Bin(TRIALS, P_M) >= s_pass],
+        # nondecreasing in M.  Take m_lo, the first M with pass(M) >= TAIL,
+        # and m_hi, the first M with 1 - pass(M) <= TAIL.  With resolution 1
+        # the result m_star is a passing probe and m_star - 1 a failing one
+        # (or 0), so m_star < m_lo needs a probe below m_lo to pass and
+        # m_star > m_hi needs a probe at or above m_hi to fail: each has
+        # probability at most TAIL.  By the union bound a search with N
+        # probes misses [m_lo, m_hi] with probability at most N * TAIL
+        # (N = 23 here, about 2.3e-3).  Seeds draw independent streams, so
+        # two or more misses over 12 seeds have probability at most
+        # C(12, 2) (2.3e-3)^2 < 4e-4: at most one miss is allowed.
+        target = 1.0 - self.DELTA
+        s_pass = next(s for s in range(self.TRIALS + 1)
+                      if wilson_interval(s, self.TRIALS)[0] >= target)
+
+        def pass_probability(m):
+            return binomial_tail(s_pass, self.TRIALS, self.curve(m))
+
+        m_lo = first_crossing(pass_probability, self.TAIL)
+        m_hi = first_crossing(pass_probability, 1.0 - self.TAIL)
+        # the window sits above the true crossing: m_star estimates the M at
+        # which a Wilson-certified pass is likely, not the paper's m*
+        assert (s_pass, m_lo, m_hi) == (1827, 1707, 2091)
+        assert first_crossing(pass_probability, 0.5) == 1888
+
+        model = GaussianKnownCovModel(np.eye(self.D))
+        misses = 0
+        for seed in range(12):
+            result = find_min_samples(model, np.zeros(self.D), self.EPS, self.DELTA,
+                                      "linf", trials=self.TRIALS, seed=seed)
+            assert len(result.probes) * self.TAIL <= 3e-3
+            misses += not m_lo <= result.m_star <= m_hi
+        assert misses <= 1
+
+
+def _two_copy_random(n):
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["bounds", "--scheme", "two-copy-bell", "--preset", "random", "--n", str(n)]))
+    return cli.build_model_and_theta(cfg)
+
+
+# (scheme, n, eps): at each, all four finite-sample rows apply at theta.  The
+# entangled cases sit at the depolarizing point, where the finite upper-linf
+# bound is within 2x of its small-eps limit.  The two-copy cases use the
+# random preset (param_seed 1); there the rows apply only at smaller eps,
+# and at n = 3 m_star would pass 2^53.
+SANDWICH_CASES = [
+    ("entangled-pauli", 1, 1.4e-2),
+    ("entangled-pauli", 2, 5.4e-4),
+    ("entangled-pauli", 3, 1.8e-5),
+    ("entangled-pauli", 4, 5.6e-7),
+    ("two-copy-bell", 1, 2e-3),
+    ("two-copy-bell", 2, 2e-6),
+]
+
+
+class TestSandwichWhereTheBoundsApply:
+    @pytest.mark.parametrize("scheme, n, eps", SANDWICH_CASES,
+                             ids=[f"{s}-n{n}" for s, n, _ in SANDWICH_CASES])
+    def test_lower_le_m_star_le_upper(self, scheme, n, eps):
+        delta = 0.1
+        if scheme == "entangled-pauli":
+            model = entangled_pauli_model(n)
+            theta = np.zeros(model.d)
+        else:
+            model, theta = _two_copy_random(n)
+        coeffs = bounds.estimate_coefficients(model, theta, eps)
+        for norm in ("linf", "l2"):
+            lower = bounds.lower_bound(eps, delta, coeffs[norm], norm)
+            upper = bounds.upper_bound(eps, delta, coeffs[norm], norm)
+            assert lower.applicable and upper.applicable
+            # resolve m_star to a thousandth of the lower bound; m_star is a
+            # passing probe, so a coarser step only raises it
+            result = find_min_samples(model, theta, eps, delta, norm, trials=2000, seed=0,
+                                      resolution=max(1, int(lower.value) // 1000),
+                                      m_max=2**53)
+            assert lower.value <= result.m_star <= upper.value, (norm, lower, result.m_star,
+                                                                  upper)
