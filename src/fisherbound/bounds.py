@@ -191,10 +191,13 @@ def estimate_coefficients(
     theta = model.validate_theta(np.asarray(theta, dtype=float))
     d = model.d
     f = fisher if fisher is not None else fim(model, theta)
-    v_h, rho_diag, rho_top = model.score_moments(theta, f)
+    # a moment beyond float64 comes out non-finite, and the bounds then
+    # read non-finite coefficients
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v_h, rho_diag, rho_top = model.score_moments(theta, f)
+        radii = {"linf": math.sqrt(d) * eps, "l2": eps}
+        envelopes = {r: model.envelope_moments(theta, r) for r in dict.fromkeys(radii.values())}
     sigma_diag = np.sqrt(np.clip(f.inverse_diag(), 0.0, None))
-    radii = {"linf": math.sqrt(d) * eps, "l2": eps}
-    envelopes = {r: model.envelope_moments(theta, r) for r in dict.fromkeys(radii.values())}
     unproven = constant < BERRY_ESSEEN_CONSTANT
     coeffs = {}
     for norm in NORMS:
@@ -220,8 +223,9 @@ def estimate_coefficients(
 
 
 def _eta_mean(coeffs: BoundCoefficients) -> float:
-    """(1/d) sum_a C rho_a / sigma_a^3; non-finite if a sigma_a = 0 (F singular)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """(1/d) sum_a C rho_a / sigma_a^3; non-finite if a sigma_a = 0 (F singular)
+    or sigma_a^3 overflows."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return float(np.mean(coeffs.C * coeffs.rho_diag / coeffs.sigma_diag ** 3))
 
 

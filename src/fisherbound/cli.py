@@ -44,8 +44,8 @@ _FACTOR_EXP = sys.float_info.max_exp // 4
 _SCALE_EXP = _FACTOR_EXP // 2
 _MAX_QUBITS = _FACTOR_EXP // 4
 
-PAULI_SCHEMES = ("entangled-pauli", "separable-pauli", "two-copy-bell")
-CLASSICAL_SCHEMES = ("bernoulli", "multinomial", "poisson", "gaussian-known-var")
+SCHEMES = ("entangled-pauli", "separable-pauli", "two-copy-bell",
+           "bernoulli", "multinomial", "poisson", "gaussian-known-var")
 # parameter-point presets per scheme; schemes not listed take only "depolarizing"
 PRESETS = {"entangled-pauli": ("depolarizing", "identity", "random"),
            "two-copy-bell": ("depolarizing", "random")}
@@ -125,7 +125,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["scheme"] not in PAULI_SCHEMES + CLASSICAL_SCHEMES:
+    if cfg["scheme"] not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
     if cfg["norm"] not in bounds.NORMS:
         raise ConfigError(f"norm must be one of {bounds.NORMS}, got {cfg['norm']!r}")
@@ -324,7 +324,11 @@ def _bound_row(bound_id, kind, norm, result, eps, delta, d):
 def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     model, theta = build_model_and_theta(cfg)
     eps, delta, c = cfg["epsilon"], cfg["delta"], cfg["be_constant"]
-    grid = _theta_grid(cfg, model, theta)
+    # the documented supremum search runs over theta and the model's random points
+    grid = [theta]
+    if cfg["grid_points"] > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
+        grid.extend(model.random_points(rng, cfg["grid_points"]))
 
     candidates = {norm: [] for norm in bounds.NORMS}
     lower = {}
@@ -345,14 +349,15 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
         rows.append(_bound_row(f"lower-{norm}", "lower", norm, lower[norm],
                                eps, delta, model.d))
 
-    if cfg["scheme"] in PAULI_SCHEMES:
+    if model.qubits is not None:
         for bound_id, kind, limit in (
             ("entangled-upper-asymptotic", "upper", bounds.entangled_pauli_upper),
             ("separable-lower-asymptotic", "lower", bounds.separable_pauli_lower),
         ):
-            result = bounds.BoundResult(limit(cfg["n"], eps, delta), True, "small-eps limit")
+            result = bounds.BoundResult(limit(model.qubits, eps, delta), True,
+                                        "small-eps limit")
             rows.append(_bound_row(bound_id, kind, "linf", result, eps, delta, model.d))
-    meta = _meta(cfg, "bounds", grid_points=len(grid), domain_shrink=DOMAIN_SHRINK)
+    meta = _meta(cfg, "bounds", grid_points=len(grid), domain_shrink=models.DOMAIN_SHRINK)
     return rows, meta, EXIT_OK
 
 
@@ -360,28 +365,6 @@ def _bound_sort_key(result):
     if not result.applicable:
         return (2, math.inf)
     return (1, result.value)
-
-
-DOMAIN_SHRINK = 1e-6
-
-
-def _theta_grid(cfg, model, theta):
-    """Parameter points for the documented supremum search.
-
-    Random draws are pulled toward the depolarizing point by the
-    DOMAIN_SHRINK margin: the supremum is taken over the shrunk interior
-    because the Fisher machinery degenerates on the domain boundary.
-    """
-    grid = [theta]
-    extra = cfg["grid_points"]
-    if extra > 0 and cfg["scheme"] in ("entangled-pauli", "two-copy-bell"):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
-        draws = pauli.random_valid_eigenvalues(cfg["n"], rng, size=extra)
-        # C order, so every point is a contiguous row like a single draw
-        lam = (1.0 - DOMAIN_SHRINK) * np.ascontiguousarray(draws[:, 1:])
-        points = np.abs(lam) if cfg["scheme"] == "two-copy-bell" else lam
-        grid.extend(point for point in points if model.contains(point))
-    return grid
 
 
 def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
@@ -439,7 +422,7 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
 
     inv_diag = f.inverse_diag()
     sigma = np.sqrt(np.clip(inv_diag, 0.0, None))
-    closed = _closed_form_inverse_diag(cfg, model, theta)
+    closed = model.closed_form_inverse_diag(theta)
     estimable = fisher.estimable(f).tolist()
     rows = []
     for a in range(model.d):
@@ -457,15 +440,6 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
     meta = _meta(cfg, "fisher", fim_defined=True, opnorm_inv=opnorm_inv,
                  lambda_max_inv=opnorm_inv, used_pseudoinverse=f.is_singular)
     return rows, meta, EXIT_OK
-
-
-def _closed_form_inverse_diag(cfg, model, theta):
-    if cfg["scheme"] in ("entangled-pauli", "two-copy-bell"):
-        return fisher.qfim_inverse_diag_pauli(theta)
-    if cfg["scheme"] == "separable-pauli":
-        values, _ = fisher.separable_qfim_inverse_diag(model.r, theta)
-        return values
-    return None
 
 
 def cmd_separation(cfg: dict) -> tuple[list, dict, int]:

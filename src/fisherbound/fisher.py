@@ -2,8 +2,7 @@
 
 The classical Fisher matrix of a finite-outcome model is computed by
 outcome enumeration, F_ij = sum_x dp_i dp_j / p over outcomes above a
-probability floor.  Closed-form inverse-QFIM diagonals are provided for
-the Pauli schemes, together with the structural Bell-measurement Fisher
+probability floor, together with the structural Bell-measurement Fisher
 matrix U^T D U, the single-copy trace bound on the Fisher diagonal at the
 maximally mixed state, and the Moore-Penrose machinery, in which one split
 of F's eigenvalues at RANK_TOL decides singularity and estimability.
@@ -24,8 +23,6 @@ __all__ = [
     "bell_fim_structural",
     "estimable",
     "fim",
-    "qfim_inverse_diag_pauli",
-    "separable_qfim_inverse_diag",
     "single_copy_trace_bound",
 ]
 
@@ -134,32 +131,6 @@ def fim(model, theta) -> FisherMatrix:
             )
     weighted = grads[keep] / p[keep, None]
     return FisherMatrix(weighted.T @ grads[keep])
-
-
-def qfim_inverse_diag_pauli(theta) -> np.ndarray:
-    """Inverse-QFIM diagonal 1 - theta_i^2 for Pauli expectation values."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta) > 1.0):
-        raise ValueError("Pauli expectation values must lie in [-1, 1]")
-    return 1.0 - theta**2
-
-
-def separable_qfim_inverse_diag(r, lam):
-    """Inverse-QFIM diagonal (1 - r_a^2 lam_a^2) / r_a^2 for a fixed probe.
-
-    Returns (values, witness) where witness_a = 1/r_a^2 - 1 is the probe-only
-    lower bound on each diagonal.  Components with r_a = 0 are +inf.
-    """
-    r = np.asarray(r, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if r.shape != lam.shape:
-        raise ValueError("r and lam must have matching shapes")
-    values = np.full(r.shape, np.inf)
-    witness = np.full(r.shape, np.inf)
-    ok = r != 0.0
-    values[ok] = (1.0 - r[ok] ** 2 * lam[ok] ** 2) / r[ok] ** 2
-    witness[ok] = 1.0 / r[ok] ** 2 - 1.0
-    return values, witness
 
 
 def estimable(f: FisherMatrix) -> np.ndarray:

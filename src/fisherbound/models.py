@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _fwht_buffers, num_paulis, sign_matrix
+from .pauli import _fwht_buffers, num_paulis, random_valid_eigenvalues, sign_matrix
 
 __all__ = [
     "GaussianKnownCovModel",
@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 DOMAIN_MARGIN = 1e-6
+# random_points pulls its draws this far toward the depolarizing point: the
+# supremum is taken over the shrunk interior because the Fisher machinery
+# degenerates on the domain boundary
+DOMAIN_SHRINK = 1e-6
 
 # Most 4^n x 4^n float64 arrays that a command on a dense Pauli model holds
 # at once, measured as the traced peak of `bounds` (`fisher` needs fewer).
@@ -80,11 +84,14 @@ class StatModel:
     third_derivative_envelope and mle_batch, or override score_moments
     and envelope_moments.
     theta is always a length-d float vector interior to the domain.
+    The Pauli models set qubits, the qubit count n, and give a closed-form
+    inverse-Fisher diagonal; the Bell models also draw random points.
     """
 
     d: int
     K: int
     scheme: str
+    qubits: int | None = None
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -163,6 +170,15 @@ class StatModel:
     def analytic_fisher(self, theta):
         """Closed-form Fisher matrix, or None to request enumeration."""
         return None
+
+    def closed_form_inverse_diag(self, theta):
+        """Closed-form diagonal of F^-1 at theta, or None where none is known."""
+        return None
+
+    def random_points(self, rng, size):
+        """Up to `size` random parameter points inside the domain, drawn from
+        rng, for the supremum of the upper bounds; none by default."""
+        return []
 
     def score_moments(self, theta, fisher):
         """(V_H, rho_diag, rho_top), the moments the bounds read at theta
@@ -305,6 +321,30 @@ def _check_dense_size(scheme, n, arrays):
 class _PauliBellModel(LinearOutcomeModel):
     """Shared machinery for the two schemes measured in the Bell basis."""
 
+    def __init__(self, n, scheme, box=None):
+        _check_dense_size(scheme, n, BELL_DENSE_ARRAYS)
+        size = num_paulis(n)
+        signs = sign_matrix(n)
+        super().__init__(signs[:, 1:] / size, signs[:, 0] / size, scheme, box)
+        self.qubits = n
+
+    def closed_form_inverse_diag(self, theta):
+        """Inverse-QFIM diagonal 1 - theta_a^2 of Pauli expectation values."""
+        theta = np.asarray(theta, dtype=float)
+        if np.any(np.abs(theta) > 1.0):
+            raise ValueError("Pauli expectation values must lie in [-1, 1]")
+        return 1.0 - theta**2
+
+    def random_points(self, rng, size):
+        """Random channels from random_valid_eigenvalues, shrunk by
+        DOMAIN_SHRINK, as C-ordered rows like single draws; a boxed model
+        (two-copy-bell, whose parameters are squared moments) takes their
+        absolute values.  Points outside the domain are dropped."""
+        draws = random_valid_eigenvalues(self.qubits, rng, size=size)
+        lam = (1.0 - DOMAIN_SHRINK) * np.ascontiguousarray(draws[:, 1:])
+        points = lam if self._box is None else np.abs(lam)
+        return [point for point in points if self.contains(point)]
+
     def mle_batch(self, counts):
         # integer counts are cast inside the ufuncs and land outcome-major
         counts = np.asarray(counts)
@@ -312,13 +352,6 @@ class _PauliBellModel(LinearOutcomeModel):
         buffers = np.empty((2,) + counts.shape[::-1])
         np.divide(counts.T, totals, out=buffers[0])
         return _fwht_buffers(buffers)[1:].T.copy()
-
-
-def _bell_model(n, scheme, box=None):
-    _check_dense_size(scheme, n, BELL_DENSE_ARRAYS)
-    size = num_paulis(n)
-    signs = sign_matrix(n)
-    return _PauliBellModel(signs[:, 1:] / size, signs[:, 0] / size, scheme, box)
 
 
 def entangled_pauli_model(n: int) -> StatModel:
@@ -329,7 +362,7 @@ def entangled_pauli_model(n: int) -> StatModel:
     4^-n * sum_a lam_a (-1)^<x, a>, i.e. the error rate p_x.  Parameters
     are the non-identity eigenvalues lam_1..lam_{4^n - 1} (lam_0 = 1).
     """
-    return _bell_model(n, "entangled-pauli")
+    return _PauliBellModel(n, "entangled-pauli")
 
 
 def two_copy_bell_model(n: int) -> StatModel:
@@ -342,7 +375,7 @@ def two_copy_bell_model(n: int) -> StatModel:
     additive error eps corresponds to estimating s_a to error
     eps_s = eps**2.
     """
-    return _bell_model(n, "two-copy-bell", box=(0.0, 1.0))
+    return _PauliBellModel(n, "two-copy-bell", box=(0.0, 1.0))
 
 
 class _SeparablePauliModel(LinearOutcomeModel):
@@ -377,8 +410,16 @@ class _SeparablePauliModel(LinearOutcomeModel):
         A[2 * rows + 1, rows] = -r / (2.0 * d)
         b = np.full(2 * d, 1.0 / (2.0 * d))
         super().__init__(A, b, scheme="separable-pauli", box=(-1.0, 1.0))
+        self.qubits = n
         self.r = r
         self.identifiable = r != 0.0
+
+    def closed_form_inverse_diag(self, theta):
+        """Inverse-QFIM diagonal (1 - r_a^2 theta_a^2) / r_a^2 of the probe;
+        +inf on the axes with r_a = 0."""
+        r2 = self.r**2
+        return np.divide(1.0 - r2 * np.asarray(theta, dtype=float) ** 2, r2,
+                         out=np.full(r2.shape, np.inf), where=self.identifiable)
 
     def mle_batch(self, counts):
         counts = np.asarray(counts)
@@ -479,12 +520,13 @@ class PoissonTruncatedModel(StatModel):
         return l1, l2, l3
 
     def d2logp(self, theta):
-        t = float(np.asarray(theta, dtype=float)[0])
+        # a float64 scalar, whose powers overflow to inf where a float's raise
+        t = np.asarray(theta, dtype=float)[0]
         _, l2, _ = self._logz_derivatives(t)
         return (-self._ks / t**2 - l2).reshape(self.K, 1, 1)
 
     def d3logp(self, theta):
-        t = float(np.asarray(theta, dtype=float)[0])
+        t = np.asarray(theta, dtype=float)[0]
         _, _, l3 = self._logz_derivatives(t)
         return (2.0 * self._ks / t**3 - l3).reshape(self.K, 1, 1, 1)
 

@@ -214,7 +214,7 @@ def _check_entangled_inverse_diag(rng):
             if not model.contains(theta):
                 continue
             f = fisher.fim(model, theta)
-            diff = np.abs(f.inverse_diag() - (1.0 - theta**2)).max()
+            diff = np.abs(f.inverse_diag() - model.closed_form_inverse_diag(theta)).max()
             worst = max(worst, diff)
     assert worst <= 1e-8, f"closed-form inverse diagonal off by {worst:.3e}"
     return f"[F^-1]_aa = 1 - lam_a^2 to {worst:.2e} on 50 draws, n in {{1,2}}"

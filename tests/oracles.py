@@ -11,6 +11,7 @@ two norms bit for bit.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -190,6 +191,43 @@ def first_crossing(curve, target, hi=2**40):
         else:
             lo = mid
     return hi
+
+
+def bell_failures(theta, m, eps):
+    """Pr[|lam_hat_a - lam_a| > eps] per coordinate of a Bell scheme at m samples.
+
+    The Bell MLE is one Walsh-Hadamard transform of the frequencies, never
+    clipped, so lam_hat_a = 2 B_a / m - 1 with B_a ~ Bin(m, (1 + lam_a) / 2)
+    at every theta, for both Bell schemes.  Success is the count window
+    m (1 + lam_a - eps) / 2 <= B_a <= m (1 + lam_a + eps) / 2; its ends are
+    rounded in exact rational arithmetic, which stays exact past m = 2^53.
+    """
+    from scipy.stats import binom
+
+    out = []
+    for lam in theta:
+        lo = math.ceil(m * (1 + Fraction(lam) - Fraction(eps)) / 2)
+        hi = math.floor(m * (1 + Fraction(lam) + Fraction(eps)) / 2)
+        q = (1.0 + lam) / 2.0
+        out.append(binom.cdf(lo - 1, m, q) + binom.sf(hi, m, q))
+    return np.array(out)
+
+
+def bell_mstar_bracket(theta, eps, delta, hi=2**60):
+    """(m*_marg, m*_bonf): exact brackets on the linf m* of a Bell scheme.
+
+    With f_a(M) from bell_failures, the linf success probability lies
+    between 1 - sum_a f_a (Bonferroni) and 1 - max_a f_a (the worst
+    marginal).  m*_marg and m*_bonf are where those two curves cross
+    1 - delta, found by first_crossing; the true success curve crosses
+    between them.  Equal coordinates share one binomial evaluation, so the
+    depolarizing point costs one per M at any n.
+    """
+    values, counts = np.unique(np.asarray(theta, dtype=float), return_counts=True)
+    target = 1.0 - delta
+    m_marg = first_crossing(lambda m: 1.0 - bell_failures(values, m, eps).max(), target, hi)
+    m_bonf = first_crossing(lambda m: 1.0 - counts @ bell_failures(values, m, eps), target, hi)
+    return m_marg, m_bonf
 
 
 def central_diff_grad(f, x, h=1e-5):

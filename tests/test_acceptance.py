@@ -141,7 +141,8 @@ def test_a4_exponential_separation_witness():
             bloch = rng.standard_normal((n, 3))
             bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
             r = pauli.product_probe(bloch)[1:]
-            values, _ = fisher.separable_qfim_inverse_diag(r, np.zeros(r.size))
+            model = models.separable_pauli_model(n, r)
+            values = model.closed_form_inverse_diag(np.zeros(r.size))
             top = float(np.max(values))
             worst_margin = min(worst_margin, top / cap)
             if not top >= cap:

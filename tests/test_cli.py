@@ -203,6 +203,24 @@ class TestConfigHandling:
             assert (upper["applicable"], upper["reason"]) == (False, "tau0 <= 0")
             assert (lower["applicable"], lower["reason"]) == (True, "")
 
+    # far from theta = 1 the score moments and theta^2, theta^3 leave float64
+    # (theta = 1e160 raised OverflowError, the others printed RuntimeWarnings);
+    # such coefficients are non-finite, and at 1e160 F underflows to singular
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    @pytest.mark.parametrize("theta, reasons", [
+        (1e-300, {"non-finite coefficients"}), (1e-100, {"non-finite coefficients"}),
+        (1e100, {"non-finite coefficients"}), (1e160, {"singular Fisher matrix", ""}),
+    ], ids=["1e-300", "1e-100", "1e100", "1e160"])
+    def test_poisson_theta_far_out_raises_no_warning(self, tmp_path, command, theta, reasons):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": "poisson", "theta": [theta], "format": "json"}))
+        done = run_cli([command, "--config", str(path)],
+                       env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert done.stderr == ""
+        assert done.returncode in (0, 3)
+        if command == "bounds":
+            assert {row["reason"] for row in json.loads(done.stdout)["rows"]} == reasons
+
     def test_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")
@@ -465,20 +483,21 @@ class TestAllSchemesEndToEnd:
 
 
 class TestThetaGrid:
+    """The Bell models' random_points, the supremum grid of `bounds`."""
+
     @pytest.mark.parametrize("scheme", ["entangled-pauli", "two-copy-bell"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("param_seed", [1, 11])
     def test_batched_grid_equals_sequential_draws(self, scheme, n, param_seed):
-        cfg = resolve("bounds", scheme=scheme, n=n, param_seed=param_seed, grid_points=9)
-        model, theta = build_model_and_theta(cfg)
+        model, _ = build_model_and_theta(resolve("bounds", scheme=scheme, n=n))
         rng = np.random.default_rng(np.random.SeedSequence(param_seed))
-        expected = [theta]
+        expected = []
         for _ in range(9):
-            lam = (1.0 - cli.DOMAIN_SHRINK) * pauli.random_valid_eigenvalues(n, rng)[1:]
+            lam = (1.0 - models.DOMAIN_SHRINK) * pauli.random_valid_eigenvalues(n, rng)[1:]
             point = np.abs(lam) if scheme == "two-copy-bell" else lam
             if model.contains(point):
                 expected.append(point)
-        grid = cli._theta_grid(cfg, model, theta)
+        grid = model.random_points(np.random.default_rng(np.random.SeedSequence(param_seed)), 9)
         assert len(grid) == len(expected)
         for got, want in zip(grid, expected):
             assert np.array_equal(got, want)

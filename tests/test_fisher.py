@@ -9,14 +9,14 @@ from fisherbound.fisher import (
     bell_fim_structural,
     estimable,
     fim,
-    qfim_inverse_diag_pauli,
-    separable_qfim_inverse_diag,
     single_copy_trace_bound,
 )
 from fisherbound.models import (
     GaussianKnownCovModel,
     bernoulli_model,
     entangled_pauli_model,
+    separable_pauli_model,
+    two_copy_bell_model,
 )
 from fisherbound.pauli import random_valid_eigenvalues, rates_to_eigenvalues
 
@@ -67,32 +67,44 @@ class TestFim:
 
 
 class TestQfimDiagonals:
+    """The models' closed_form_inverse_diag."""
+
     def test_inverse_diag_pauli(self):
-        np.testing.assert_allclose(qfim_inverse_diag_pauli(np.zeros(3)), np.ones(3))
-        assert qfim_inverse_diag_pauli(np.array([1.0]))[0] == 0.0
-        assert qfim_inverse_diag_pauli(np.array([0.6]))[0] == pytest.approx(0.64)
-        with pytest.raises(ValueError):
-            qfim_inverse_diag_pauli(np.array([1.2]))
+        for model in (entangled_pauli_model(1), two_copy_bell_model(1)):
+            np.testing.assert_allclose(model.closed_form_inverse_diag(np.zeros(3)), np.ones(3))
+            values = model.closed_form_inverse_diag(np.array([1.0, 0.6, 0.0]))
+            assert values[0] == 0.0
+            assert values[1] == pytest.approx(0.64)
+            with pytest.raises(ValueError):
+                model.closed_form_inverse_diag(np.array([1.2, 0.0, 0.0]))
 
     def test_separable_diag(self):
-        values, witness = separable_qfim_inverse_diag(
-            np.array([1.0, 0.5]), np.array([0.0, 0.5])
-        )
-        assert values[0] == pytest.approx(1.0)
+        model = separable_pauli_model(1, [0.8, 0.5, 0.0])
+        values = model.closed_form_inverse_diag(np.array([0.0, 0.5, 0.3]))
+        assert values[0] == pytest.approx(1.0 / 0.64)
         assert values[1] == pytest.approx((1 - 0.0625) / 0.25)  # 3.75
-        np.testing.assert_allclose(witness, [0.0, 3.0])
+        assert math.isinf(values[2])
 
     def test_separable_diag_exponential_witness(self):
         # r_a^2 = 2^-n at lam = 0 gives the 2^n diagonal
         for n in (1, 4):
-            values, _ = separable_qfim_inverse_diag(
-                np.array([2.0 ** (-n / 2)]), np.array([0.0])
-            )
+            r = np.zeros(4**n - 1)
+            r[0] = 2.0 ** (-n / 2)
+            values = separable_pauli_model(n, r).closed_form_inverse_diag(np.zeros(r.size))
             assert values[0] == pytest.approx(2.0**n, rel=1e-12)
 
     def test_zero_component_flagged_infinite(self):
-        values, witness = separable_qfim_inverse_diag(np.zeros(2), np.zeros(2))
-        assert np.all(np.isinf(values)) and np.all(np.isinf(witness))
+        model = separable_pauli_model(1, np.zeros(3))
+        assert np.all(np.isinf(model.closed_form_inverse_diag(np.zeros(3))))
+
+    @pytest.mark.parametrize("factory", [entangled_pauli_model, two_copy_bell_model])
+    def test_bell_closed_form_matches_fim(self, factory):
+        model = factory(2)
+        points = model.random_points(np.random.default_rng(8), 5)
+        assert points
+        for theta in points:
+            np.testing.assert_allclose(fim(model, theta).inverse_diag(),
+                                       model.closed_form_inverse_diag(theta), atol=1e-8)
 
 
 class TestPseudoInverse:

@@ -24,6 +24,8 @@ from fisherbound.models import (
 from fisherbound.pauli import random_valid_eigenvalues
 
 from oracles import (
+    bell_failures,
+    bell_mstar_bracket,
     bernoulli_success_exact,
     binomial_pmf,
     binomial_tail,
@@ -520,3 +522,102 @@ class TestSandwichWhereTheBoundsApply:
                                       m_max=2**53)
             assert lower.value <= result.m_star <= upper.value, (norm, lower, result.m_star,
                                                                   upper)
+
+
+def _bell_case(scheme, n):
+    if scheme == "entangled-pauli":
+        model = entangled_pauli_model(n)
+        return model, np.zeros(model.d)
+    return _two_copy_random(n)
+
+
+# The sandwich cases plus entangled-pauli at n = 5, where m* (about 4e16)
+# is past the Monte Carlo budget of 2^53 but not past the exact bracket.
+BRACKET_CASES = SANDWICH_CASES[:4] + [("entangled-pauli", 5, 1.8e-8)] + SANDWICH_CASES[4:]
+
+
+class TestBellExactBracket:
+    """The exact linf m* bracket of the Bell schemes (oracles.bell_mstar_bracket).
+
+    Each Bell coordinate is exactly binomial, so the linf success curve lies
+    between the Bonferroni curve 1 - sum_a f_a(M) and the worst marginal
+    1 - max_a f_a(M); m*_marg <= m* <= m*_bonf with no sampling noise.
+    """
+
+    DELTA = 0.1
+
+    def test_failures_against_mpmath(self):
+        import mpmath
+
+        mpmath.mp.dps = 40
+        for lam in (0.0, 0.37, -0.81):
+            for eps in (0.1, 0.0123):
+                for m in (1, 7, 60, 999):
+                    q = (1 + mpmath.mpf(lam)) / 2
+                    want = mpmath.fsum(
+                        mpmath.binomial(m, k) * q**k * (1 - q) ** (m - k)
+                        for k in range(m + 1)
+                        if abs(mpmath.mpf(2 * k) / m - 1 - mpmath.mpf(lam)) > mpmath.mpf(eps))
+                    got = bell_failures([lam], m, eps)[0]
+                    assert got == pytest.approx(float(want), rel=1e-9, abs=1e-300), (lam, eps, m)
+
+    @pytest.mark.parametrize("point", ["depolarizing", "random"])
+    def test_bracket_against_brute_force_multinomial(self, point):
+        # every count vector of M samples over the 4 outcomes at n = 1, scored
+        # by the model's own MLE and float comparison
+        model = entangled_pauli_model(1)
+        theta = (np.zeros(3) if point == "depolarizing"
+                 else random_valid_eigenvalues(1, np.random.default_rng(3))[1:])
+        eps = 0.1234567  # no count lattice point sits on a window end
+        log_p = np.log(model.probs(theta))
+        log_factorial = np.array([math.lgamma(k + 1) for k in range(61)])
+        for m in range(1, 61):
+            grid = np.array([(a, b, c, m - a - b - c) for a in range(m + 1)
+                             for b in range(m + 1 - a) for c in range(m + 1 - a - b)])
+            pmf = np.exp(log_factorial[m] - log_factorial[grid].sum(axis=1) + grid @ log_p)
+            hits = np.abs(model.mle_batch(grid) - theta) <= eps
+            failures = bell_failures(theta, m, eps)
+            np.testing.assert_allclose(pmf @ ~hits, failures, rtol=1e-9, atol=1e-13)
+            success = pmf @ hits.all(axis=1)
+            assert 1.0 - failures.sum() - 1e-12 <= success <= 1.0 - failures.max() + 1e-12
+
+    @pytest.mark.parametrize("scheme, n, eps", BRACKET_CASES,
+                             ids=[f"{s}-n{n}" for s, n, _ in BRACKET_CASES])
+    def test_finite_bounds_bracket_the_exact_mstar(self, scheme, n, eps):
+        # lower <= m* <= upper and m*_marg <= m* <= m*_bonf, so a failure here
+        # means a bound is wrong
+        model, theta = _bell_case(scheme, n)
+        coeffs = bounds.estimate_coefficients(model, theta, eps)["linf"]
+        lower = bounds.lower_bound(eps, self.DELTA, coeffs, "linf")
+        upper = bounds.upper_bound(eps, self.DELTA, coeffs, "linf")
+        assert lower.applicable and upper.applicable
+        m_marg, m_bonf = bell_mstar_bracket(theta, eps, self.DELTA)
+        assert lower.value <= m_bonf and m_marg <= upper.value, (lower, m_marg, m_bonf, upper)
+
+    @pytest.mark.parametrize("scheme, n, eps", SANDWICH_CASES[:3] + SANDWICH_CASES[4:],
+                             ids=[f"{s}-n{n}" for s, n, _ in SANDWICH_CASES[:3]
+                                  + SANDWICH_CASES[4:]])
+    def test_monte_carlo_mstar_inside_the_bracket(self, scheme, n, eps):
+        # A probe at M passes when its successes over TRIALS reach s_pass,
+        # with probability Pr[Bin(TRIALS, P(M)) >= s_pass], and the true
+        # success P(M) is at least the Bonferroni curve B(M).  So probes at
+        # or above m_hi, the first M with Pr[Bin(TRIALS, B(M)) >= s_pass]
+        # >= 1 - TAIL, fail with probability at most TAIL each, and the
+        # search returns more than m_hi + resolution with probability at most
+        # (probes) * TAIL, about 5e-3.  The slack m_hi / m*_bonf - 1 is the
+        # Wilson margin: the rate a certified pass needs (about 0.935 at
+        # 2000 trials) over 1 - delta.
+        trials, tail = 2000, 1e-4
+        model, theta = _bell_case(scheme, n)
+        m_marg, m_bonf = bell_mstar_bracket(theta, eps, self.DELTA)
+        values, counts = np.unique(theta, return_counts=True)
+        s_pass = next(s for s in range(trials + 1)
+                      if wilson_interval(s, trials)[0] >= 1.0 - self.DELTA)
+        m_hi = first_crossing(
+            lambda m: binomial_tail(s_pass, trials, 1.0 - counts @ bell_failures(values, m, eps)),
+            1.0 - tail, hi=2**60)
+        assert m_bonf < m_hi <= 1.25 * m_bonf
+        resolution = max(1, m_marg // 10000)
+        result = find_min_samples(model, theta, eps, self.DELTA, "linf", trials=trials, seed=0,
+                                  resolution=resolution, m_max=2**53)
+        assert m_marg <= result.m_star <= m_hi + resolution, (m_marg, result.m_star, m_hi)

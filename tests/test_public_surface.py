@@ -10,6 +10,7 @@ import ast
 from pathlib import Path
 
 import fisherbound
+from fisherbound import cli
 
 SOURCE = Path(fisherbound.__file__).parent
 
@@ -63,3 +64,52 @@ def test_every_exported_name_has_a_caller_in_src():
     unused = sorted(key for key, name in exported.items() if name not in used)
     # the allowlist holds exactly the exported names that still lack a caller
     assert sorted(exported[key] for key in unused) == sorted(ALLOWED), unused
+
+
+# The two functions of cli.py that may tell schemes apart: the validation
+# of a config and the construction of its model.  Every other per-scheme
+# fact is an attribute or method of the model.
+SCHEME_BRANCHES = ("_validate_config", "build_model_and_theta")
+
+
+def _scheme_names(tree):
+    """String literals of cli.py that a config accepts as its scheme."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                cli._validate_config({**cli.DEFAULTS, "scheme": node.value})
+            except cli.ConfigError:
+                continue
+            names.add(node.value)
+    return names
+
+
+def _names_a_scheme(operand, names):
+    """Whether a comparison operand reads a scheme: cfg["scheme"], a
+    `scheme` name or attribute, or a literal scheme name (also inside a
+    tuple, list or set)."""
+    for node in ast.walk(operand):
+        key = (node.id if isinstance(node, ast.Name)
+               else node.attr if isinstance(node, ast.Attribute)
+               else getattr(node.slice, "value", None) if isinstance(node, ast.Subscript)
+               else None)
+        if key == "scheme" or (isinstance(node, ast.Constant) and node.value in names):
+            return True
+    return False
+
+
+def test_cli_compares_scheme_names_only_where_it_builds_the_model():
+    tree = _trees()["cli"]
+    names = _scheme_names(tree)
+    assert {"entangled-pauli", "poisson"} <= names
+    offenders = []
+    for statement in tree.body:
+        if getattr(statement, "name", None) in SCHEME_BRANCHES:
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Compare) and any(
+                    _names_a_scheme(operand, names)
+                    for operand in [node.left, *node.comparators]):
+                offenders.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert not offenders, offenders
