@@ -19,11 +19,11 @@ d, and model-dependent coefficients:
     sigma      sqrt of the relevant inverse-Fisher scalar,
     C          Berry-Esseen constant (default 0.4748, always overridable).
 
-estimate_coefficients returns the coefficients of both norms at one
-point.  It reads the inverse-Fisher scalars from the FisherMatrix and the
+estimate_coefficients returns one BoundCoefficients per point, for both
+norms.  It reads the inverse-Fisher scalars from the FisherMatrix and the
 outcome moments from the model: V_H and rho from one score_moments call,
-shared by the norms, and mu_R, V_R from envelope_moments over each norm's
-ball, one call per distinct ball.
+and mu_R, V_R, the only norm-dependent values, from envelope_moments over
+each norm's ball, one call per distinct ball.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits are two Lambert-W forms in one inverse-Fisher scalar,
@@ -64,36 +64,45 @@ NORMS = ("linf", "l2")  # the max-norm and the Euclidean criterion
 
 @dataclass
 class BoundCoefficients:
-    """Model-dependent scalars feeding the two bound evaluators.
+    """Model-dependent scalars feeding the two bound evaluators at one point.
 
     sigma_diag and rho_diag hold the per-coordinate values
-    sqrt([F^-1]_aa) and E|e_a^T F^-1 score|^3; sigma_top and rho_top are
-    the analogues projected on the top eigenvector of F^-1.  norm records
-    which parameter ball ("linf" or "l2") the envelope was taken over;
-    None means norm-agnostic (exact zeros); provenance records whether the
-    Berry-Esseen constant is proven and the envelope exact.  singular
-    marks a singular F, whose pseudoinverse treats an unidentifiable
-    coordinate as known: no upper bound applies.
+    sqrt([F^-1]_aa) and E|e_a^T F^-1 score|^3; opnorm_inv = lambda_max(F^-1)
+    and rho_top is the third moment projected on its eigenvector.  Only
+    the envelope depends on the error norm: envelope maps each norm in
+    NORMS to (mu_R, V_R) over that norm's parameter ball.  provenance
+    records whether the Berry-Esseen constant is proven and the envelope
+    exact.  singular marks a singular F, whose pseudoinverse treats an
+    unidentifiable coordinate as known: no upper bound applies.
     """
 
-    d: int
-    mu_R: float
     V_H: float
-    V_R: float
     C: float
-    sigma: float
     opnorm_inv: float
     sigma_diag: np.ndarray
     rho_diag: np.ndarray
-    sigma_top: float
     rho_top: float
-    norm: str | None = None
+    envelope: dict
     provenance: str = "exact"
     singular: bool = False
 
-    def finite(self) -> bool:
-        values = [self.mu_R, self.V_H, self.V_R, self.sigma, self.opnorm_inv,
-                  self.sigma_top, self.rho_top]
+    @property
+    def d(self) -> int:
+        """The parameter dimension, the length of sigma_diag."""
+        return len(self.sigma_diag)
+
+    @property
+    def sigma(self) -> float:
+        """The largest sqrt([F^-1]_aa)."""
+        return float(np.max(self.sigma_diag))
+
+    @property
+    def sigma_top(self) -> float:
+        """sqrt(lambda_max(F^-1)), the l2 analogue of sigma."""
+        return math.sqrt(self.opnorm_inv)
+
+    def finite(self, norm: str) -> bool:
+        values = [*self.envelope[norm], self.V_H, self.opnorm_inv, self.rho_top]
         return bool(
             np.all(np.isfinite(values))
             and np.all(np.isfinite(self.sigma_diag))
@@ -133,7 +142,6 @@ def idealized_coefficients(
     sigma: float = 1.0,
     opnorm_inv: float = 1.0,
     sigma_diag=None,
-    sigma_top: float | None = None,
     constant: float = BERRY_ESSEEN_CONSTANT,
 ) -> BoundCoefficients:
     """Coefficients of an idealized Gaussian-score model.
@@ -145,18 +153,13 @@ def idealized_coefficients(
         np.full(d, sigma) if sigma_diag is None else np.asarray(sigma_diag, dtype=float)
     )
     return BoundCoefficients(
-        d=d,
-        mu_R=0.0,
         V_H=0.0,
-        V_R=0.0,
         C=constant,
-        sigma=sigma,
         opnorm_inv=opnorm_inv,
         sigma_diag=sigma_diag,
         rho_diag=np.zeros(d),
-        sigma_top=sigma if sigma_top is None else sigma_top,
         rho_top=0.0,
-        norm=None,
+        envelope={norm: (0.0, 0.0) for norm in NORMS},
         provenance="idealized",
     )
 
@@ -167,20 +170,19 @@ def estimate_coefficients(
     eps: float,
     constant: float = BERRY_ESSEEN_CONSTANT,
     fisher: FisherMatrix | None = None,
-) -> dict:
-    """Bound coefficients of a model at an interior parameter point, per norm.
+) -> BoundCoefficients:
+    """Bound coefficients of a model at an interior parameter point.
 
-    Returns {norm: BoundCoefficients} for every norm in NORMS.  The
-    inverse-Fisher scalars come from `fisher` (built here when not given):
-    sigma_diag = sqrt([F^-1]_aa), opnorm_inv = lambda_max(F^-1) and
-    sigma_top its square root.  V_H, rho_diag and rho_top come from one
-    model.score_moments(theta, fisher) call, since they do not depend on
-    the norm.  mu_R and V_R come from model.envelope_moments over the
-    parameter ball of each criterion norm (Euclidean radius sqrt(d)*eps
-    for "linf", eps for "l2"), once per distinct ball.  The provenance is
-    "unproven-constant" when C is below BERRY_ESSEEN_CONSTANT, the smallest
-    proven value (Shevtsova 2011), else "estimated-coefficient" for a model
-    whose envelope is only a search-based lower estimate, else "exact".
+    The inverse-Fisher scalars come from `fisher` (built here when not
+    given): sigma_diag = sqrt([F^-1]_aa) and opnorm_inv = lambda_max(F^-1).
+    V_H, rho_diag and rho_top come from one model.score_moments(theta,
+    fisher) call.  The envelope holds, per norm, mu_R and V_R from
+    model.envelope_moments over that norm's parameter ball (Euclidean
+    radius sqrt(d)*eps for "linf", eps for "l2"), once per distinct ball.
+    The provenance is "unproven-constant" when C is below
+    BERRY_ESSEEN_CONSTANT, the smallest proven value (Shevtsova 2011), else
+    "estimated-coefficient" for a model whose envelope is only a
+    search-based lower estimate, else "exact".
 
     sigma is the largest sqrt([F^-1]_aa) at this point; a supremum over
     the parameter space must be taken by the caller (e.g. over a
@@ -196,30 +198,20 @@ def estimate_coefficients(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v_h, rho_diag, rho_top = model.score_moments(theta, f)
         radii = {"linf": math.sqrt(d) * eps, "l2": eps}
-        envelopes = {r: model.envelope_moments(theta, r) for r in dict.fromkeys(radii.values())}
-    sigma_diag = np.sqrt(np.clip(f.inverse_diag(), 0.0, None))
-    unproven = constant < BERRY_ESSEEN_CONSTANT
-    coeffs = {}
-    for norm in NORMS:
-        mu_r, v_r, exact = envelopes[radii[norm]]
-        coeffs[norm] = BoundCoefficients(
-            d=d,
-            mu_R=mu_r,
-            V_H=v_h,
-            V_R=v_r,
-            C=constant,
-            sigma=float(sigma_diag.max()),
-            opnorm_inv=f.opnorm_inverse(),
-            sigma_diag=sigma_diag,
-            rho_diag=np.asarray(rho_diag, dtype=float),
-            sigma_top=math.sqrt(f.opnorm_inverse()),
-            rho_top=rho_top,
-            norm=norm,
-            provenance=("unproven-constant" if unproven
-                        else "exact" if exact else "estimated-coefficient"),
-            singular=f.is_singular,
-        )
-    return coeffs
+        balls = {r: model.envelope_moments(theta, r) for r in dict.fromkeys(radii.values())}
+    exact = all(flag for _, _, flag in balls.values())
+    return BoundCoefficients(
+        V_H=v_h,
+        C=constant,
+        opnorm_inv=f.opnorm_inverse(),
+        sigma_diag=np.sqrt(np.clip(f.inverse_diag(), 0.0, None)),
+        rho_diag=np.asarray(rho_diag, dtype=float),
+        rho_top=rho_top,
+        envelope={norm: balls[radii[norm]][:2] for norm in NORMS},
+        provenance=("unproven-constant" if constant < BERRY_ESSEEN_CONSTANT
+                    else "exact" if exact else "estimated-coefficient"),
+        singular=f.is_singular,
+    )
 
 
 def _eta_mean(coeffs: BoundCoefficients) -> float:
@@ -229,13 +221,13 @@ def _eta_mean(coeffs: BoundCoefficients) -> float:
         return float(np.mean(coeffs.C * coeffs.rho_diag / coeffs.sigma_diag ** 3))
 
 
-def _upper_bracket(eps, delta, coeffs, tau0, big_d):
+def _upper_bracket(eps, delta, coeffs, norm, tau0, big_d):
     """max{(D/tau0)^2, (2 d eta / delta)^2, y*} shared by both upper bounds."""
     if coeffs.singular:
         return _inapplicable(coeffs, "singular Fisher matrix")
     d = coeffs.d
     eta = _eta_mean(coeffs)
-    if not (coeffs.finite() and math.isfinite(tau0) and math.isfinite(big_d)
+    if not (coeffs.finite(norm) and math.isfinite(tau0) and math.isfinite(big_d)
             and math.isfinite(eta)):
         return _inapplicable(coeffs, "non-finite coefficients")
     if tau0 <= 0.0:
@@ -272,21 +264,22 @@ def upper_bound(eps: float, delta: float, coeffs: BoundCoefficients,
     "l2" reduces to the max-norm bound at accuracy eps/sqrt(d):
     tau0 = (1 - eps * (sqrt(d) mu_R / 2) ||F^-1||) * eps / sqrt(d) and
     D = (sqrt(4 V_H / delta) + 0.5 sqrt(4 V_R / delta) eps) * ||F^-1|| * eps.
-    The norm enters only through the four scales (k, a, b, s) below, and
-    a factor of 1.0 is exact.  The parameter-space supremum is the
-    caller's responsibility.
+    The norm enters only through its envelope (mu_R, V_R) and the four
+    scales (k, a, b, s) below, and a factor of 1.0 is exact.  The
+    parameter-space supremum is the caller's responsibility.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, norm)
+    _check_norm(norm)
     d = coeffs.d
+    mu_r, v_r = coeffs.envelope[norm]
     sqrt_d = math.sqrt(d)
     k, a, b, s = (d, sqrt_d, d, 1.0) if norm == "linf" else (sqrt_d, 1.0, 1.0, sqrt_d)
-    tau0 = (1.0 - eps * (k * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps / s
+    tau0 = (1.0 - eps * (k * mu_r / 2.0) * coeffs.opnorm_inv) * eps / s
     big_d = (
         math.sqrt(4.0 * coeffs.V_H / delta) * a
-        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * b * eps
+        + 0.5 * math.sqrt(4.0 * v_r / delta) * b * eps
     ) * coeffs.opnorm_inv * eps
-    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
+    return _upper_bracket(eps, delta, coeffs, norm, tau0, big_d)
 
 
 def _lower_terms(delta, tau0, big_d, eta, sigma, w0):
@@ -320,19 +313,20 @@ def lower_bound(
     F^-1: d = 1, sigma = sqrt(lambda_max(F^-1)) and rho = rho_top.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, norm)
+    _check_norm(norm)
     if norm == "linf":
         d, sigmas, rhos = coeffs.d, coeffs.sigma_diag, coeffs.rho_diag
     elif a is not None:
         raise ValueError(f"a single coordinate a={a!r} applies only to the 'linf' bound")
     else:
         d, sigmas, rhos = 1, [coeffs.sigma_top], [coeffs.rho_top]
-    if not coeffs.finite():
+    if not coeffs.finite(norm):
         return _inapplicable(coeffs, "non-finite coefficients")
-    tau0 = (1.0 + eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
+    mu_r, v_r = coeffs.envelope[norm]
+    tau0 = (1.0 + eps * (d * mu_r / 2.0) * coeffs.opnorm_inv) * eps
     big_d = (
         math.sqrt(2.0 * coeffs.V_H / delta) * math.sqrt(d)
-        + 0.5 * math.sqrt(2.0 * coeffs.V_R / delta) * d * eps
+        + 0.5 * math.sqrt(2.0 * v_r / delta) * d * eps
     ) * coeffs.opnorm_inv * eps
     w0 = lambert_w0(delta**-2 / (2.0 * math.pi))
 
@@ -356,14 +350,9 @@ def lower_bound(
     )
 
 
-def _check_norm(coeffs: BoundCoefficients, norm: str) -> None:
+def _check_norm(norm: str) -> None:
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
-    if coeffs.norm is not None and coeffs.norm != norm:
-        raise ValueError(
-            f"coefficients were computed for the {coeffs.norm!r} ball "
-            f"but the bound uses {norm!r}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -330,23 +330,17 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
         rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
         grid.extend(model.random_points(rng, cfg["grid_points"]))
 
-    candidates = {norm: [] for norm in bounds.NORMS}
-    lower = {}
     # grid[0] is theta, so its coefficients also feed the lower bounds
-    for index, point in enumerate(grid):
-        coeffs = bounds.estimate_coefficients(model, point, eps, constant=c)
-        for norm in bounds.NORMS:
-            candidates[norm].append(bounds.upper_bound(eps, delta, coeffs[norm], norm))
-            if index == 0:
-                lower[norm] = bounds.lower_bound(eps, delta, coeffs[norm], norm)
-
+    per_point = [bounds.estimate_coefficients(model, point, eps, constant=c) for point in grid]
     rows = []
     for norm in bounds.NORMS:
         # the supremum over the grid; an inapplicable candidate sorts above all
-        upper = max(candidates[norm], key=_bound_sort_key)
+        upper = max((bounds.upper_bound(eps, delta, coeffs, norm) for coeffs in per_point),
+                    key=_bound_sort_key)
+        lower = bounds.lower_bound(eps, delta, per_point[0], norm)
         rows.append(_bound_row(f"upper-{norm}", "upper", norm, upper,
                                eps, delta, model.d))
-        rows.append(_bound_row(f"lower-{norm}", "lower", norm, lower[norm],
+        rows.append(_bound_row(f"lower-{norm}", "lower", norm, lower,
                                eps, delta, model.d))
 
     if model.qubits is not None:
@@ -381,7 +375,7 @@ def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     inverse = float(f.inverse_diag().max()) if norm == "linf" else f.opnorm_inverse()
     lower = bounds.asymptotic_lower_linf(eps, delta, inverse)
     coeffs = bounds.estimate_coefficients(model, theta, eps, constant=cfg["be_constant"],
-                                          fisher=f)[norm]
+                                          fisher=f)
     upper = bounds.upper_bound(eps, delta, coeffs, norm)
 
     def base_row(**kwargs):

@@ -512,6 +512,14 @@ class PoissonTruncatedModel(StatModel):
         z0, z1, _, _ = self._partial_sums(t)
         return (self._ks / t - z1 / z0)[:, None]
 
+    def analytic_fisher(self, theta):
+        """[[sum_k (p_k s_k) s_k]] over every outcome, with s = dlogp: none
+        falls below a floor, so F ~ 1/theta also where p_k underflows, and
+        p_k s_k is formed first so that s_k^2 never overflows."""
+        p = self.probs(theta)
+        s = self.dlogp(theta, p)[:, 0]
+        return np.array([[(p * s) @ s]])
+
     def _logz_derivatives(self, t):
         z0, z1, z2, z3 = self._partial_sums(t)
         l1 = z1 / z0

@@ -307,16 +307,13 @@ def _check_bound_ordering(rng):
     for eps in (0.01, 0.05):
         coeffs = bounds.estimate_coefficients(model, theta, eps)
         for delta in (0.05, 0.1, 0.25):
-            upper = bounds.upper_bound(eps, delta, coeffs["linf"], "linf")
-            lower = bounds.lower_bound(eps, delta, coeffs["linf"], "linf")
-            if upper.applicable:
-                assert lower.value <= upper.value, (
-                    f"ordering violated at eps={eps}, delta={delta}"
-                )
-            upper2 = bounds.upper_bound(eps, delta, coeffs["l2"], "l2")
-            lower2 = bounds.lower_bound(eps, delta, coeffs["l2"], "l2")
-            if upper2.applicable:
-                assert lower2.value <= upper2.value, "l2 ordering violated"
+            for norm in bounds.NORMS:
+                upper = bounds.upper_bound(eps, delta, coeffs, norm)
+                lower = bounds.lower_bound(eps, delta, coeffs, norm)
+                if upper.applicable:
+                    assert lower.value <= upper.value, (
+                        f"{norm} ordering violated at eps={eps}, delta={delta}"
+                    )
     return "lower <= upper on the entangled n=1 grid, both norms"
 
 
@@ -338,8 +335,8 @@ def _check_norm_dominance(rng):
     model = models.entangled_pauli_model(1)
     coeffs = bounds.estimate_coefficients(model, np.zeros(3), 0.01)
     for delta in (0.05, 0.1):
-        up_inf = bounds.upper_bound(0.01, delta, coeffs["linf"], "linf")
-        up_l2 = bounds.upper_bound(0.01, delta, coeffs["l2"], "l2")
+        up_inf = bounds.upper_bound(0.01, delta, coeffs, "linf")
+        up_l2 = bounds.upper_bound(0.01, delta, coeffs, "l2")
         assert up_l2.value >= up_inf.value, "Euclidean bound below max-norm bound"
     ideal = bounds.idealized_coefficients(4)
     assert (
@@ -352,7 +349,7 @@ def _check_norm_dominance(rng):
 def _check_coordinate_monotonicity(rng):
     model = models.entangled_pauli_model(1)
     theta = np.array([0.5, 0.2, -0.1])
-    coeffs = bounds.estimate_coefficients(model, theta, 0.01)["linf"]
+    coeffs = bounds.estimate_coefficients(model, theta, 0.01)
     best = bounds.lower_bound(0.01, 0.1, coeffs, "linf").value
     for a in range(3):
         single = bounds.lower_bound(0.01, 0.1, coeffs, "linf", a=a).value
@@ -387,7 +384,7 @@ def _check_empirical_sandwich(rng):
                                       norm="linf", trials=600, seed=11)
     lower = bounds.asymptotic_lower_linf(eps, delta, 1.0)
     assert lower <= result.m_star, f"lower bound {lower:.1f} > m_star {result.m_star}"
-    coeffs = bounds.estimate_coefficients(model, np.zeros(3), eps)["linf"]
+    coeffs = bounds.estimate_coefficients(model, np.zeros(3), eps)
     upper = bounds.upper_bound(eps, delta, coeffs, "linf")
     if upper.applicable:
         assert result.m_star <= upper.value, "m_star above the applicable upper bound"

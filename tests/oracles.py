@@ -4,9 +4,9 @@ Everything here is deliberately slow and simple: bisection instead of Halley,
 double sums instead of butterflies, finite differences instead of analytic
 derivatives, cyclic Jacobi instead of LAPACK.  Nothing imports fisherbound,
 except the per-norm bound evaluators at the end: they are the four that
-bounds.upper_bound and bounds.lower_bound replaced, kept unchanged on the
-package's bracket helpers, so that comparing them pins the merge of the
-two norms bit for bit.
+bounds.upper_bound and bounds.lower_bound replaced, kept on the package's
+bracket helpers with their formulas unchanged, so that comparing them pins
+the merge of the two norms bit for bit.
 """
 
 import math
@@ -171,6 +171,38 @@ def binomial_tail(k, m, p):
                  + j * log_p + (m - j) * log_q)
         for j in range(k, m + 1)
     ))
+
+
+def bernoulli_window(theta, m, eps, scored=False):
+    """(lo, hi): the counts k of Bin(m, theta) with |k/m - theta| <= eps.
+
+    The ends are rounded in exact rational arithmetic, as in bell_failures,
+    which is the criterion on the real numbers theta and eps.  With
+    scored=True they follow the float test |k/m - theta| <= eps that the
+    search scores instead: an end moves by one where k/m rounds across the
+    window's edge (at theta = 0.5, eps = 0.05 the count 0.55 m is outside
+    whenever it is an integer).  lo > hi is an empty window.
+    """
+    lo = max(math.ceil(m * (Fraction(theta) - Fraction(eps))), 0)
+    hi = min(math.floor(m * (Fraction(theta) + Fraction(eps))), m)
+    if scored:
+        def inside(k):
+            return 0 <= k <= m and abs(k / m - theta) <= eps
+
+        lo += -1 if inside(lo - 1) else 0 if inside(lo) else 1
+        hi += 1 if inside(hi + 1) else 0 if inside(hi) else -1
+    return lo, hi
+
+
+def bernoulli_linf_success(theta, m, eps, scored=False):
+    """Exact Pr[|S/m - theta| <= eps] for S ~ Bin(m, theta), over the count
+    window of bernoulli_window; not monotone in m on the count lattice."""
+    from scipy.stats import binom
+
+    lo, hi = bernoulli_window(theta, m, eps, scored)
+    if lo > hi:
+        return 0.0
+    return float(binom.cdf(hi, m, theta) - binom.cdf(lo - 1, m, theta))
 
 
 def gaussian_linf_success(m, eps, d):
@@ -433,7 +465,8 @@ def poisson_partial_sum(log_factorials, theta, order):
 
 
 # ---------------------------------------------------------------------------
-# the per-norm bound evaluators, unchanged
+# the per-norm bound evaluators, unchanged but for reading (mu_R, V_R) from
+# the one coefficient object's envelope
 
 
 def upper_bound_linf(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
@@ -445,14 +478,15 @@ def upper_bound_linf(eps: float, delta: float, coeffs: BoundCoefficients) -> Bou
     The parameter-space supremum is the caller's responsibility.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, "linf")
+    _check_norm("linf")
     d = coeffs.d
-    tau0 = (1.0 - eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
+    mu_r, v_r = coeffs.envelope["linf"]
+    tau0 = (1.0 - eps * (d * mu_r / 2.0) * coeffs.opnorm_inv) * eps
     big_d = (
         math.sqrt(4.0 * coeffs.V_H / delta) * math.sqrt(d)
-        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * d * eps
+        + 0.5 * math.sqrt(4.0 * v_r / delta) * d * eps
     ) * coeffs.opnorm_inv * eps
-    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
+    return _upper_bracket(eps, delta, coeffs, "linf", tau0, big_d)
 
 
 def upper_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> BoundResult:
@@ -463,15 +497,16 @@ def upper_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> Bound
     D = (sqrt(4 V_H / delta) + 0.5 sqrt(4 V_R / delta) eps) * ||F^-1|| * eps.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, "l2")
+    _check_norm("l2")
     d = coeffs.d
+    mu_r, v_r = coeffs.envelope["l2"]
     sqrt_d = math.sqrt(d)
-    tau0 = (1.0 - eps * (sqrt_d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps / sqrt_d
+    tau0 = (1.0 - eps * (sqrt_d * mu_r / 2.0) * coeffs.opnorm_inv) * eps / sqrt_d
     big_d = (
         math.sqrt(4.0 * coeffs.V_H / delta)
-        + 0.5 * math.sqrt(4.0 * coeffs.V_R / delta) * eps
+        + 0.5 * math.sqrt(4.0 * v_r / delta) * eps
     ) * coeffs.opnorm_inv * eps
-    return _upper_bracket(eps, delta, coeffs, tau0, big_d)
+    return _upper_bracket(eps, delta, coeffs, "l2", tau0, big_d)
 
 
 def lower_bound_linf(
@@ -487,14 +522,15 @@ def lower_bound_linf(
     With a=None the bound is maximised over coordinates.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, "linf")
+    _check_norm("linf")
     d = coeffs.d
-    if not coeffs.finite():
+    if not coeffs.finite("linf"):
         return _inapplicable(coeffs, "non-finite coefficients")
-    tau0 = (1.0 + eps * (d * coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
+    mu_r, v_r = coeffs.envelope["linf"]
+    tau0 = (1.0 + eps * (d * mu_r / 2.0) * coeffs.opnorm_inv) * eps
     big_d = (
         math.sqrt(2.0 * coeffs.V_H / delta) * math.sqrt(d)
-        + 0.5 * math.sqrt(2.0 * coeffs.V_R / delta) * d * eps
+        + 0.5 * math.sqrt(2.0 * v_r / delta) * d * eps
     ) * coeffs.opnorm_inv * eps
     w0 = lambert_w0(delta**-2 / (2.0 * math.pi))
 
@@ -527,8 +563,8 @@ def lower_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> Bound
     D = (sqrt(2 V_H / delta) + 0.5 sqrt(2 V_R / delta) eps) * ||F^-1|| * eps.
     """
     _check_criteria(eps, delta)
-    _check_norm(coeffs, "l2")
-    if not coeffs.finite():
+    _check_norm("l2")
+    if not coeffs.finite("l2"):
         return _inapplicable(coeffs, "non-finite coefficients")
     sigma = coeffs.sigma_top
     if sigma <= 0.0:
@@ -536,10 +572,11 @@ def lower_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> Bound
             value=1.0, applicable=True, limiting_term="vacuous",
             provenance=coeffs.provenance,
         )
-    tau0 = (1.0 + eps * (coeffs.mu_R / 2.0) * coeffs.opnorm_inv) * eps
+    mu_r, v_r = coeffs.envelope["l2"]
+    tau0 = (1.0 + eps * (mu_r / 2.0) * coeffs.opnorm_inv) * eps
     big_d = (
         math.sqrt(2.0 * coeffs.V_H / delta)
-        + 0.5 * math.sqrt(2.0 * coeffs.V_R / delta) * eps
+        + 0.5 * math.sqrt(2.0 * v_r / delta) * eps
     ) * coeffs.opnorm_inv * eps
     w0 = lambert_w0(delta**-2 / (2.0 * math.pi))
     eta = 2.0 * coeffs.C * coeffs.rho_top / sigma**3

@@ -83,7 +83,7 @@ def test_a3_empirical_sandwich_linf():
     result = mle_lab.find_min_samples(model, theta, eps, delta, "linf",
                                       trials=trials, seed=seed)
     lower = bounds.asymptotic_lower_linf(eps, delta, 1.0)  # exact [F^-1]_aa = 1
-    coeffs = bounds.estimate_coefficients(model, theta, eps)["linf"]
+    coeffs = bounds.estimate_coefficients(model, theta, eps)
     upper = bounds.upper_bound(eps, delta, coeffs, "linf")
 
     assert lower <= result.m_star, f"lower {lower:.1f} > m_star {result.m_star}"
@@ -105,12 +105,12 @@ def test_a3_empirical_sandwich_linf():
         result2 = mle_lab.find_min_samples(model, theta, eps2, delta, "linf",
                                            trials=trials, seed=seed)
         lower2 = bounds.asymptotic_lower_linf(eps2, delta, 1.0)
-        coeffs2 = bounds.estimate_coefficients(model, theta, eps2)["linf"]
+        coeffs2 = bounds.estimate_coefficients(model, theta, eps2)
         upper2 = bounds.upper_bound(eps2, delta, coeffs2, "linf")
         assert upper2.applicable
         assert lower2 <= result2.m_star <= upper2.value
         upper_note = (
-            f"(upper inapplicable at eps=0.1: tau0 <= 0, mu_R={coeffs.mu_R:.1f}; "
+            f"(upper inapplicable at eps=0.1: tau0 <= 0, mu_R={coeffs.envelope['linf'][0]:.1f}; "
             f"full sandwich at eps=0.05: {lower2:.0f} <= {result2.m_star} "
             f"<= {upper2.value:.0f})"
         )
@@ -197,7 +197,7 @@ def test_a6_small_eps_limit_agreement(mode, d, delta):
     else:
         n = 1 if d == 3 else 2
         model = models.entangled_pauli_model(n)
-        coeffs = bounds.estimate_coefficients(model, np.zeros(d), eps)["linf"]
+        coeffs = bounds.estimate_coefficients(model, np.zeros(d), eps)
         sup_inv_diag = 1.0  # sup over the eigenvalue domain, attained at 0
     value = bounds.upper_bound(eps, delta, coeffs, "linf").value
     target = lambert_w0(8.0 / math.pi * delta**-2 * d**2) * sup_inv_diag

@@ -4,7 +4,9 @@ The oracles below recompute every bracket term step by step with scalar
 math and the bisection Lambert solver, sharing no code with the package.
 Agreement on random coefficient sets pins the algebra of the evaluators.
 The per-norm evaluators in oracles.py pin the norm argument bit for bit,
-and the last tests check the two reductions between the norms.
+and the last tests check the two reductions between the norms.  Only the
+envelope (mu_R, V_R) depends on the norm, so each coefficient set draws
+one envelope per norm.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from fisherbound.bounds import BoundCoefficients, lower_bound, upper_bound
+from fisherbound.bounds import NORMS, BoundCoefficients, lower_bound, upper_bound
 
 import oracles
 from oracles import lambert_bisect
@@ -67,24 +69,20 @@ def lower_oracle(eps, delta, d, mu_r, v_h, v_r, c, rho, sigma, opnorm, norm):
 
 
 def random_coefficients(rng):
+    # lambda_max(F^-1) >= max_a [F^-1]_aa, so sigma_top = sqrt(opnorm_inv) >= sigma
     d = int(rng.integers(1, 9))
     sigma_diag = rng.uniform(0.2, 2.0, size=d)
     rho_diag = rng.uniform(0.0, 3.0, size=d)
     sigma = float(sigma_diag.max())
-    sigma_top = float(rng.uniform(sigma, 2.0 * sigma))
     return BoundCoefficients(
-        d=d,
-        mu_R=float(rng.uniform(0.0, 4.0)),
         V_H=float(rng.uniform(0.0, 10.0)),
-        V_R=float(rng.uniform(0.0, 5.0)),
         C=0.4748,
-        sigma=sigma,
-        opnorm_inv=float(rng.uniform(0.5, 3.0)),
+        opnorm_inv=float(rng.uniform(sigma, 2.0 * sigma)) ** 2,
         sigma_diag=sigma_diag,
         rho_diag=rho_diag,
-        sigma_top=sigma_top,
         rho_top=float(rng.uniform(0.0, 3.0)),
-        norm=None,
+        envelope={norm: (float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 5.0)))
+                  for norm in NORMS},
     )
 
 
@@ -96,8 +94,9 @@ def test_upper_bound_matches_oracle(norm):
         coeffs = random_coefficients(rng)
         eps = float(rng.uniform(1e-4, 0.2))
         delta = float(rng.uniform(0.01, 0.4))
+        mu_r, v_r = coeffs.envelope[norm]
         expected = upper_oracle(
-            eps, delta, coeffs.d, coeffs.mu_R, coeffs.V_H, coeffs.V_R, coeffs.C,
+            eps, delta, coeffs.d, mu_r, coeffs.V_H, v_r, coeffs.C,
             coeffs.rho_diag, coeffs.sigma_diag, coeffs.sigma, coeffs.opnorm_inv,
             norm,
         )
@@ -118,9 +117,10 @@ def test_lower_bound_linf_matches_oracle_per_coordinate():
         coeffs = random_coefficients(rng)
         eps = float(rng.uniform(1e-4, 0.2))
         delta = float(rng.uniform(0.01, 0.4))
+        mu_r, v_r = coeffs.envelope["linf"]
         per_coordinate = [
-            lower_oracle(eps, delta, coeffs.d, coeffs.mu_R, coeffs.V_H,
-                         coeffs.V_R, coeffs.C, float(coeffs.rho_diag[a]),
+            lower_oracle(eps, delta, coeffs.d, mu_r, coeffs.V_H,
+                         v_r, coeffs.C, float(coeffs.rho_diag[a]),
                          float(coeffs.sigma_diag[a]), coeffs.opnorm_inv, "linf")
             for a in range(coeffs.d)
         ]
@@ -137,8 +137,9 @@ def test_lower_bound_l2_matches_oracle():
         coeffs = random_coefficients(rng)
         eps = float(rng.uniform(1e-4, 0.2))
         delta = float(rng.uniform(0.01, 0.4))
-        expected = lower_oracle(eps, delta, coeffs.d, coeffs.mu_R, coeffs.V_H,
-                                coeffs.V_R, coeffs.C, coeffs.rho_top,
+        mu_r, v_r = coeffs.envelope["l2"]
+        expected = lower_oracle(eps, delta, coeffs.d, mu_r, coeffs.V_H,
+                                v_r, coeffs.C, coeffs.rho_top,
                                 coeffs.sigma_top, coeffs.opnorm_inv, "l2")
         result = lower_bound(eps, delta, coeffs, "l2")
         assert result.applicable
@@ -149,35 +150,39 @@ def edge_coefficients(rng):
     """Coefficients over the evaluators' edge cases.
 
     d runs from 1 to 300, log-uniform above 8; mu_R and V_R may be 0, sigma_diag may hold zeros,
-    sigma_top may be 0, F may be singular, and a field may be NaN or inf.
+    opnorm_inv (so sigma_top) may be 0, F may be singular, and a field may be NaN or inf.
     mu_R spans seven decades, so tau0 <= 0 is common at the larger eps.
     """
     d = int(rng.integers(1, 9)) if rng.random() < 0.5 else round(300.0 ** rng.random())
     sigma_diag = rng.uniform(0.05, 3.0, size=d)
     sigma_diag[rng.random(d) < 0.1] = 0.0
     rho_diag = rng.uniform(0.0, 3.0, size=d)
+    envelope = {
+        norm: [0.0 if rng.random() < 0.15 else float(10.0 ** rng.uniform(-3.0, 4.0)),
+               0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 5.0))]
+        for norm in NORMS
+    }
     fields = dict(
-        d=d,
-        mu_R=0.0 if rng.random() < 0.15 else float(10.0 ** rng.uniform(-3.0, 4.0)),
         V_H=float(rng.uniform(0.0, 10.0)),
-        V_R=0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 5.0)),
         C=0.4748,
-        sigma=float(sigma_diag.max()),
-        opnorm_inv=float(rng.uniform(0.5, 3.0)),
+        opnorm_inv=0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 6.0)) ** 2,
         sigma_diag=sigma_diag,
         rho_diag=rho_diag,
-        sigma_top=0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 6.0)),
         rho_top=float(rng.uniform(0.0, 3.0)),
+        envelope=envelope,
         singular=bool(rng.random() < 0.1),
     )
     if rng.random() < 0.1:
         bad = float(rng.choice([math.nan, math.inf]))
-        name = str(rng.choice(["mu_R", "V_H", "V_R", "sigma", "opnorm_inv", "sigma_top",
-                               "rho_top", "sigma_diag", "rho_diag"]))
+        name = str(rng.choice(["mu_R", "V_H", "V_R", "opnorm_inv", "rho_top",
+                               "sigma_diag", "rho_diag"]))
         if name in ("sigma_diag", "rho_diag"):
             fields[name][int(rng.integers(d))] = bad
+        elif name in ("mu_R", "V_R"):
+            envelope[str(rng.choice(NORMS))][name == "V_R"] = bad
         else:
             fields[name] = bad
+    fields["envelope"] = {norm: tuple(pair) for norm, pair in envelope.items()}
     return BoundCoefficients(**fields)
 
 
@@ -231,7 +236,8 @@ def test_l2_upper_bound_is_the_linf_bound_at_eps_over_sqrt_d():
         delta = float(rng.uniform(0.01, 0.6))
         l2 = upper_bound(eps, delta, coeffs, "l2")
         linf = upper_bound(eps / math.sqrt(coeffs.d), delta,
-                           dataclasses.replace(coeffs, norm="linf"), "linf")
+                           dataclasses.replace(coeffs, envelope={"linf": coeffs.envelope["l2"]}),
+                           "linf")
         assert (l2.applicable, l2.reason) == (linf.applicable, linf.reason)
         if l2.applicable:
             assert l2.value == pytest.approx(linf.value, rel=1e-11, abs=0.0)
@@ -244,11 +250,12 @@ def test_l2_lower_bound_is_the_one_parameter_linf_bound_bit_for_bit():
     rng = np.random.default_rng(9)
     for _ in range(10_000):
         coeffs = edge_coefficients(rng)
-        if not coeffs.finite():
+        if not coeffs.finite("l2"):
             continue  # the one-parameter copy drops the non-finite diagonal entries
         eps = float(10.0 ** rng.uniform(-5.0, -0.3))
         delta = float(rng.uniform(0.01, 0.6))
-        one = dataclasses.replace(coeffs, d=1, sigma_diag=np.array([coeffs.sigma_top]),
-                                  rho_diag=np.array([coeffs.rho_top]), norm="linf")
+        one = dataclasses.replace(coeffs, sigma_diag=np.array([coeffs.sigma_top]),
+                                  rho_diag=np.array([coeffs.rho_top]),
+                                  envelope={"linf": coeffs.envelope["l2"]})
         assert outcome(lower_bound, eps, delta, coeffs, "l2") == outcome(
             lower_bound, eps, delta, one, "linf")

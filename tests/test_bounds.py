@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisherbound.bounds import (
+    NORMS,
     BoundCoefficients,
     asymptotic_lower_linf,
     asymptotic_upper_l2,
@@ -66,7 +67,7 @@ class TestUpperLinf:
         target = W0_D3_DELTA01
         previous = math.inf
         for eps in (1e-2, 1e-3, 1e-4):
-            coeffs = estimate_coefficients(model, np.zeros(3), eps)["linf"]
+            coeffs = estimate_coefficients(model, np.zeros(3), eps)
             ratio = upper_bound(eps, 0.1, coeffs, "linf").value * eps**2 / target
             assert ratio < previous  # converging from above
             previous = ratio
@@ -74,7 +75,7 @@ class TestUpperLinf:
 
     def test_inapplicable_when_tau_negative(self):
         model = entangled_pauli_model(1)
-        coeffs = estimate_coefficients(model, np.zeros(3), 0.1)["linf"]
+        coeffs = estimate_coefficients(model, np.zeros(3), 0.1)
         result = upper_bound(0.1, 0.1, coeffs, "linf")
         assert not result.applicable
         assert result.reason == "tau0 <= 0"
@@ -107,7 +108,7 @@ class TestLowerLinf:
     def test_coordinate_maximised_dominates(self):
         model = entangled_pauli_model(1)
         theta = np.array([0.5, 0.1, -0.2])
-        coeffs = estimate_coefficients(model, theta, 0.01)["linf"]
+        coeffs = estimate_coefficients(model, theta, 0.01)
         best = lower_bound(0.01, 0.1, coeffs, "linf")
         for a in range(3):
             single = lower_bound(0.01, 0.1, coeffs, "linf", a=a)
@@ -143,14 +144,14 @@ class TestL2Bounds:
         model = bernoulli_model()
         theta = np.array([0.3])
         coeffs = estimate_coefficients(model, theta, 0.01)
-        a = lower_bound(0.01, 0.05, coeffs["linf"], "linf").value
-        b = lower_bound(0.01, 0.05, coeffs["l2"], "l2").value
+        a = lower_bound(0.01, 0.05, coeffs, "linf").value
+        b = lower_bound(0.01, 0.05, coeffs, "l2").value
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_lower_idealized_limit(self):
         # sigma_top from diag(4,1): F^-1 = diag(1/4, 1), lambda_max = 1
         stats_sigma = 1.0
-        ideal = idealized_coefficients(2, sigma=stats_sigma, sigma_top=stats_sigma)
+        ideal = idealized_coefficients(2, sigma=stats_sigma, opnorm_inv=stats_sigma**2)
         result = lower_bound(1e-3, 0.1, ideal, "l2")
         assert result.value == pytest.approx(W0_DELTA01_LOWER * stats_sigma**2 / 1e-6,
                                              rel=1e-9)
@@ -162,14 +163,8 @@ class TestL2Bounds:
                     >= upper_bound(eps, delta, ideal, "linf").value)
         model = entangled_pauli_model(1)
         coeffs = estimate_coefficients(model, np.zeros(3), 0.01)
-        assert (upper_bound(0.01, 0.1, coeffs["l2"], "l2").value
-                >= upper_bound(0.01, 0.1, coeffs["linf"], "linf").value)
-
-    def test_norm_mismatch_rejected(self):
-        model = bernoulli_model()
-        coeffs = estimate_coefficients(model, np.array([0.4]), 0.01)["linf"]
-        with pytest.raises(ValueError, match="ball"):
-            upper_bound(0.01, 0.1, coeffs, "l2")
+        assert (upper_bound(0.01, 0.1, coeffs, "l2").value
+                >= upper_bound(0.01, 0.1, coeffs, "linf").value)
 
 
 class TestOrdering:
@@ -183,7 +178,7 @@ class TestOrdering:
         for model, theta in cases:
             for eps in (0.01, 0.03):
                 for delta in (0.05, 0.1, 0.25):
-                    coeffs = estimate_coefficients(model, theta, eps)["linf"]
+                    coeffs = estimate_coefficients(model, theta, eps)
                     upper = upper_bound(eps, delta, coeffs, "linf")
                     lower = lower_bound(eps, delta, coeffs, "linf")
                     if upper.applicable:
@@ -193,8 +188,9 @@ class TestOrdering:
 class TestEstimateCoefficients:
     def test_gaussian_third_derivative_free(self):
         model = GaussianKnownCovModel(np.eye(2))
-        coeffs = estimate_coefficients(model, np.zeros(2), 0.1)["linf"]
-        assert coeffs.mu_R == 0.0 and coeffs.V_R == 0.0 and coeffs.V_H == 0.0
+        coeffs = estimate_coefficients(model, np.zeros(2), 0.1)
+        assert coeffs.envelope == {"linf": (0.0, 0.0), "l2": (0.0, 0.0)}
+        assert coeffs.V_H == 0.0
         np.testing.assert_allclose(
             coeffs.rho_diag, np.full(2, 2.0 * math.sqrt(2.0 / math.pi))
         )
@@ -204,7 +200,7 @@ class TestEstimateCoefficients:
         # B(1) = (2t-1)/(t^2(1-t)), B(0) = (1-2t)/(t(1-t)^2)
         model = bernoulli_model()
         theta = 0.3
-        coeffs = estimate_coefficients(model, np.array([theta]), 0.01)["linf"]
+        coeffs = estimate_coefficients(model, np.array([theta]), 0.01)
         b1 = (2 * theta - 1) / (theta**2 * (1 - theta))
         b0 = (1 - 2 * theta) / (theta * (1 - theta) ** 2)
         oracle = theta * b1**2 + (1 - theta) * b0**2
@@ -212,17 +208,17 @@ class TestEstimateCoefficients:
 
     def test_bernoulli_symmetric_point_has_no_fluctuation(self):
         model = bernoulli_model()
-        coeffs = estimate_coefficients(model, np.array([0.5]), 0.01)["linf"]
+        coeffs = estimate_coefficients(model, np.array([0.5]), 0.01)
         assert coeffs.V_H == 0.0
 
     def test_entangled_depolarizing_moments(self):
         # 4-outcome enumeration: projected scores are +-1, so rho_a = 1
         model = entangled_pauli_model(1)
-        coeffs = estimate_coefficients(model, np.zeros(3), 1e-3)["linf"]
+        coeffs = estimate_coefficients(model, np.zeros(3), 1e-3)
         np.testing.assert_allclose(coeffs.rho_diag, np.ones(3), atol=1e-12)
         np.testing.assert_allclose(coeffs.sigma_diag, np.ones(3), atol=1e-12)
         assert coeffs.V_H == pytest.approx(6.0, rel=1e-12)
-        assert coeffs.V_R == pytest.approx(0.0, abs=1e-10)
+        assert coeffs.envelope["linf"][1] == pytest.approx(0.0, abs=1e-10)
         assert coeffs.sigma == pytest.approx(1.0)
         assert coeffs.opnorm_inv == pytest.approx(1.0)
 
@@ -230,7 +226,7 @@ class TestEstimateCoefficients:
         model = entangled_pauli_model(1)
         coeffs = estimate_coefficients(model, np.zeros(3), 0.05)
         # the sqrt(d) larger ball inflates the envelope
-        assert coeffs["linf"].mu_R > coeffs["l2"].mu_R
+        assert coeffs.envelope["linf"][0] > coeffs.envelope["l2"][0]
 
     @pytest.mark.parametrize("model, theta, calls", [
         (bernoulli_model(), np.array([0.3]), 1),
@@ -253,12 +249,12 @@ class TestEstimateCoefficients:
         assert len(set(radii)) == calls
         for norm, radius in (("linf", math.sqrt(model.d) * 0.01), ("l2", 0.01)):
             mu_r, v_r, _ = real(theta, radius)
-            assert (coeffs[norm].mu_R, coeffs[norm].V_R) == (mu_r, v_r)
+            assert coeffs.envelope[norm] == (mu_r, v_r)
 
     def test_envelope_infinite_when_ball_hits_boundary(self):
         model = entangled_pauli_model(1)
-        coeffs = estimate_coefficients(model, np.zeros(3), 0.6)["linf"]
-        assert math.isinf(coeffs.mu_R)
+        coeffs = estimate_coefficients(model, np.zeros(3), 0.6)
+        assert math.isinf(coeffs.envelope["linf"][0])
         result = upper_bound(0.6, 0.1, coeffs, "linf")
         assert not result.applicable
 
@@ -268,7 +264,7 @@ class TestEstimateCoefficients:
         theta = np.array([0.0, 0.5, 0.0])
         f = fim(model, theta)
         assert f.is_singular
-        coeffs = estimate_coefficients(model, theta, 0.01, fisher=f)["l2"]
+        coeffs = estimate_coefficients(model, theta, 0.01, fisher=f)
         pinv = f.pinv_matrix()
         top_value, top_vectors = np.linalg.eigh(pinv)
         top = top_vectors[:, -1]
@@ -285,7 +281,7 @@ SHRINK = st.floats(min_value=0.01, max_value=0.999)
 def assert_v_h_matches_dense_stack(model, theta):
     """estimate_coefficients' V_H against the K x d x d Hessian-stack oracle."""
     f = fim(model, theta)
-    got = estimate_coefficients(model, theta, 0.01, fisher=f)["linf"].V_H
+    got = estimate_coefficients(model, theta, 0.01, fisher=f).V_H
     oracle = hessian_fluctuation_dense(model, theta, f.matrix)
     assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
@@ -349,7 +345,7 @@ class TestHessianFluctuation:
         model = PoissonTruncatedModel(12)
         theta = np.array([1.7])
         f = fim(model, theta)
-        got = estimate_coefficients(model, theta, 0.01, fisher=f)["linf"].V_H
+        got = estimate_coefficients(model, theta, 0.01, fisher=f).V_H
         assert got == hessian_fluctuation_dense(model, theta, f.matrix)
 
 
@@ -372,10 +368,12 @@ SHARED_MOMENT_CASES = [
                          ids=[f"{m.scheme}-d{m.d}" for m, _ in SHARED_MOMENT_CASES])
 def test_shared_score_moments_give_the_same_coefficients(model, theta, norm):
     # fisher=f, as cmd_simulate passes the matrix it already built, gives
-    # the coefficients of no fisher, field by field, in both norms
-    given_f = estimate_coefficients(model, theta, 1e-3, fisher=fim(model, theta))[norm]
-    own = estimate_coefficients(model, theta, 1e-3)[norm]
-    assert own.norm == norm
+    # the coefficients of no fisher, field by field, and the bounds of both
+    # norms read the same values
+    given_f = estimate_coefficients(model, theta, 1e-3, fisher=fim(model, theta))
+    own = estimate_coefficients(model, theta, 1e-3)
+    assert upper_bound(1e-3, 0.1, given_f, norm) == upper_bound(1e-3, 0.1, own, norm)
+    assert lower_bound(1e-3, 0.1, given_f, norm) == lower_bound(1e-3, 0.1, own, norm)
     for field in dataclasses.fields(BoundCoefficients):
         got, want = getattr(given_f, field.name), getattr(own, field.name)
         if isinstance(want, np.ndarray):
@@ -477,7 +475,7 @@ class TestSingularFisher:
         ("l2", 191304.0948560928),
     ], ids=["linf", "l2"])
     def test_upper_bounds_are_inapplicable(self, norm, lower_value):
-        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01)[norm]
+        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01)
         result = upper_bound(0.01, 0.1, coeffs, norm)
         assert (result.value, result.applicable, result.limiting_term, result.reason,
                 result.provenance) == (math.inf, False, "none", "singular Fisher matrix",
@@ -487,10 +485,10 @@ class TestSingularFisher:
         assert bound.value == pytest.approx(lower_value, rel=1e-12)
 
     def test_singular_flag_follows_the_fisher_matrix(self):
-        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01)["linf"]
+        coeffs = estimate_coefficients(self.MODEL, self.THETA, 0.01)
         assert coeffs.singular
         model = separable_pauli_model(1, np.array([1.0, 0.8, 0.3, 0.5]))
-        assert not estimate_coefficients(model, self.THETA, 0.01)["linf"].singular
+        assert not estimate_coefficients(model, self.THETA, 0.01).singular
         assert not idealized_coefficients(3).singular
 
 
@@ -503,9 +501,9 @@ class TestNonFiniteCoefficients:
         def rows(model):
             out = []
             coeffs = estimate_coefficients(model, np.array([1.0]), 0.01)
-            for norm in ("linf", "l2"):
-                out += [upper_bound(0.01, 0.1, coeffs[norm], norm),
-                        lower_bound(0.01, 0.1, coeffs[norm], norm)]
+            for norm in NORMS:
+                out += [upper_bound(0.01, 0.1, coeffs, norm),
+                        lower_bound(0.01, 0.1, coeffs, norm)]
             return out
 
         reference = rows(PoissonTruncatedModel(150))
@@ -535,7 +533,7 @@ class TestBoundResultContract:
     def test_values_at_least_one_or_flagged(self):
         model = entangled_pauli_model(1)
         for eps in (0.01, 0.2, 0.5):
-            coeffs = estimate_coefficients(model, np.zeros(3), eps)["linf"]
+            coeffs = estimate_coefficients(model, np.zeros(3), eps)
             for delta in (0.05, 0.3):
                 for result in (
                     upper_bound(eps, delta, coeffs, "linf"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fisherbound.fisher import (
 )
 from fisherbound.models import (
     GaussianKnownCovModel,
+    PoissonTruncatedModel,
     bernoulli_model,
     entangled_pauli_model,
     separable_pauli_model,
@@ -40,6 +42,24 @@ class TestFim:
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         f = fim(GaussianKnownCovModel(cov), np.zeros(2))
         np.testing.assert_allclose(f.matrix, np.linalg.inv(cov), atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-300, 1e-100, 1e-20, 1.0])
+    def test_poisson_against_the_mpmath_variance(self, theta):
+        # the truncated family is exponential in log theta, so F = Var(k) / theta^2;
+        # at theta << 1 the k = 1 outcome, p ~ theta, carries F ~ 1/theta
+        import mpmath
+
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            weights = [t**k / mpmath.factorial(k) for k in range(21)]
+            total = mpmath.fsum(weights)
+            mean = mpmath.fsum(k * w for k, w in enumerate(weights)) / total
+            var = mpmath.fsum((k - mean) ** 2 * w for k, w in enumerate(weights)) / total
+            want = float(var / t**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fim(PoissonTruncatedModel(20), np.array([theta])).matrix[0, 0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_matches_finite_difference_oracle(self):
         model = entangled_pauli_model(1)

@@ -26,7 +26,9 @@ from fisherbound.pauli import random_valid_eigenvalues
 from oracles import (
     bell_failures,
     bell_mstar_bracket,
+    bernoulli_linf_success,
     bernoulli_success_exact,
+    bernoulli_window,
     binomial_pmf,
     binomial_tail,
     find_min_samples_full,
@@ -479,9 +481,104 @@ class TestExactGaussianCurve:
         assert misses <= 1
 
 
-def _two_copy_random(n):
+# (eps, delta, exact first crossing and last dip, the same for the scored
+# curve, the Wilson window [m_lo, m_hi] of the scored curve)
+BERNOULLI_CURVES = [
+    (0.05, 0.1, (260, 278), (262, 278), (242, 350)),
+    (0.02, 0.05, (2375, 2423), (2377, 2450), (2202, 3126)),
+]
+
+
+class TestExactBernoulliCurve:
+    """The search against the exact linf success curve of the fair coin.
+
+    P_M = Pr[|S/M - 1/2| <= eps] with S ~ Bin(M, 1/2) is a sum over a count
+    window, so it is not monotone in M: it dips below 1 - delta after its
+    first crossing, up to a last dip.  The search scores |S/M - 1/2| <= eps
+    in float, which drops the window's upper end where it is an integer;
+    the scored curve is the one its probes sample.
+    """
+
+    THETA, TRIALS, TAIL = 0.5, 2000, 1e-4
+
+    def test_window_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(50):
+            for theta in (0.5, 0.3, 0.123):
+                for eps in (0.05, 0.125, 0.0123):
+                    for m in (1, 7, 8, 20, 60, 260, 999):
+                        t, e = mpmath.mpf(theta), mpmath.mpf(eps)
+                        inside = [k for k in range(m + 1) if abs(mpmath.mpf(k) / m - t) <= e]
+                        want = mpmath.fsum(mpmath.binomial(m, k) * t**k * (1 - t) ** (m - k)
+                                           for k in inside)
+                        lo, hi = bernoulli_window(theta, m, eps)
+                        assert list(range(lo, hi + 1)) == inside, (theta, eps, m)
+                        got = bernoulli_linf_success(theta, m, eps)
+                        assert got == pytest.approx(float(want), rel=1e-9, abs=1e-300)
+
+    def test_scored_window_is_the_search_scoring(self):
+        # every count of M samples through the model's MLE and the search's
+        # float comparison
+        model = bernoulli_model()
+        for eps in (0.05, 0.02, 0.125):
+            for m in range(1, 400):
+                counts = np.stack([np.arange(m + 1), m - np.arange(m + 1)], axis=1)
+                hits = np.flatnonzero(np.abs(model.mle_batch(counts)[:, 0] - self.THETA) <= eps)
+                lo, hi = bernoulli_window(self.THETA, m, eps, scored=True)
+                assert list(hits) == list(range(lo, hi + 1)), (eps, m)
+        # 0.55 M is on the window in exact arithmetic and outside it in float
+        assert bernoulli_window(self.THETA, 260, 0.05) == (117, 143)
+        assert bernoulli_window(self.THETA, 260, 0.05, scored=True) == (117, 142)
+
+    def scan(self, eps, delta, scored):
+        """P_M for M = 1 .. m_far, where Hoeffding's P_M >= 1 - 2 exp(-2 M eps^2)
+        has every later probe pass with probability at least 1 - TAIL, and
+        the pass threshold s_pass of a probe over TRIALS."""
+        target = 1.0 - delta
+        s_pass = next(s for s in range(self.TRIALS + 1)
+                      if wilson_interval(s, self.TRIALS)[0] >= target)
+        p_safe = next(p for p in np.linspace(target, 1.0, 10001)
+                      if binomial_tail(s_pass, self.TRIALS, p) >= 1.0 - self.TAIL)
+        m_far = math.ceil(math.log(2.0 / (1.0 - p_safe)) / (2.0 * eps**2))
+        curve = [bernoulli_linf_success(self.THETA, m, eps, scored) for m in range(1, m_far + 1)]
+        return curve, s_pass
+
+    @pytest.mark.parametrize("eps, delta, exact, scored, window", BERNOULLI_CURVES,
+                             ids=[f"eps{c[0]}-delta{c[1]}" for c in BERNOULLI_CURVES])
+    def test_search_lands_in_the_wilson_window(self, eps, delta, exact, scored, window):
+        # the first crossing and the last dip of 1 - delta, exact and scored
+        exact_curve, _ = self.scan(eps, delta, scored=False)
+        curve, s_pass = self.scan(eps, delta, scored=True)
+        for values, want in ((exact_curve, exact), (curve, scored)):
+            first = next(m for m, p in enumerate(values, start=1) if p >= 1.0 - delta)
+            last_dip = max(m for m, p in enumerate(values, start=1) if p < 1.0 - delta)
+            assert (first, last_dip) == want
+        # As in TestExactGaussianCurve, a probe at M passes with probability
+        # pass(M) = Pr[Bin(TRIALS, P_M) >= s_pass], now not monotone in M.  m_lo
+        # is the first M with pass(M) >= TAIL, so every M below passes with
+        # probability under TAIL; m_hi is one past the last M <= m_far with
+        # 1 - pass(M) > TAIL, and past m_far Hoeffding bounds the rest.  With
+        # resolution 1, m_star passes and m_star - 1 fails (or is 0), so a miss
+        # needs a probe below m_lo to pass or one at or above m_hi to fail:
+        # at most (probes) * TAIL per search, and two misses over 12 seeds
+        # have probability at most C(12, 2) (probes * TAIL)^2 < 5e-4.
+        passes = [binomial_tail(s_pass, self.TRIALS, p) for p in curve]
+        m_lo = next(m for m, q in enumerate(passes, start=1) if q >= self.TAIL)
+        m_hi = 1 + max(m for m, q in enumerate(passes, start=1) if 1.0 - q > self.TAIL)
+        assert (m_lo, m_hi) == window
+        misses = 0
+        for seed in range(12):
+            result = find_min_samples(bernoulli_model(), np.array([self.THETA]), eps, delta,
+                                      "linf", trials=self.TRIALS, seed=seed)
+            assert len(result.probes) * self.TAIL <= 3e-3
+            misses += not m_lo <= result.m_star <= m_hi
+        assert misses <= 1
+
+
+def _random_preset(scheme, n):
     cfg = cli.resolve_config(cli.build_parser().parse_args(
-        ["bounds", "--scheme", "two-copy-bell", "--preset", "random", "--n", str(n)]))
+        ["bounds", "--scheme", scheme, "--preset", "random", "--n", str(n)]))
     return cli.build_model_and_theta(cfg)
 
 
@@ -509,11 +606,11 @@ class TestSandwichWhereTheBoundsApply:
             model = entangled_pauli_model(n)
             theta = np.zeros(model.d)
         else:
-            model, theta = _two_copy_random(n)
+            model, theta = _random_preset("two-copy-bell", n)
         coeffs = bounds.estimate_coefficients(model, theta, eps)
         for norm in ("linf", "l2"):
-            lower = bounds.lower_bound(eps, delta, coeffs[norm], norm)
-            upper = bounds.upper_bound(eps, delta, coeffs[norm], norm)
+            lower = bounds.lower_bound(eps, delta, coeffs, norm)
+            upper = bounds.upper_bound(eps, delta, coeffs, norm)
             assert lower.applicable and upper.applicable
             # resolve m_star to a thousandth of the lower bound; m_star is a
             # passing probe, so a coarser step only raises it
@@ -524,16 +621,24 @@ class TestSandwichWhereTheBoundsApply:
                                                                   upper)
 
 
-def _bell_case(scheme, n):
-    if scheme == "entangled-pauli":
+def _bell_case(scheme, n, preset=None):
+    """The sandwich cases' point (entangled-pauli at the depolarizing point,
+    two-copy-bell at the random preset), or the given preset's."""
+    if preset is None and scheme == "entangled-pauli":
         model = entangled_pauli_model(n)
         return model, np.zeros(model.d)
-    return _two_copy_random(n)
+    return _random_preset(scheme, n)
 
 
 # The sandwich cases plus entangled-pauli at n = 5, where m* (about 4e16)
 # is past the Monte Carlo budget of 2^53 but not past the exact bracket.
 BRACKET_CASES = SANDWICH_CASES[:4] + [("entangled-pauli", 5, 1.8e-8)] + SANDWICH_CASES[4:]
+# The Monte Carlo search stays below 2^53 up to n = 3, at the sandwich cases'
+# points and at entangled-pauli's random preset (param_seed 1), whose
+# coordinates all differ.
+MONTE_CARLO_CASES = [case + (None,) for case in SANDWICH_CASES[:3] + SANDWICH_CASES[4:]] + [
+    ("entangled-pauli", n, eps, "random") for n, eps in ((1, 1.4e-2), (2, 5.4e-4), (3, 1.8e-5))
+]
 
 
 class TestBellExactBracket:
@@ -587,17 +692,17 @@ class TestBellExactBracket:
         # lower <= m* <= upper and m*_marg <= m* <= m*_bonf, so a failure here
         # means a bound is wrong
         model, theta = _bell_case(scheme, n)
-        coeffs = bounds.estimate_coefficients(model, theta, eps)["linf"]
+        coeffs = bounds.estimate_coefficients(model, theta, eps)
         lower = bounds.lower_bound(eps, self.DELTA, coeffs, "linf")
         upper = bounds.upper_bound(eps, self.DELTA, coeffs, "linf")
         assert lower.applicable and upper.applicable
         m_marg, m_bonf = bell_mstar_bracket(theta, eps, self.DELTA)
         assert lower.value <= m_bonf and m_marg <= upper.value, (lower, m_marg, m_bonf, upper)
 
-    @pytest.mark.parametrize("scheme, n, eps", SANDWICH_CASES[:3] + SANDWICH_CASES[4:],
-                             ids=[f"{s}-n{n}" for s, n, _ in SANDWICH_CASES[:3]
-                                  + SANDWICH_CASES[4:]])
-    def test_monte_carlo_mstar_inside_the_bracket(self, scheme, n, eps):
+    @pytest.mark.parametrize("scheme, n, eps, preset", MONTE_CARLO_CASES,
+                             ids=[f"{s}-{p}-n{n}" if p else f"{s}-n{n}"
+                                  for s, n, _, p in MONTE_CARLO_CASES])
+    def test_monte_carlo_mstar_inside_the_bracket(self, scheme, n, eps, preset):
         # A probe at M passes when its successes over TRIALS reach s_pass,
         # with probability Pr[Bin(TRIALS, P(M)) >= s_pass], and the true
         # success P(M) is at least the Bonferroni curve B(M).  So probes at
@@ -608,7 +713,7 @@ class TestBellExactBracket:
         # Wilson margin: the rate a certified pass needs (about 0.935 at
         # 2000 trials) over 1 - delta.
         trials, tail = 2000, 1e-4
-        model, theta = _bell_case(scheme, n)
+        model, theta = _bell_case(scheme, n, preset)
         m_marg, m_bonf = bell_mstar_bracket(theta, eps, self.DELTA)
         values, counts = np.unique(theta, return_counts=True)
         s_pass = next(s for s in range(trials + 1)

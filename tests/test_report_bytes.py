@@ -39,7 +39,7 @@ CASES = [
     ("bounds", {"n": 2, "epsilon": 0.01, "grid_points": 3, "format": "json"},
      0, "479ead7dcbc0e5f04663e6fcdd42068e0b4bf05a39b26d3c31f0bcf4ddf0fb8c"),
     ("bounds", {"scheme": "poisson", "epsilon": 0.05, "format": "json"},
-     0, "509e179f7cce8cae43e7a2545289106d00c2efed5445f963e0f3c64f8c01a0f2"),
+     0, "800d81dfaef9404c10952e209b24a27b3e6a2df55537540782dae8e6fa2f8857"),
     ("bounds", {"scheme": "separable-pauli", "epsilon": 0.02},
      0, "60271fa1631800703d7cf59b4fcb2999437868789a76ecab1eb8fe27a3035468"),
     ("bounds", {"scheme": "two-copy-bell", "preset": "random", "epsilon": 0.001},
@@ -54,7 +54,7 @@ CASES = [
                   "trials": 300, "format": "json"},
      0, "7a38fb83f86ed0ed3f338894a40b9e10586e6843a81898eee9118aae9feb6622"),
     ("simulate", {"scheme": "poisson", "epsilon": 0.3, "trials": 300},
-     0, "63eceec7ce56c849090342163e1f35b53f4944f30cccd8733f4e7ddae89149aa"),
+     0, "e0e25d6870721c7c0e03a40809755e5a057c960f595430856138c88d6b528b4e"),
     ("fisher", {"n": 2, "preset": "random", "param_seed": 5},
      0, "f67e6999e1d5abd8f83d400ae7bbb0bfa96f7546efe0814516c498c06aa812e1"),
     ("fisher", {"scheme": "separable-pauli", "format": "json"},
