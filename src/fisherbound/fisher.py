@@ -1,11 +1,11 @@
 """Fisher information matrices, spectral utilities, and estimability tests.
 
-The classical Fisher matrix of a finite-outcome model is computed by
-outcome enumeration, F_ij = sum_x dp_i dp_j / p over outcomes above a
-probability floor, together with the structural Bell-measurement Fisher
-matrix U^T D U, the single-copy trace bound on the Fisher diagonal at the
-maximally mixed state, and the Moore-Penrose machinery, in which one split
-of F's eigenvalues at RANK_TOL decides singularity and estimability.
+The classical Fisher matrix of a model is the model's own analytic_fisher,
+summed over every outcome, which fim checks for finiteness.  Alongside it
+sit the structural Bell-measurement Fisher matrix U^T D U, the single-copy
+trace bound on the Fisher diagonal at the maximally mixed state, and the
+Moore-Penrose machinery, in which one split of F's eigenvalues at
+RANK_TOL decides singularity and estimability.
 """
 
 import math
@@ -26,8 +26,6 @@ __all__ = [
     "single_copy_trace_bound",
 ]
 
-P_FLOOR = 1e-12
-EXCLUDED_SCORE_TOL = 1e-6
 RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -104,33 +102,20 @@ class FisherMatrix:
 def fim(model, theta) -> FisherMatrix:
     """Classical Fisher information matrix of a model at theta.
 
-    Outcomes with probability below P_FLOOR are excluded from the sum.
-    If the excluded outcomes carry score mass (excluded probability times
-    the largest |dp|/p ratio among them above EXCLUDED_SCORE_TOL) the
-    matrix is declared undefined rather than silently truncated; a point
-    outside the open domain is undefined as well.
+    The matrix is the model's analytic_fisher, a sum over every outcome.
+    It is undefined at a point outside the open domain, and where it is
+    not finite: near the domain boundary a score can overflow float64.
     """
     try:
         theta = model.validate_theta(np.asarray(theta, dtype=float))
     except DomainError as exc:
         raise FimUndefinedError(str(exc))
-    analytic = model.analytic_fisher(theta)
-    if analytic is not None:
-        return FisherMatrix(analytic)
-    p = model.probs(theta)
-    grads = model.dprobs(theta)
-    keep = p > P_FLOOR
-    if not np.all(keep):
-        excluded_mass = float(p[~keep].sum())
-        grad_scale = np.abs(grads[~keep]).max(axis=1)
-        ratio = grad_scale / np.maximum(p[~keep], P_FLOOR)
-        if excluded_mass * float(ratio.max(initial=0.0)) > EXCLUDED_SCORE_TOL:
-            raise FimUndefinedError(
-                f"{model.scheme}: FIM undefined at theta; excluded mass "
-                f"{excluded_mass!r} carries score (max |dp|/p = {ratio.max()!r})"
-            )
-    weighted = grads[keep] / p[keep, None]
-    return FisherMatrix(weighted.T @ grads[keep])
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = model.analytic_fisher(theta)
+    if not np.isfinite(matrix).all():
+        raise FimUndefinedError(f"{model.scheme}: Fisher matrix at parameter "
+                                f"{theta!r} is not finite")
+    return FisherMatrix(matrix)
 
 
 def estimable(f: FisherMatrix) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Finite-outcome statistical models with analytic log-likelihood derivatives.
 
 Each model exposes the outcome distribution p_theta(x), its first three
-log-likelihood derivatives, and a closed-form maximum-likelihood
-estimator: mle_batch maps a (trials, K) count matrix to C-ordered rows of
-estimates (the bits of mle_lab's l2 error norm depend on the row layout),
-and StatModel.mle applies it to one count vector.  estimate_batch draws
-the counts of many trials at once and returns their estimates.
+log-likelihood derivatives, its Fisher matrix (analytic_fisher) and a
+closed-form maximum-likelihood estimator: mle_batch maps a (trials, K)
+count matrix to C-ordered rows of estimates (the bits of mle_lab's l2
+error norm depend on the row layout), and StatModel.mle applies it to
+one count vector.  estimate_batch draws the counts of many trials at
+once and returns their estimates.
 The finite-sample bounds read outcome moments at a parameter point from
 two methods: score_moments (V_H and the projected-score third moments,
 the same for both error norms) and envelope_moments (the mean and
@@ -16,14 +17,15 @@ textbook models (Bernoulli, multinomial, truncated Poisson, Gaussian with
 known covariance) all fit this surface, each built by its own factory or
 constructor.
 
-Models whose outcome probabilities are affine in the parameters share the
-LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score is
-g_x = A_x / p, the Hessian the rank-one -g_x g_x^T, and the third
-derivative the rank-one tensor 2 g_x^(3).  That makes the ball supremum of
-the third-derivative operator norm available in closed form, and the
+Models whose outcome probabilities are affine in the parameters share
+the LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score
+is g_x = A_x / p, the Fisher matrix sum_x g_x A_x^T over every outcome,
+the Hessian the rank-one -g_x g_x^T, and the third derivative the
+rank-one tensor 2 g_x^(3).  That makes the ball supremum of the
+third-derivative operator norm available in closed form, and the
 Hessian-fluctuation moment V_H = E||l''(x) + F||_F^2 a sum over the
-K x d score matrix: no model builds the K x d x d Hessian stack on the way
-to a bound.  Their domain, p > 0 within an inclusive theta box, is
+K x d score matrix: no model builds the K x d x d Hessian stack on the
+way to a bound.  Their domain, p > 0 within an inclusive theta box, is
 constructor data that contains and probs read through one rule.  The
 Pauli models are dense in 4^n x 4^n arrays; their size, like the
 classical models' dim and truncation, is checked against physical memory
@@ -80,9 +82,9 @@ class DomainError(ValueError):
 class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
-    Subclasses implement probs/dprobs/d2logp/d3logp, hessian_fluctuation,
-    third_derivative_envelope and mle_batch, or override score_moments
-    and envelope_moments.
+    Subclasses implement probs, dlogp, analytic_fisher, d2logp/d3logp,
+    hessian_fluctuation, third_derivative_envelope and mle_batch, or
+    override score_moments and envelope_moments.
     theta is always a length-d float vector interior to the domain.
     The Pauli models set qubits, the qubit count n, and give a closed-form
     inverse-Fisher diagonal; the Bell models also draw random points.
@@ -96,15 +98,9 @@ class StatModel:
     def probs(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def dprobs(self, theta: np.ndarray) -> np.ndarray:
-        """(K, d) array of outcome-probability gradients."""
-        raise NotImplementedError
-
     def dlogp(self, theta: np.ndarray, p=None) -> np.ndarray:
         """(K, d) score per outcome; p, when given, is probs(theta)."""
-        if p is None:
-            p = self.probs(theta)
-        return self.dprobs(theta) / p[:, None]
+        raise NotImplementedError
 
     def d2logp(self, theta: np.ndarray) -> np.ndarray:
         """(K, d, d) log-likelihood Hessian per outcome."""
@@ -168,8 +164,8 @@ class StatModel:
         return self.mle_batch(counts)
 
     def analytic_fisher(self, theta):
-        """Closed-form Fisher matrix, or None to request enumeration."""
-        return None
+        """(d, d) Fisher matrix E[g g^T] at theta, with every outcome in the sum."""
+        raise NotImplementedError
 
     def closed_form_inverse_diag(self, theta):
         """Closed-form diagonal of F^-1 at theta, or None where none is known."""
@@ -242,17 +238,21 @@ class LinearOutcomeModel(StatModel):
             raise self._domain_error(theta)
         return p
 
-    def dprobs(self, theta):
-        return self.A
+    def dlogp(self, theta, p=None):
+        if p is None:
+            p = self.probs(theta)
+        return self.A / p[:, None]
+
+    def analytic_fisher(self, theta):
+        """sum_x A_x A_x^T / p_x over every outcome; the domain keeps p > 0."""
+        return self.dlogp(theta).T @ self.A
 
     def d2logp(self, theta):
-        p = self.probs(theta)
-        g = self.A / p[:, None]
+        g = self.dlogp(theta)
         return -np.einsum("ki,kj->kij", g, g)
 
     def d3logp(self, theta):
-        p = self.probs(theta)
-        g = self.A / p[:, None]
+        g = self.dlogp(theta)
         return 2.0 * np.einsum("ki,kj,kl->kijl", g, g, g)
 
     def hessian_fluctuation(self, theta, p, scores, fisher):
@@ -263,9 +263,7 @@ class LinearOutcomeModel(StatModel):
         ||g_x g_x^T - F||_F^2 = sum_i (a_i - lam_i)^2 + sum_{i != j} a_i a_j,
         a sum of non-negative terms, so nothing cancels even where V_H is
         near zero (a coin near 1/2).  The cross sum is taken as
-        2 sum_j a_j (a_1 + ... + a_{j-1}).  Each outcome is exact on its
-        own, so outcomes that fim drops below its probability floor count
-        as in the stack.
+        2 sum_j a_j (a_1 + ... + a_{j-1}).
         """
         a = np.square(scores @ fisher.eigenvectors)
         diag = np.square(a - fisher.eigenvalues).sum(axis=1)
@@ -503,9 +501,6 @@ class PoissonTruncatedModel(StatModel):
         weights = self._weights(float(theta[0]))
         return weights / weights.sum()
 
-    def dprobs(self, theta):
-        return self.probs(theta)[:, None] * self.dlogp(theta)
-
     def dlogp(self, theta, p=None):
         """(K, 1) score k/theta - Z_1/Z_0, finite also where p_k underflows to 0."""
         t = float(np.asarray(theta, dtype=float)[0])
@@ -513,9 +508,9 @@ class PoissonTruncatedModel(StatModel):
         return (self._ks / t - z1 / z0)[:, None]
 
     def analytic_fisher(self, theta):
-        """[[sum_k (p_k s_k) s_k]] over every outcome, with s = dlogp: none
-        falls below a floor, so F ~ 1/theta also where p_k underflows, and
-        p_k s_k is formed first so that s_k^2 never overflows."""
+        """[[sum_k (p_k s_k) s_k]] over every outcome, with s = dlogp, so
+        F ~ 1/theta also where p_k underflows; p_k s_k is formed first so
+        that s_k^2 never overflows."""
         p = self.probs(theta)
         s = self.dlogp(theta, p)[:, 0]
         return np.array([[(p * s) @ s]])

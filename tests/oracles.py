@@ -427,19 +427,13 @@ class MseCrbReport:
 def mse_vs_crb(model, theta, m, trials, seed, block=512) -> MseCrbReport:
     """Empirical MLE mean squared error against [F^-1]_aa / m per coordinate.
 
-    F is the model's closed form where it has one, else the enumeration
-    sum_x dp_x dp_x^T / p_x, inverted by numpy.  The trials are the
-    full-length blocks of a success_probability probe at context 0.
+    F is the model's analytic_fisher, inverted by numpy.  The trials are
+    the full-length blocks of a success_probability probe at context 0.
     """
     if m < 1:
         raise ValueError(f"sample size must be >= 1, got {m!r}")
     theta = model.validate_theta(theta)
-    matrix = model.analytic_fisher(theta)
-    if matrix is None:
-        p = model.probs(theta)
-        dp = model.dprobs(theta)
-        matrix = dp.T @ (dp / p[:, None])
-    crb = np.diag(np.linalg.inv(matrix)) / m
+    crb = np.diag(np.linalg.inv(model.analytic_fisher(theta))) / m
 
     sq_sum = np.zeros(model.d)
     for index, start in enumerate(range(0, trials, block)):

@@ -333,11 +333,11 @@ class TestHessianFluctuation:
         theta = np.random.default_rng(seed).dirichlet(np.ones(d + 1))[:d]
         assert_v_h_matches_dense_stack(multinomial_model(d), theta)
 
-    def test_outcome_below_the_fim_floor(self):
-        # p = (1e-19, 1): fim drops the first outcome, so F is not E[g g^T]
+    def test_outcome_of_probability_1e19_enters_the_fim(self):
+        # p = (1e-19, 1): the first outcome carries F = 1/theta + 1/(1 - theta)
         model = bernoulli_model()
         theta = np.array([1e-19])
-        assert fim(model, theta).matrix[0, 0] == 1.0
+        assert fim(model, theta).matrix[0, 0] == pytest.approx(1e19, rel=1e-15)
         assert_v_h_matches_dense_stack(model, theta)
 
     def test_poisson_uses_the_dense_default(self):

@@ -231,6 +231,37 @@ class TestConfigHandling:
         assert (code, row["m_star"]) == (0, 1)
         assert row["lower_bound"] <= row["m_star"]
 
+    # an outcome of probability far below 1e-12 still carries F ~ 1/p
+    @pytest.mark.parametrize("overrides, m_star", [
+        ({"scheme": "bernoulli", "theta": [1e-19]}, 1),
+        ({"scheme": "multinomial", "dim": 2, "theta": [1e-200, 0.5]}, 7272),
+    ], ids=["bernoulli", "multinomial"])
+    def test_lower_bound_below_m_star_at_an_improbable_outcome(self, overrides, m_star):
+        cfg = resolve("simulate", epsilon=0.01, format="json", **overrides)
+        text, code = run_command("simulate", cfg)
+        row = json.loads(text)["rows"][0]
+        assert (code, row["m_star"]) == (0, m_star)
+        assert row["lower_bound"] <= row["m_star"]
+
+    # at theta = 1e-320 a score overflows float64, so F is inf (bernoulli) or
+    # nan (poisson): fisher reports it undefined, bounds and simulate exit 2
+    @pytest.mark.parametrize("command", ["fisher", "bounds", "simulate"])
+    @pytest.mark.parametrize("scheme", ["bernoulli", "poisson"])
+    def test_non_finite_fisher_matrix_raises_no_warning(self, tmp_path, scheme, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": scheme, "theta": [1e-320], "format": "json"}))
+        done = run_cli([command, "--config", str(path)],
+                       env={**os.environ, "PYTHONWARNINGS": "error"})
+        if command == "fisher":
+            assert (done.returncode, done.stderr) == (0, "")
+            meta = json.loads(done.stdout)["meta"]
+            assert meta["fim_defined"] is False
+            assert meta["reason"].endswith("is not finite")
+        else:
+            assert done.returncode == 2
+            assert done.stderr.startswith("config error: ")
+            assert done.stderr.rstrip().endswith("is not finite")
+
     def test_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")

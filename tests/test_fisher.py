@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fisherbound.fisher import (
     FimUndefinedError,
@@ -17,6 +19,7 @@ from fisherbound.models import (
     PoissonTruncatedModel,
     bernoulli_model,
     entangled_pauli_model,
+    multinomial_model,
     separable_pauli_model,
     two_copy_bell_model,
 )
@@ -84,6 +87,68 @@ class TestFim:
         model = entangled_pauli_model(1)
         with pytest.raises((FimUndefinedError, ValueError)):
             fim(model, np.array([1.0, 1.0, 1.0]))
+
+
+def assert_fim_sums_every_outcome(model, theta):
+    """fim is sum_x p_x g_x g_x^T = sum_x A_x A_x^T / p_x over every outcome.
+
+    The sum is taken in 40-digit arithmetic from the model's own
+    probabilities, and each entry may differ from it by the rounding of a
+    K-term float sum, 4 K eps times the sum of the terms' magnitudes.  One
+    dropped outcome moves its entries by its whole term.
+    """
+    import mpmath
+
+    got = fim(model, theta).matrix
+    p = model.probs(theta)
+    want = np.empty_like(got)
+    scale = np.empty_like(got)
+    with mpmath.workdps(40):
+        for i in range(model.d):
+            for j in range(model.d):
+                terms = [mpmath.mpf(a_x[i]) * mpmath.mpf(a_x[j]) / mpmath.mpf(p_x)
+                         for a_x, p_x in zip(model.A, p)]
+                want[i, j] = float(mpmath.fsum(terms))
+                scale[i, j] = float(mpmath.fsum(abs(term) for term in terms))
+    assert np.all(np.abs(got - want) <= 4 * model.K * np.finfo(float).eps * scale)
+
+
+class TestFimSumsEveryOutcome:
+    """No outcome is too improbable for the Fisher sum (the Bell schemes
+    form p = 4^-n + A theta, so float64 resolves their p only to ~1e-17)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(theta=st.one_of(st.floats(-300.0, 0.0).map(lambda e: 0.5 * 10.0**e),
+                           st.floats(0.5, 1.0 - 1e-12)))
+    def test_bernoulli(self, theta):
+        got = fim(bernoulli_model(), np.array([theta])).matrix[0, 0]
+        assert got == pytest.approx(1.0 / (theta * (1.0 - theta)), rel=1e-15, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           log_min=st.floats(-300.0, 0.0))
+    def test_multinomial(self, d, seed, log_min):
+        rng = np.random.default_rng(seed)
+        theta = rng.dirichlet(np.ones(d + 1))[:d]
+        j = rng.integers(d)
+        theta[j] = min(theta[j], 10.0**log_min)
+        assert_fim_sums_every_outcome(multinomial_model(d), theta)
+
+    @pytest.mark.parametrize("factory", [entangled_pauli_model, two_copy_bell_model])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           log_t=st.floats(-14.0, 0.0))
+    def test_bell(self, factory, n, seed, log_t):
+        # rates (1 - t) q + t / 4^n, with q zero on a random subset of outcomes;
+        # q_0 >= 1/2 keeps every eigenvalue in [0, 1], two-copy-bell's box
+        rng = np.random.default_rng(seed)
+        q = rng.dirichlet(np.ones(4**n))
+        q[rng.random(q.size) < 0.5] = 0.0
+        q[0] += q.sum() + 1e-3
+        theta = (1.0 - 10.0**log_t) * rates_to_eigenvalues(q / q.sum())[1:]
+        model = factory(n)
+        assume(model.contains(theta))
+        assert_fim_sums_every_outcome(model, theta)
 
 
 class TestQfimDiagonals:
