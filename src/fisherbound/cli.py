@@ -216,9 +216,7 @@ def build_model_and_theta(cfg: dict):
     elif scheme == "poisson":
         model, theta = models.PoissonTruncatedModel(cfg["truncation"]), [1.0]
     else:  # gaussian-known-var; _validate_config admits no other scheme
-        models._check_memory(f"gaussian-known-var at dim={dim}", models.GAUSSIAN_DENSE_ARRAYS,
-                             dim**2, f"dense {dim} x {dim}")
-        model, theta = models.GaussianKnownCovModel(np.eye(dim)), np.zeros(dim)
+        model, theta = models.gaussian_known_var_model(dim), np.zeros(dim)
     key = "lambda" if cfg["lambda"] is not None else "theta"
     if cfg[key] is not None:
         theta = np.asarray(cfg[key], dtype=float)
@@ -363,12 +361,7 @@ def _bound_sort_key(result):
 
 def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     model, theta = build_model_and_theta(cfg)
-    # the dense guards bound K for every scheme but poisson, whose draws
-    # (K = truncation + 1) are checked here, before any work
-    rows = min(cfg["trials"], mle_lab.TRIAL_BLOCK)
-    models._check_memory(f"simulate on {model.scheme} at trials={cfg['trials']}, "
-                         f"K={model.K} outcomes", mle_lab.DRAW_ARRAYS, rows * model.K,
-                         f"{rows} x {model.K} count")
+    mle_lab.check_draws(model, cfg["trials"])  # before any work, not at the first probe
     eps, delta, norm = cfg["epsilon"], cfg["delta"], cfg["norm"]
     f = fisher.fim(model, theta)
     # the small-eps lower limit reads [F^-1]_aa in linf and lambda_max(F^-1) in l2

@@ -16,9 +16,8 @@ bound below 1 - delta; every pass/fail decision, and so the search
 result, is the same as with all trials run.  To stop there it draws each
 block's rows in pieces from the block's stream.  numpy's multinomial and
 normal draws consume the stream row by row, so the pieces are bit for bit
-the block drawn at once.  A draw holds DRAW_ARRAYS arrays of at most
-TRIAL_BLOCK rows of K counts.  The empirical MSE-vs-Cramer-Rao
-diagnostic is a test oracle (tests/oracles.py), not part of this module.
+the block drawn at once.  The empirical MSE-vs-Cramer-Rao diagnostic is a
+test oracle (tests/oracles.py), not part of this module.
 """
 
 import math
@@ -27,10 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import models
+
 __all__ = [
     "BudgetExceededError",
     "MinSamplesResult",
     "SuccessEstimate",
+    "check_draws",
     "find_min_samples",
     "resolve_threads",
     "success_probability",
@@ -38,8 +40,6 @@ __all__ = [
 ]
 
 TRIAL_BLOCK = 512
-# arrays of up to TRIAL_BLOCK x K that one draw holds: the count matrix and
-# the float copy of it that mle_batch makes
 DRAW_ARRAYS = 2
 WILSON_LEVEL = 0.95
 Z_FOR_LEVEL = {0.90: 1.6448536269514722, 0.95: 1.959963984540054,
@@ -70,6 +70,14 @@ def resolve_threads() -> int:
     if value == 0:
         return min(os.cpu_count() or 1, 8)
     return value
+
+
+def check_draws(model, trials):
+    """Refuse, before any draw, draws of DRAW_ARRAYS (counts, mle_batch's float copy)
+    TRIAL_BLOCK x K arrays beyond physical memory; no dense guard bounds poisson's K."""
+    rows = min(trials, TRIAL_BLOCK)
+    models._check_memory(f"search on {model.scheme} at trials={trials}, K={model.K} outcomes",
+                         DRAW_ARRAYS, rows * model.K, f"{rows} x {model.K} count")
 
 
 def wilson_interval(successes: int, trials: int, level: float = WILSON_LEVEL):
@@ -160,6 +168,7 @@ def success_probability(
         raise ValueError(f"sample size must be >= 1, got {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_draws(model, trials)
     theta = model.validate_theta(theta)
 
     # failures at which the probe fails however the remaining trials turn

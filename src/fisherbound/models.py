@@ -47,6 +47,7 @@ __all__ = [
     "StatModel",
     "bernoulli_model",
     "entangled_pauli_model",
+    "gaussian_known_var_model",
     "multinomial_model",
     "separable_pauli_model",
     "two_copy_bell_model",
@@ -605,3 +606,10 @@ class GaussianKnownCovModel(StatModel):
         # the MLE is the sample mean, which is drawn directly
         z = rng.standard_normal((trials, self.d))
         return np.asarray(theta, dtype=float) + (z @ self._chol.T) / math.sqrt(m)
+
+
+def gaussian_known_var_model(d: int) -> GaussianKnownCovModel:
+    """Gaussian location model in d dimensions with identity covariance."""
+    _check_memory(f"gaussian-known-var at dim={d}", GAUSSIAN_DENSE_ARRAYS, int(d) ** 2,
+                  f"dense {d} x {d}")
+    return GaussianKnownCovModel(np.eye(d))

@@ -205,6 +205,35 @@ def bernoulli_linf_success(theta, m, eps, scored=False):
     return float(binom.cdf(hi, m, theta) - binom.cdf(lo - 1, m, theta))
 
 
+def multinomial_linf_success(theta, m, eps, scored=False):
+    """Exact Pr[max_a |n_a/m - theta_a| <= eps] for the first d counts of
+    Mult(m, (theta_1..theta_d, 1 - sum theta)), by nested binomial sums.
+
+    The counts are drawn one coordinate at a time: n_a given the earlier
+    ones is Bin(r, theta_a / (1 - theta_1 - ... - theta_{a-1})) on the r
+    samples left.  mass[r] carries the probability that r samples are left
+    with every earlier count inside its window (bernoulli_window, exact or
+    scored), so each coordinate is one sum over its window, taken only over
+    the r that carry mass.  Not monotone in m on the count lattice.
+    """
+    from scipy.stats import binom
+
+    mass = np.zeros(m + 1)
+    mass[m] = 1.0
+    left = 1.0
+    for t in theta:
+        lo, hi = bernoulli_window(t, m, eps, scored)
+        if lo > hi:
+            return 0.0
+        rows = np.flatnonzero(mass)[:, None]
+        counts = np.arange(lo, hi + 1)[None, :]
+        terms = mass[rows] * binom.pmf(counts, rows, min(t / left, 1.0))
+        inside = rows >= counts
+        mass = np.bincount((rows - counts)[inside], terms[inside], minlength=m + 1)
+        left -= t
+    return float(mass.sum())
+
+
 def gaussian_linf_success(m, eps, d):
     """Exact Pr[max_a |theta_hat_a - theta_a| <= eps] for the mean of m
     draws of N(theta, I_d): (2 Phi(eps sqrt(m)) - 1)^d, where
@@ -584,4 +613,81 @@ def lower_bound_l2(eps: float, delta: float, coeffs: BoundCoefficients) -> Bound
         applicable=True,
         limiting_term=term,
         provenance=coeffs.provenance,
+    )
+
+
+def bell_secular_root(p):
+    """The top root mu of sum_x p_x^2 / (p_x - mu) = 1, the largest eigenvalue
+    of diag(p) - p p^T (Golub, SIAM Rev. 1973).
+
+    The root lies between the two largest p_x and is their common value
+    where they tie.  It is bisected in t = max(p) - mu, on (0, max(p) minus
+    the second largest), where the left side falls as t rises; each term's
+    denominator p_x - max(p) + t then keeps the gap to max(p) exact.
+    """
+    p = np.asarray(p, dtype=float)
+    second, top = np.sort(p)[-2:]
+    if second == top:
+        return float(top)
+    gap = p - top
+    lo, hi = 0.0, float(top - second)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return float(top - mid)
+        if np.sum(p * p / (gap + mid)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@dataclass(frozen=True)
+class BellClosedForms:
+    """The Walsh-Hadamard closed forms of a Bell scheme's coefficients."""
+
+    inv_diag: np.ndarray
+    rho_diag: np.ndarray
+    v_h: float
+    opnorm_inverse: float
+    top_eigvec: np.ndarray
+    rho_top: float
+
+
+def bell_closed_forms(theta):
+    """Coefficients of a Bell scheme (entangled-pauli, or two-copy-bell with
+    s in place of lambda) at theta = lambda_1..lambda_{N-1}, N = 4^n, from the
+    Walsh-Hadamard structure alone (Flammia & Wallman, arXiv:1907.12976).
+
+    With p = fwht(lambda)/N the outcome probabilities and q = 1/p, the MLE's
+    influence function is F^-1 g_x = s(x) - lambda, s_a(x) = (-1)^<x, a>:
+    - [F^-1]_aa = 1 - lambda_a^2, and rho_a = E|s_a(x) - lambda_a|^3 =
+      (1 - lambda_a^2)(1 + lambda_a^2);
+    - V_H = E||g||^4 - ||F||_F^2 = [(N-1)^2 sum q^3 - (sum q)^2
+      - (N^2 - 2N) sum q^2] / N^4, since ||A_x||^2 = (N-1)/N^2 and
+      A_x . A_y = (N delta_xy - 1)/N^2;
+    - the nonzero eigenvalues of F^-1 are N times those of diag(p) - p p^T,
+      so lambda_max(F^-1) = N mu with mu from bell_secular_root;
+    - its eigenvector is u = fwht(p / (p - mu)) with u_0 = 0, normalised, and
+      rho_top = sum_x p_x |fwht(u)_x - u . lambda|^3.
+    The last two need a simple top eigenvalue (the two largest p_x apart).
+    Transforms are fwht_stack's butterflies.
+    """
+    theta = np.asarray(theta, dtype=float)
+    lam = np.concatenate([[1.0], theta])
+    size = lam.size
+    p = fwht_stack(lam) / size
+    q = 1.0 / p
+    mu = bell_secular_root(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = fwht_stack(p / (p - mu))
+    u[0] = 0.0
+    u /= np.linalg.norm(u)
+    return BellClosedForms(
+        inv_diag=1.0 - theta**2,
+        rho_diag=(1.0 - theta**2) * (1.0 + theta**2),
+        v_h=float(((size - 1) ** 2 * np.sum(q**3) - np.sum(q) ** 2
+                   - (size * size - 2 * size) * np.sum(q * q)) / size**4),
+        opnorm_inverse=size * mu,
+        top_eigvec=u[1:],
+        rho_top=float(p @ np.abs(fwht_stack(u) - u @ lam) ** 3),
     )

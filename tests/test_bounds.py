@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fisherbound.bounds import (
@@ -33,7 +33,14 @@ from fisherbound.models import (
 from fisherbound.pauli import product_probe, random_valid_eigenvalues, rates_to_eigenvalues
 from fisherbound.special_functions import lambert_w0
 
-from oracles import hessian_fluctuation_dense, lambert_bisect
+from oracles import (
+    bell_closed_forms,
+    bell_secular_root,
+    fwht_stack,
+    hessian_fluctuation_dense,
+    lambert_bisect,
+    symplectic_naive,
+)
 
 # Frozen from the bisection oracle.
 W0_ARG_D3_DELTA01 = 2291.831180523293          # 8/pi * 0.1^-2 * 3^2
@@ -289,6 +296,98 @@ def assert_v_h_matches_dense_stack(model, theta):
 def random_bloch(rng, n):
     bloch = rng.standard_normal((n, 3))
     return bloch / np.linalg.norm(bloch, axis=1, keepdims=True)
+
+
+def bell_point(scheme, n, seed, shrink):
+    """A Bell model and a random point: a channel's eigenvalues, or the squared
+    moments of a pure product state, shrunk toward the depolarizing point."""
+    rng = np.random.default_rng(seed)
+    if scheme == "entangled-pauli":
+        return entangled_pauli_model(n), shrink * random_valid_eigenvalues(n, rng)[1:]
+    return two_copy_bell_model(n), shrink * product_probe(random_bloch(rng, n))[1:] ** 2
+
+
+class TestBellClosedForms:
+    """ROADMAP item 1's Walsh-Hadamard closed forms (oracles.bell_closed_forms)
+    against the dense Fisher path, for both Bell schemes at n = 1-3.
+
+    The dense path loses about cond(F) * eps relative (eigh): on 600 random
+    entangled points at n = 2-3 its rho_top was off by 1.2e-11 at cond(F) =
+    4.6e4 and by at most 2.8e-12 where cond(F) <= 1e4.  Points past 1e4 are
+    skipped, so that the 1e-11 tolerance measures the closed forms.  The top
+    eigenvector and rho_top are compared where lambda_max(F^-1) is simple,
+    ahead of the next eigenvalue by more than TOP_GAP of itself.
+    """
+
+    TOP_GAP = 1e-2
+
+    @settings(max_examples=40, deadline=None)
+    @given(scheme=st.sampled_from(["entangled-pauli", "two-copy-bell"]), n=st.integers(1, 3),
+           seed=SEEDS, shrink=SHRINK)
+    def test_against_the_dense_fisher_path(self, scheme, n, seed, shrink):
+        model, theta = bell_point(scheme, n, seed, shrink)
+        f = fim(model, theta)
+        assume(f.eigenvalues[-1] <= 1e4 * f.eigenvalues[0])
+        coeffs = estimate_coefficients(model, theta, 0.01, fisher=f)
+        closed = bell_closed_forms(theta)
+        np.testing.assert_allclose(closed.inv_diag, f.inverse_diag(), rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(closed.rho_diag, coeffs.rho_diag, rtol=1e-11, atol=0.0)
+        assert closed.v_h == pytest.approx(coeffs.V_H, rel=1e-11, abs=0.0)
+        assert closed.opnorm_inverse == pytest.approx(coeffs.opnorm_inv, rel=1e-11, abs=0.0)
+        top, next_ = 1.0 / f.eigenvalues[:2]
+        if top - next_ > self.TOP_GAP * top:
+            dense = f.top_eigvec() * np.sign(f.top_eigvec() @ closed.top_eigvec)
+            np.testing.assert_allclose(closed.top_eigvec, dense, rtol=0.0, atol=1e-11)
+            assert closed.rho_top == pytest.approx(coeffs.rho_top, rel=1e-11, abs=0.0)
+
+    def test_secular_root_is_the_top_eigenvalue(self):
+        rng = np.random.default_rng(11)
+        for size in (2, 4, 16, 64):
+            for tie in (False, True):
+                p = rng.dirichlet(np.ones(size))
+                if tie:
+                    p[np.argsort(p)[-2]] = p.max()
+                    p /= p.sum()
+                want = np.linalg.eigvalsh(np.diag(p) - np.outer(p, p))[-1]
+                assert bell_secular_root(p) == pytest.approx(want, rel=1e-13)
+
+    def test_depolarizing_point(self):
+        # p uniform: F^-1 = I, and V_H = (N - 1)(N - 2) from the closed form
+        for n in (1, 2, 3):
+            size = 4**n
+            closed = bell_closed_forms(np.zeros(size - 1))
+            assert closed.opnorm_inverse == pytest.approx(1.0, rel=1e-15)
+            assert closed.v_h == pytest.approx((size - 1) * (size - 2), rel=1e-13)
+            model = entangled_pauli_model(n)
+            assert closed.v_h == pytest.approx(
+                estimate_coefficients(model, np.zeros(size - 1), 0.01).V_H, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_v_h_against_mpmath(self, n):
+        # V_H = sum_x p_x ||g_x||^4 - ||F||_F^2 from its definition, at 50
+        # digits on the closed form's own p, at three random channels and at
+        # channels with one to three (at most half) error rates of 1e-12
+        import mpmath
+
+        size, d = 4**n, 4**n - 1
+        signs = [[(-1) ** symplectic_naive(x, a, n) for a in range(1, size)]
+                 for x in range(size)]
+        rng = np.random.default_rng(7)
+        for small in (0, 0, 0, 1, 2, 3):
+            rates = rng.dirichlet(np.ones(size))
+            rates[rng.choice(size, min(small, size // 2), replace=False)] = 1e-12
+            theta = fwht_stack(rates / rates.sum())[1:]
+            p = fwht_stack(np.concatenate([[1.0], theta])) / size
+            assert small == 0 or p.min() < 1e-10
+            with mpmath.workdps(50):
+                pm = [mpmath.mpf(float(v)) for v in p]
+                fisher_matrix = [[mpmath.fsum(signs[x][a] * signs[x][b] / pm[x]
+                                              for x in range(size)) / size**2
+                                  for b in range(d)] for a in range(d)]
+                want = (mpmath.fsum((mpmath.mpf(d) / size**2) ** 2 / pm[x] ** 3
+                                    for x in range(size))
+                        - mpmath.fsum(v**2 for row in fisher_matrix for v in row))
+            assert bell_closed_forms(theta).v_h == pytest.approx(float(want), rel=1e-13)
 
 
 class TestHessianFluctuation:

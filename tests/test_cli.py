@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fisherbound
-from fisherbound import bounds, cli, fisher, models, pauli
+from fisherbound import bounds, cli, fisher, mle_lab, models, pauli
 from fisherbound.cli import (
     COLUMNS,
     ConfigError,
@@ -609,9 +609,23 @@ class TestClassicalMemoryGuard:
             models.PoissonTruncatedModel(125 * 2**20)
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("worked before the size check")
+
+
+# each Monte Carlo search entry point, called on a poisson model at theta = 1
+LIBRARY_SEARCHES = {
+    "success_probability": lambda model: mle_lab.success_probability(
+        model, [1.0], 10, 0.3, "linf", trials=2000, seed=0),
+    "find_min_samples": lambda model: mle_lab.find_min_samples(
+        model, [1.0], 0.3, 0.1, "linf", trials=2000, seed=0),
+}
+
+
 class TestSearchMemoryGuard:
     """A search's draws hold two arrays of up to TRIAL_BLOCK x K counts; the
-    poisson truncation is the one K that no dense guard bounds."""
+    poisson truncation is the one K that no dense guard bounds.  The search
+    itself checks them, so library callers are covered as well as simulate."""
 
     @pytest.fixture(autouse=True)
     def small_box(self, monkeypatch, tmp_path):
@@ -624,16 +638,25 @@ class TestSearchMemoryGuard:
         # fisher, like bounds, holds no draw and still runs at this truncation
         assert main(["fisher", "--config", str(self.path), "--out", os.devnull]) == 0
 
-        def fail(*args, **kwargs):
-            raise AssertionError("worked before the size check")
-
-        monkeypatch.setattr(models.StatModel, "estimate_batch", fail)
-        monkeypatch.setattr(fisher, "fim", fail)
+        monkeypatch.setattr(models.StatModel, "estimate_batch", _fail)
+        monkeypatch.setattr(fisher, "fim", _fail)
         assert main(["simulate", "--config", str(self.path)]) == 2
         err = capsys.readouterr().err
-        assert ("config error: simulate on poisson at trials=2000, K=1000001 outcomes "
+        assert ("config error: search on poisson at trials=2000, K=1000001 outcomes "
                 "needs about 8 GiB of 512 x 1000001 count arrays") in err
         assert "more than the 7 GiB of physical memory" in err
+
+    @pytest.mark.parametrize("search", sorted(LIBRARY_SEARCHES))
+    def test_library_search_refused_before_any_draw(self, search, monkeypatch):
+        model = models.PoissonTruncatedModel(10**6)
+        monkeypatch.setattr(models.StatModel, "estimate_batch", _fail)
+        with pytest.raises(ValueError, match=r"needs about 8 GiB of 512 x 1000001 count "
+                                             r"arrays, more than the 7 GiB of physical memory"):
+            LIBRARY_SEARCHES[search](model)
+
+    @pytest.mark.parametrize("search", sorted(LIBRARY_SEARCHES))
+    def test_library_search_runs_at_a_small_truncation(self, search):
+        assert LIBRARY_SEARCHES[search](models.PoissonTruncatedModel(20)).wilson_lo > 0.0
 
 
 class TestExitCodes:

@@ -20,6 +20,7 @@ from fisherbound.models import (
     entangled_pauli_model,
     multinomial_model,
     separable_pauli_model,
+    two_copy_bell_model,
 )
 from fisherbound.pauli import random_valid_eigenvalues
 
@@ -36,6 +37,7 @@ from oracles import (
     gauss_tail_quad,
     gaussian_linf_success,
     mse_vs_crb,
+    multinomial_linf_success,
     replay_hits,
     wht_naive,
 )
@@ -576,6 +578,92 @@ class TestExactBernoulliCurve:
         assert misses <= 1
 
 
+class TestExactMultinomialCurve:
+    """The search against the exact linf success curve of the multinomial
+    workload config: dim 3, theta = 1/4 each, eps = 0.05, delta = 0.1.
+
+    P_M = Pr[max_a |n_a/M - 1/4| <= eps] over the first three counts of
+    Mult(M, 1/4 each) is a nested binomial sum (oracles.multinomial_linf_success)
+    over float-scored count windows, as the search scores them; like the
+    Bernoulli curve it dips below 1 - delta after its first crossing.
+    """
+
+    THETA, EPS, DELTA, TRIALS, TAIL = (0.25, 0.25, 0.25), 0.05, 0.1, 2000, 1e-4
+
+    @staticmethod
+    def brute_force(theta, m, eps):
+        """P_M summed over every count vector of m samples over the 4 outcomes
+        of a dim-3 multinomial, each scored by the model's own MLE and float
+        comparison."""
+        model = multinomial_model(len(theta))
+        grid = np.array([(a, b, c, m - a - b - c) for a in range(m + 1)
+                         for b in range(m + 1 - a) for c in range(m + 1 - a - b)])
+        log_p = np.log(np.append(theta, 1.0 - sum(theta)))
+        log_factorial = np.array([math.lgamma(k + 1) for k in range(m + 1)])
+        pmf = np.exp(log_factorial[m] - log_factorial[grid].sum(axis=1) + grid @ log_p)
+        hits = (np.abs(model.mle_batch(grid) - np.asarray(theta)) <= eps).all(axis=1)
+        return float(pmf @ hits)
+
+    def test_curve_against_brute_force(self):
+        for theta, eps in ((self.THETA, self.EPS), ((0.2, 0.3, 0.1), 0.1234567)):
+            for m in range(1, 61):
+                want = self.brute_force(theta, m, eps)
+                got = multinomial_linf_success(theta, m, eps, scored=True)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-13), (theta, eps, m)
+
+    def test_curve_against_mpmath(self):
+        # the exact-window curve against a 50-digit sum of multinomial terms
+        import mpmath
+
+        with mpmath.workdps(50):
+            for theta, eps in ((self.THETA, self.EPS), ((0.2, 0.3, 0.1), 0.0123)):
+                t = [mpmath.mpf(v) for v in theta] + [1 - mpmath.fsum(theta)]
+                e = mpmath.mpf(eps)
+                for m in (7, 60, 199, 310):
+                    fact = [mpmath.factorial(k) for k in range(m + 1)]
+                    windows = [[k for k in range(m + 1) if abs(mpmath.mpf(k) / m - v) <= e]
+                               for v in t[:3]]
+                    want = mpmath.fsum(
+                        fact[m] / (fact[a] * fact[b] * fact[c] * fact[m - a - b - c])
+                        * t[0]**a * t[1]**b * t[2]**c * t[3] ** (m - a - b - c)
+                        for a in windows[0] for b in windows[1] for c in windows[2]
+                        if a + b + c <= m)
+                    got = multinomial_linf_success(theta, m, eps)
+                    assert got == pytest.approx(float(want), rel=1e-9, abs=1e-300), (theta, m)
+
+    def test_search_lands_in_the_wilson_window(self):
+        # As in TestExactBernoulliCurve: scan P_M up to m_far, past which the
+        # union of the d coordinates' Hoeffding bounds, P_M >= 1 - 2 d
+        # exp(-2 M eps^2), has every probe pass with probability at least
+        # 1 - TAIL; m_lo is the first M whose probe passes with probability
+        # at least TAIL, m_hi one past the last M whose probe fails with
+        # probability above TAIL, and at most one of 12 seeds may miss.
+        target = 1.0 - self.DELTA
+        s_pass = next(s for s in range(self.TRIALS + 1)
+                      if wilson_interval(s, self.TRIALS)[0] >= target)
+        p_safe = next(p for p in np.linspace(target, 1.0, 10001)
+                      if binomial_tail(s_pass, self.TRIALS, p) >= 1.0 - self.TAIL)
+        d = len(self.THETA)
+        m_far = math.ceil(math.log(2 * d / (1.0 - p_safe)) / (2.0 * self.EPS**2))
+        curve = [multinomial_linf_success(self.THETA, m, self.EPS, scored=True)
+                 for m in range(1, m_far + 1)]
+        first = next(m for m, p in enumerate(curve, start=1) if p >= target)
+        last_dip = max(m for m, p in enumerate(curve, start=1) if p < target)
+        assert (first, last_dip) == (310, 336)
+        passes = [binomial_tail(s_pass, self.TRIALS, p) for p in curve]
+        m_lo = next(m for m, q in enumerate(passes, start=1) if q >= self.TAIL)
+        m_hi = 1 + max(m for m, q in enumerate(passes, start=1) if 1.0 - q > self.TAIL)
+        assert (m_lo, m_hi) == (300, 397)
+        model = multinomial_model(d)
+        misses = 0
+        for seed in range(12):
+            result = find_min_samples(model, np.array(self.THETA), self.EPS, self.DELTA,
+                                      "linf", trials=self.TRIALS, seed=seed)
+            assert len(result.probes) * self.TAIL <= 3e-3
+            misses += not m_lo <= result.m_star <= m_hi
+        assert misses <= 1
+
+
 def _random_preset(scheme, n):
     cfg = cli.resolve_config(cli.build_parser().parse_args(
         ["bounds", "--scheme", scheme, "--preset", "random", "--n", str(n)]))
@@ -698,6 +786,26 @@ class TestBellExactBracket:
         assert lower.applicable and upper.applicable
         m_marg, m_bonf = bell_mstar_bracket(theta, eps, self.DELTA)
         assert lower.value <= m_bonf and m_marg <= upper.value, (lower, m_marg, m_bonf, upper)
+
+    @pytest.mark.parametrize("scheme", ["entangled-pauli", "two-copy-bell"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("preset", ["depolarizing", "random"])
+    def test_marginal_bound_below_the_l2_monte_carlo_mstar(self, scheme, n, preset):
+        # The l2 ball of radius eps lies inside every slab |lam_hat_a - lam_a|
+        # <= eps, so the l2 success curve lies below the worst marginal one
+        # and its crossing above m*_marg: the lower side of the bracket holds
+        # in l2 too.  At eps = 0.05 the l2 Monte Carlo m* is 2.2-9.0 times
+        # m*_marg, far beyond the search's sampling error.
+        eps = 0.05
+        if preset == "random":
+            model, theta = _random_preset(scheme, n)
+        else:
+            model = (entangled_pauli_model if scheme == "entangled-pauli"
+                     else two_copy_bell_model)(n)
+            theta = np.zeros(model.d)
+        m_marg, _ = bell_mstar_bracket(theta, eps, self.DELTA)
+        result = find_min_samples(model, theta, eps, self.DELTA, "l2", trials=2000, seed=0)
+        assert m_marg <= result.m_star, (m_marg, result.m_star)
 
     @pytest.mark.parametrize("scheme, n, eps, preset", MONTE_CARLO_CASES,
                              ids=[f"{s}-{p}-n{n}" if p else f"{s}-n{n}"

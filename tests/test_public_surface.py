@@ -113,3 +113,12 @@ def test_cli_compares_scheme_names_only_where_it_builds_the_model():
                     for operand in [node.left, *node.comparators]):
                 offenders.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert not offenders, offenders
+
+
+# The sizes that the memory guards multiply out: a command's allocations are
+# sized where they are made (the model factories and mle_lab.check_draws).
+ALLOCATION_SIZES = ("TRIAL_BLOCK", "DRAW_ARRAYS", "GAUSSIAN_DENSE_ARRAYS", "_check_memory")
+
+
+def test_cli_sizes_no_allocation():
+    assert not _references(_trees()["cli"]) & set(ALLOCATION_SIZES)
