@@ -71,9 +71,9 @@ class BoundCoefficients:
     and rho_top is the third moment projected on its eigenvector.  Only
     the envelope depends on the error norm: envelope maps each norm in
     NORMS to (mu_R, V_R) over that norm's parameter ball.  provenance
-    records whether the Berry-Esseen constant is proven and the envelope
-    exact.  singular marks a singular F, whose pseudoinverse treats an
-    unidentifiable coordinate as known: no upper bound applies.
+    records whether the Berry-Esseen constant is proven.  singular marks a
+    singular F, whose pseudoinverse treats an unidentifiable coordinate as
+    known: no upper bound applies.
     """
 
     V_H: float
@@ -181,8 +181,7 @@ def estimate_coefficients(
     radius sqrt(d)*eps for "linf", eps for "l2"), once per distinct ball.
     The provenance is "unproven-constant" when C is below
     BERRY_ESSEEN_CONSTANT, the smallest proven value (Shevtsova 2011), else
-    "estimated-coefficient" for a model whose envelope is only a
-    search-based lower estimate, else "exact".
+    "exact": every model's envelope is a proven bound.
 
     sigma is the largest sqrt([F^-1]_aa) at this point; a supremum over
     the parameter space must be taken by the caller (e.g. over a
@@ -199,7 +198,6 @@ def estimate_coefficients(
         v_h, rho_diag, rho_top = model.score_moments(theta, f)
         radii = {"linf": math.sqrt(d) * eps, "l2": eps}
         balls = {r: model.envelope_moments(theta, r) for r in dict.fromkeys(radii.values())}
-    exact = all(flag for _, _, flag in balls.values())
     return BoundCoefficients(
         V_H=v_h,
         C=constant,
@@ -207,9 +205,8 @@ def estimate_coefficients(
         sigma_diag=np.sqrt(np.clip(f.inverse_diag(), 0.0, None)),
         rho_diag=np.asarray(rho_diag, dtype=float),
         rho_top=rho_top,
-        envelope={norm: balls[radii[norm]][:2] for norm in NORMS},
-        provenance=("unproven-constant" if constant < BERRY_ESSEEN_CONSTANT
-                    else "exact" if exact else "estimated-coefficient"),
+        envelope={norm: balls[radii[norm]] for norm in NORMS},
+        provenance="unproven-constant" if constant < BERRY_ESSEEN_CONSTANT else "exact",
         singular=f.is_singular,
     )
 

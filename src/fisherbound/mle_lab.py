@@ -248,6 +248,7 @@ def find_min_samples(
     success_probability), so a failing probe may report fewer than
     `trials` trials.  A probe at
     M >= m_max runs in full, since BudgetExceededError reports its rate.
+    ValueError, before any draw, when not even `trials` successes could pass.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -256,6 +257,12 @@ def find_min_samples(
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     target = 1.0 - delta
+    if _failures_to_fail(trials, level, target) == 0:
+        # T successes out of T give the Wilson lower bound T / (T + z^2)
+        least = math.ceil(Z_FOR_LEVEL[level] ** 2 * (1.0 - delta) / delta)
+        raise ValueError(f"trials={trials} cannot certify success probability 1 - delta at "
+                         f"delta={delta!r}: the Wilson level {level} needs at least "
+                         f"{least} trials")
     probes = {}
 
     def probe(m, index):

@@ -53,7 +53,6 @@ __all__ = [
     "two_copy_bell_model",
 ]
 
-DOMAIN_MARGIN = 1e-6
 # random_points pulls its draws this far toward the depolarizing point: the
 # supremum is taken over the shrunk interior because the Fisher machinery
 # degenerates on the domain boundary
@@ -112,11 +111,11 @@ class StatModel:
         raise NotImplementedError
 
     def third_derivative_envelope(self, theta, radius):
-        """Per-outcome estimate of sup 0.5*||d3logp||_op over a ball.
+        """Per-outcome upper bound on sup 0.5*||d3logp||_op over a ball.
 
         The supremum runs over parameter points within Euclidean distance
-        `radius` of theta.  Returns (envelope, exact_flag); entries may be
-        +inf when the ball touches the domain boundary.
+        `radius` of theta.  Entries are +inf when the ball reaches the
+        domain boundary.
         """
         raise NotImplementedError
 
@@ -197,18 +196,18 @@ class StatModel:
         return v_h, rho_diag, rho_top
 
     def envelope_moments(self, theta, radius):
-        """(mu_R, V_R, exact) over the parameter ball of the given radius.
+        """(mu_R, V_R) over the parameter ball of the given radius.
 
         The default takes the mean and variance over the outcomes of
-        third_derivative_envelope, whose flag is exact; an infinite
-        envelope on an outcome of positive probability makes both +inf.
+        third_derivative_envelope; an infinite envelope on an outcome of
+        positive probability makes both +inf.
         """
         p = self.probs(theta)
-        envelope, exact = self.third_derivative_envelope(theta, radius)
+        envelope = self.third_derivative_envelope(theta, radius)
         if np.any(np.isinf(envelope) & (p > 0.0)):
-            return math.inf, math.inf, exact
+            return math.inf, math.inf
         mu_r = float(p @ envelope)
-        return mu_r, float(p @ (envelope - mu_r) ** 2), exact
+        return mu_r, float(p @ (envelope - mu_r) ** 2)
 
 
 class LinearOutcomeModel(StatModel):
@@ -287,7 +286,7 @@ class LinearOutcomeModel(StatModel):
         envelope = np.full(self.K, np.inf)
         ok = p_min > 0.0
         envelope[ok] = self._row_norms[ok] ** 3 / p_min[ok] ** 3
-        return envelope, True
+        return envelope
 
     def contains(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -414,10 +413,11 @@ class _SeparablePauliModel(LinearOutcomeModel):
         self.identifiable = r != 0.0
 
     def closed_form_inverse_diag(self, theta):
-        """Inverse-QFIM diagonal (1 - r_a^2 theta_a^2) / r_a^2 of the probe;
-        +inf on the axes with r_a = 0."""
+        """Per-shot inverse-Fisher diagonal d (1 - r_a^2 theta_a^2) / r_a^2:
+        each shot measures one of the d axes, so it is d times the per-axis
+        value (1 - r_a^2 theta_a^2) / r_a^2; +inf on the axes with r_a = 0."""
         r2 = self.r**2
-        return np.divide(1.0 - r2 * np.asarray(theta, dtype=float) ** 2, r2,
+        return np.divide(self.d * (1.0 - r2 * np.asarray(theta, dtype=float) ** 2), r2,
                          out=np.full(r2.shape, np.inf), where=self.identifiable)
 
     def mle_batch(self, counts):
@@ -467,9 +467,9 @@ class PoissonTruncatedModel(StatModel):
     """Poisson model truncated at outcome K and renormalised.
 
     p_k = (theta^k / k!) / Z(theta) for k = 0..K with Z the truncated
-    exponential series.  Derivatives of log Z follow from the identity
-    Z^(m) = Z_{K-m}.  The closed-form MLE is the sample mean, exact for
-    the untruncated family.
+    exponential series.  Z' = Z - theta^K / K! makes the derivatives of
+    log Z closed forms in h = p_K.  The closed-form MLE is the sample mean,
+    exact for the untruncated family.
     """
 
     def __init__(self, truncation: int = 20):
@@ -482,6 +482,7 @@ class PoissonTruncatedModel(StatModel):
             np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))])
         )
         self._ks = np.arange(truncation + 1, dtype=float)
+        self._gaps = truncation - self._ks  # K - k, the terms of g's sum
 
     def _weights(self, t):
         """theta^k / k! for every outcome k, formed in log space; scaled by one
@@ -491,11 +492,16 @@ class PoissonTruncatedModel(StatModel):
             weights = np.exp(logs)
             return weights if math.isfinite(weights.sum()) else np.exp(logs - logs.max())
 
-    def _partial_sums(self, t):
-        """Z_0..Z_3 from one weight array: Z_m sums the weights of the
-        outcomes k <= truncation - m (0 when there are none)."""
+    def _logz_derivatives(self, t):
+        """The derivatives l1 = 1 - h, l2 = -h g, l3 = -h (g^2 - K/t^2 + h g)
+        of log Z at t, with g = d(log h)/dt = K/t - 1 + h.  1 - h = Z_1/Z_0
+        and g = sum_k (K - k) p_k / t are sums of non-negative terms of one
+        weight array, which keep their digits where h is near 1 (t >> K)."""
         weights = self._weights(t)
-        return [float(weights[: max(self.K - m, 0)].sum()) for m in range(4)]
+        z0 = weights.sum()
+        h = weights[-1] / z0
+        g = self._gaps @ (weights / z0) / t
+        return weights[:-1].sum() / z0, -h * g, -h * (g * g - self._gaps[0] / t / t + h * g)
 
     def probs(self, theta):
         theta = self.validate_theta(theta)
@@ -504,9 +510,8 @@ class PoissonTruncatedModel(StatModel):
 
     def dlogp(self, theta, p=None):
         """(K, 1) score k/theta - Z_1/Z_0, finite also where p_k underflows to 0."""
-        t = float(np.asarray(theta, dtype=float)[0])
-        z0, z1, _, _ = self._partial_sums(t)
-        return (self._ks / t - z1 / z0)[:, None]
+        t = np.asarray(theta, dtype=float)[0]
+        return (self._ks / t - self._logz_derivatives(t)[0])[:, None]
 
     def analytic_fisher(self, theta):
         """[[sum_k (p_k s_k) s_k]] over every outcome, with s = dlogp, so
@@ -516,41 +521,31 @@ class PoissonTruncatedModel(StatModel):
         s = self.dlogp(theta, p)[:, 0]
         return np.array([[(p * s) @ s]])
 
-    def _logz_derivatives(self, t):
-        z0, z1, z2, z3 = self._partial_sums(t)
-        l1 = z1 / z0
-        l2 = z2 / z0 - l1 * l1
-        l3 = z3 / z0 - 3.0 * (z2 / z0) * l1 + 2.0 * l1**3
-        return l1, l2, l3
-
     def d2logp(self, theta):
-        # a float64 scalar, whose powers overflow to inf where a float's raise
         t = np.asarray(theta, dtype=float)[0]
-        _, l2, _ = self._logz_derivatives(t)
-        return (-self._ks / t**2 - l2).reshape(self.K, 1, 1)
+        return (-self._ks / t**2 - self._logz_derivatives(t)[1]).reshape(self.K, 1, 1)
 
     def d3logp(self, theta):
         t = np.asarray(theta, dtype=float)[0]
-        _, _, l3 = self._logz_derivatives(t)
-        return (2.0 * self._ks / t**3 - l3).reshape(self.K, 1, 1, 1)
+        return (2.0 * self._ks / t**3 - self._logz_derivatives(t)[2]).reshape(self.K, 1, 1, 1)
 
     def hessian_fluctuation(self, theta, p, scores, fisher):
         """V_H over the K outcomes of the 1 x 1 Hessians."""
         return float(p @ (self.d2logp(theta)[:, 0, 0] + fisher.matrix[0, 0]) ** 2)
 
     def third_derivative_envelope(self, theta, radius):
-        """Grid-refined supremum over the interval [theta - r, theta + r].
-
-        A lower estimate of the true supremum (flagged exact=False).
-        """
-        t = float(np.asarray(theta, dtype=float)[0])
-        lo = max(t - radius, DOMAIN_MARGIN)
-        hi = t + radius
-        grid = np.linspace(lo, hi, 65)
-        best = np.zeros(self.K)
-        for point in grid:
-            best = np.maximum(best, 0.5 * np.abs(self.d3logp([point])[:, 0, 0, 0]))
-        return best, False
+        """Proven bound k/lo^3 + 0.5 h(hi) [(K/lo + 1)^2 + K/lo^2 + K/lo + 1]
+        on sup 0.5*|d3logp| over [lo, hi] = [theta - r, theta + r]: there
+        |g| <= K/lo + 1, and h <= h(hi) since every other term of
+        Z / (t^K / K!) falls as t grows.  All +inf once lo <= 0."""
+        t = np.asarray(theta, dtype=float)[0]
+        lo = t - radius
+        if not lo > 0.0:
+            return np.full(self.K, np.inf)
+        weights = self._weights(t + radius)
+        a = self._gaps[0] / lo
+        return (self._ks / lo**3
+                + 0.5 * weights[-1] / weights.sum() * ((a + 1.0) ** 2 + a / lo + a + 1.0))
 
     def contains(self, theta):
         return bool(np.asarray(theta, dtype=float)[0] > 0.0)
@@ -600,7 +595,7 @@ class GaussianKnownCovModel(StatModel):
 
     def envelope_moments(self, theta, radius):
         """mu_R = V_R = 0 exactly: the third derivative vanishes."""
-        return 0.0, 0.0, True
+        return 0.0, 0.0
 
     def estimate_batch(self, theta, m, rng, trials):
         # the MLE is the sample mean, which is drawn directly

@@ -477,14 +477,51 @@ def mse_vs_crb(model, theta, m, trials, seed, block=512) -> MseCrbReport:
 def poisson_partial_sum(log_factorials, theta, order):
     """Z_order = sum of theta^k / k! over k <= len(log_factorials) - 1 - order.
 
-    Each order forms its own exponent array, as PoissonTruncatedModel did
-    before it took all four sums from one.
+    Each order forms its own exponent array.
     """
     top = len(log_factorials) - 1 - order
     if top < 0:
         return 0.0
     ks = np.arange(top + 1)
     return float(np.exp(ks * math.log(theta) - log_factorials[: top + 1]).sum())
+
+
+def poisson_logz_partial_sums(log_factorials, theta):
+    """The first three derivatives of the truncated Poisson log Z from
+    Z^(m) = Z_m, the formulas PoissonTruncatedModel used before its closed
+    forms: l2 and l3 subtract terms near 1 wherever p_K is small."""
+    z0, z1, z2, z3 = (poisson_partial_sum(log_factorials, theta, m) for m in range(4))
+    l1 = z1 / z0
+    return l1, z2 / z0 - l1 * l1, z3 / z0 - 3.0 * (z2 / z0) * l1 + 2.0 * l1**3
+
+
+def poisson_logz_mp(truncation, theta, dps):
+    """The same three derivatives in dps-digit mpmath, where the partial-sum
+    formulas lose no digit that matters."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(theta)
+        weights = [t**k / mpmath.factorial(k) for k in range(truncation + 1)]
+        z0, z1, z2, z3 = (mpmath.fsum(weights[: truncation + 1 - m]) for m in range(4))
+        l1 = z1 / z0
+        return l1, z2 / z0 - l1**2, z3 / z0 - 3 * (z2 / z0) * l1 + 2 * l1**3
+
+
+def poisson_half_d3logp(log_factorials, thetas):
+    """0.5 |2k / t^3 - l3(t)| for every outcome k (columns) at each t of
+    thetas (rows), with l3 = -h (g^2 - K / t^2 + h g) in the sum forms that
+    the mpmath test checks: h = p_K and g = sum_k (K - k) w_k / (t Z_0)."""
+    ks = np.arange(len(log_factorials), dtype=float)
+    top = ks[-1]
+    t = np.asarray(thetas, dtype=float)[:, None]
+    logs = ks * np.log(t) - log_factorials
+    weights = np.exp(logs - logs.max(axis=1, keepdims=True))
+    z0 = weights.sum(axis=1, keepdims=True)
+    h = weights[:, -1:] / z0
+    g = ((top - ks) * weights).sum(axis=1, keepdims=True) / (t * z0)
+    l3 = -h * (g * g - top / t**2 + h * g)
+    return 0.5 * np.abs(2.0 * ks / t**3 - l3)
 
 
 # ---------------------------------------------------------------------------

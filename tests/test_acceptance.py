@@ -142,7 +142,8 @@ def test_a4_exponential_separation_witness():
             bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
             r = pauli.product_probe(bloch)[1:]
             model = models.separable_pauli_model(n, r)
-            values = model.closed_form_inverse_diag(np.zeros(r.size))
+            # the per-axis value: each shot measures one of the d axes
+            values = model.closed_form_inverse_diag(np.zeros(r.size)) / model.d
             top = float(np.max(values))
             worst_margin = min(worst_margin, top / cap)
             if not top >= cap:

@@ -255,8 +255,26 @@ class TestEstimateCoefficients:
         assert len(radii) == calls
         assert len(set(radii)) == calls
         for norm, radius in (("linf", math.sqrt(model.d) * 0.01), ("l2", 0.01)):
-            mu_r, v_r, _ = real(theta, radius)
-            assert coeffs.envelope[norm] == (mu_r, v_r)
+            assert coeffs.envelope[norm] == real(theta, radius)
+
+    def test_poisson_forms_its_weights_a_fixed_number_of_times(self, monkeypatch):
+        # the envelope is a closed form in h(theta + r): one weight array per
+        # ball, whatever eps is, where the grid formed one per grid point
+        model = PoissonTruncatedModel(20)
+        real = model._weights
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(model, "_weights", counting)
+        counts = []
+        for eps in (1e-6, 0.01, 0.5):
+            calls.clear()
+            estimate_coefficients(model, np.array([1.0]), eps)
+            counts.append(len(calls))
+        assert counts == [7, 7, 7]
 
     def test_envelope_infinite_when_ball_hits_boundary(self):
         model = entangled_pauli_model(1)

@@ -190,18 +190,19 @@ class TestConfigHandling:
         assert main([command, "--config", str(path)]) == 2
         assert f"config error: {next(iter(outside))} must be in [" in capsys.readouterr().err
 
-    # theta^k / k! overflows float64 once theta + eps passes about 2e16 at
-    # truncation 20; the envelope grid must still run without a warning
-    @pytest.mark.parametrize("eps", ["1e20", "3.4e38"])
+    # A ball that reaches theta = 0 has an infinite envelope, so no
+    # finite-sample row applies, as for the affine models.  theta^k / k!
+    # overflows float64 once theta + eps passes about 2e16 at truncation 20,
+    # which must raise no warning either.
+    @pytest.mark.parametrize("eps", ["1.5", "1e20", "3.4e38"])
     def test_poisson_envelope_far_out_raises_no_warning(self, eps):
         done = run_cli(["bounds", "--scheme", "poisson", "--epsilon", eps,
                         "--format", "json"], env={**os.environ, "PYTHONWARNINGS": "error"})
         assert (done.returncode, done.stderr) == (0, "")
         rows = {row["bound_id"]: row for row in json.loads(done.stdout)["rows"]}
-        for norm in ("linf", "l2"):
-            upper, lower = rows[f"upper-{norm}"], rows[f"lower-{norm}"]
-            assert (upper["applicable"], upper["reason"]) == (False, "tau0 <= 0")
-            assert (lower["applicable"], lower["reason"]) == (True, "")
+        for bound in ("upper-linf", "lower-linf", "upper-l2", "lower-l2"):
+            assert (rows[bound]["applicable"], rows[bound]["reason"]) == (
+                False, "non-finite coefficients")
 
     # far from theta = 1 the score moments and theta^2, theta^3 leave float64
     # (theta = 1e160 raised OverflowError, the others printed RuntimeWarnings);
@@ -220,6 +221,24 @@ class TestConfigHandling:
         assert done.returncode in (0, 3)
         if command == "bounds":
             assert {row["reason"] for row in json.loads(done.stdout)["rows"]} == reasons
+
+    def test_search_that_cannot_certify_delta_exits_2(self, capsys):
+        # all 2000 trials successful certify at most 2000 / (2000 + z^2) < 0.999
+        assert main(["simulate", "--scheme", "bernoulli", "--epsilon", "0.05",
+                     "--delta", "0.001"]) == 2
+        assert ("config error: trials=2000 cannot certify success probability 1 - delta at "
+                "delta=0.001: the Wilson level 0.95 needs at least 3838 trials"
+                ) in capsys.readouterr().err
+
+    def test_poisson_bounds_at_truncation_1e6(self):
+        # the envelope is a closed form, so this runs in about the time of
+        # `fisher`; warnings are errors under pytest
+        cfg = resolve("bounds", scheme="poisson", truncation=10**6, epsilon=0.01,
+                      format="json")
+        text, code = run_command("bounds", cfg)
+        rows = json.loads(text)["rows"]
+        assert code == 0
+        assert all(row["applicable"] and row["provenance"] == "exact" for row in rows)
 
     def test_poisson_lower_bound_below_m_star_at_tiny_theta(self):
         # F ~ 1/theta, so the small-eps lower limit ~ theta / eps^2 is far below
@@ -439,10 +458,10 @@ class TestReports:
             "entangled-upper-asymptotic": "exact", "separable-lower-asymptotic": "exact",
         }
 
-    def test_unproven_constant_outranks_an_estimated_envelope(self):
+    def test_poisson_provenance_follows_the_constant_alone(self):
+        # the Poisson envelope is a proven bound, as every model's is
         model = models.PoissonTruncatedModel(20)
-        for constant, provenance in ((0.45, "unproven-constant"),
-                                     (0.4748, "estimated-coefficient")):
+        for constant, provenance in ((0.45, "unproven-constant"), (0.4748, "exact")):
             coeffs = bounds.estimate_coefficients(model, [1.0], 0.01, constant=constant)
             assert coeffs.provenance == provenance
 

@@ -23,7 +23,7 @@ from fisherbound.models import (
     separable_pauli_model,
     two_copy_bell_model,
 )
-from fisherbound.pauli import random_valid_eigenvalues, rates_to_eigenvalues
+from fisherbound.pauli import product_probe, random_valid_eigenvalues, rates_to_eigenvalues
 
 from oracles import depolarizing_qfi_sum, fim_finite_difference, jacobi_eigenvalues
 
@@ -164,19 +164,32 @@ class TestQfimDiagonals:
                 model.closed_form_inverse_diag(np.array([1.2, 0.0, 0.0]))
 
     def test_separable_diag(self):
+        # per shot: d = 3 times the per-axis (1 - r^2 theta^2) / r^2
         model = separable_pauli_model(1, [0.8, 0.5, 0.0])
         values = model.closed_form_inverse_diag(np.array([0.0, 0.5, 0.3]))
-        assert values[0] == pytest.approx(1.0 / 0.64)
-        assert values[1] == pytest.approx((1 - 0.0625) / 0.25)  # 3.75
+        assert values[0] == pytest.approx(3.0 / 0.64)
+        assert values[1] == pytest.approx(3.0 * (1 - 0.0625) / 0.25)  # 3 x 3.75
         assert math.isinf(values[2])
 
     def test_separable_diag_exponential_witness(self):
-        # r_a^2 = 2^-n at lam = 0 gives the 2^n diagonal
+        # r_a^2 = 2^-n at lam = 0 gives the per-axis diagonal 2^n
         for n in (1, 4):
             r = np.zeros(4**n - 1)
             r[0] = 2.0 ** (-n / 2)
             values = separable_pauli_model(n, r).closed_form_inverse_diag(np.zeros(r.size))
-            assert values[0] == pytest.approx(2.0**n, rel=1e-12)
+            assert values[0] / r.size == pytest.approx(2.0**n, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_separable_closed_form_matches_fim(self, n):
+        # the per-shot value is what the model's own Fisher matrix inverts to
+        rng = np.random.default_rng(n)
+        bloch = rng.standard_normal((n, 3))
+        bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
+        r = product_probe(bloch)[1:]
+        model = separable_pauli_model(n, r)
+        theta = rng.uniform(-0.5, 0.5, size=r.size)
+        np.testing.assert_allclose(fim(model, theta).inverse_diag(),
+                                   model.closed_form_inverse_diag(theta), rtol=1e-9)
 
     def test_zero_component_flagged_infinite(self):
         model = separable_pauli_model(1, np.zeros(3))

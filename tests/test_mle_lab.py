@@ -18,6 +18,7 @@ from fisherbound.models import (
     PoissonTruncatedModel,
     bernoulli_model,
     entangled_pauli_model,
+    gaussian_known_var_model,
     multinomial_model,
     separable_pauli_model,
     two_copy_bell_model,
@@ -247,6 +248,23 @@ class TestFindMinSamples:
             find_min_samples(model, np.zeros(3), eps=0.01, delta=0.1, norm="linf",
                              trials=200, seed=0, m_max=64)
         assert err.value.probes  # partial results available
+
+    @pytest.mark.parametrize("trials, refused", [(3837, True), (3838, False)])
+    def test_trials_that_cannot_certify_the_target_are_refused(self, monkeypatch, trials,
+                                                                refused):
+        # T successes out of T give the Wilson lower bound T / (T + z^2), which
+        # reaches 1 - delta = 0.999 at level 0.95 only from T = 3838 on
+        model = bernoulli_model()
+
+        def first_draw(*args):
+            raise LookupError("first draw")
+
+        monkeypatch.setattr(model, "estimate_batch", first_draw)
+        expected = (ValueError, r"trials=3837 .* needs at least 3838 trials") if refused \
+            else (LookupError, "first draw")
+        with pytest.raises(expected[0], match=expected[1]):
+            find_min_samples(model, np.array([0.5]), eps=0.05, delta=1e-3, norm="linf",
+                             trials=trials)
 
     def test_resolution_controls_bracket_width(self):
         model = entangled_pauli_model(1)
@@ -834,3 +852,40 @@ class TestBellExactBracket:
         result = find_min_samples(model, theta, eps, self.DELTA, "linf", trials=trials, seed=0,
                                   resolution=resolution, m_max=2**53)
         assert m_marg <= result.m_star <= m_hi + resolution, (m_marg, result.m_star, m_hi)
+
+
+DELTAS = [1e-1, 1e-2, 1e-4, 1e-8]
+
+
+class TestExactSandwichAlongDelta:
+    """The finite-sample linf bounds against an exact m* at small delta.
+
+    No Monte Carlo: the Gaussian m* is the first crossing of its exact
+    success curve, and the Bell m* lies in the exact bracket
+    [m*_marg, m*_bonf], so lower <= m*_marg and m*_bonf <= upper suffice.
+    Along delta the upper bound grows like 1/delta^2 (its Berry-Esseen
+    term) and the lower bound stops growing, so both stay valid but loose.
+    """
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_gaussian(self, delta):
+        eps, d = 0.05, 3
+        model = gaussian_known_var_model(d)
+        coeffs = bounds.estimate_coefficients(model, np.zeros(d), eps)
+        m_star = first_crossing(lambda m: gaussian_linf_success(m, eps, d), 1.0 - delta)
+        lower = bounds.lower_bound(eps, delta, coeffs, "linf")
+        upper = bounds.upper_bound(eps, delta, coeffs, "linf")
+        assert lower.value <= m_star
+        assert upper.applicable and m_star <= upper.value, (m_star, upper)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("n, eps", [(1, 0.014), (2, 5.4e-4)])
+    def test_bell_depolarizing(self, n, eps, delta):
+        model = entangled_pauli_model(n)
+        theta = np.zeros(model.d)
+        coeffs = bounds.estimate_coefficients(model, theta, eps)
+        m_marg, m_bonf = bell_mstar_bracket(theta, eps, delta)
+        lower = bounds.lower_bound(eps, delta, coeffs, "linf")
+        upper = bounds.upper_bound(eps, delta, coeffs, "linf")
+        assert lower.value <= m_marg
+        assert upper.applicable and m_bonf <= upper.value, (m_bonf, upper)

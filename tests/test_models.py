@@ -29,7 +29,9 @@ from oracles import (
     central_diff_grad,
     mse_vs_crb,
     pauli_matrix_naive,
-    poisson_partial_sum,
+    poisson_half_d3logp,
+    poisson_logz_mp,
+    poisson_logz_partial_sums,
     separable_mle_batch_masked,
 )
 
@@ -301,14 +303,44 @@ class TestClassicalModels:
         weights = np.array([math.exp(-1.0) / math.factorial(k) for k in range(21)])
         np.testing.assert_allclose(p, weights / weights.sum(), atol=1e-14)
 
-    @pytest.mark.parametrize("truncation", [1, 2, 3, 4, 5, 20, 150, 400, 10_000])
-    def test_poisson_partial_sums_equal_the_per_order_sums(self, truncation):
-        # Z_0..Z_3 are prefix sums of one weight array, bit for bit
+    @pytest.mark.parametrize("truncation, dps", [(20, 120), (200, 900)])
+    def test_poisson_logz_derivatives_against_mpmath(self, truncation, dps):
+        # The closed forms l1 = 1 - h, l2 = -h g, l3 = -h (g^2 - K/t^2 + h g)
+        # against the partial-sum formulas in mpmath, at theta from 0.05 to
+        # 10 K.  Their error is never above that of the same formulas in
+        # float64, which keep no digit of l2 and l3 where p_K is small.
         model = PoissonTruncatedModel(truncation)
-        for theta in np.geomspace(1e-3, 300.0, 52):
-            want = [poisson_partial_sum(model._log_factorials, float(theta), order)
-                    for order in range(4)]
-            assert model._partial_sums(float(theta)) == want
+        for theta in np.geomspace(0.05, 10.0 * truncation, 15):
+            want = poisson_logz_mp(truncation, float(theta), dps)
+            got = model._logz_derivatives(np.float64(theta))
+            old = poisson_logz_partial_sums(model._log_factorials, float(theta))
+            for order, (g, o, w) in enumerate(zip(got, old, want), start=1):
+                err, old_err = (float(abs((value - w) / w)) for value in (g, o))
+                assert err <= old_err, (theta, order, err, old_err)
+                if model.probs([theta])[-1] > 1e-300:
+                    # where h is a normal float; l3 loses most at theta >> K,
+                    # where its cancellation amplifies the weights' own
+                    # k log(theta) rounding (1.7e-10 at K = 200, theta = 2000)
+                    assert err <= 1e-9, (theta, order, err)
+
+    @pytest.mark.parametrize("truncation", [20, 200])
+    @pytest.mark.parametrize("theta", [0.05, 1.0, 5.0, 15.0, 150.0])
+    @pytest.mark.parametrize("radius", [0.01, 0.1, 0.5])
+    def test_poisson_envelope_dominates_a_fine_grid(self, truncation, theta, radius):
+        model = PoissonTruncatedModel(truncation)
+        envelope = model.third_derivative_envelope(np.array([theta]), radius)
+        if theta - radius <= 0.0:
+            assert np.all(envelope == np.inf)
+            return
+        grid = np.linspace(theta - radius, theta + radius, 20001)
+        sup = poisson_half_d3logp(model._log_factorials, grid).max(axis=0)
+        # both sides round k / lo^3 at the grid's first point, each its own way
+        assert np.all(sup <= envelope * (1.0 + 4.0 * np.finfo(float).eps))
+
+    def test_poisson_envelope_moments_infinite_where_the_ball_reaches_zero(self):
+        model = PoissonTruncatedModel(20)
+        assert model.envelope_moments(np.array([1.0]), 1.0) == (math.inf, math.inf)
+        assert all(math.isfinite(v) for v in model.envelope_moments(np.array([1.0]), 0.99))
 
     def test_gaussian_analytic_fisher(self):
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -387,8 +419,7 @@ class TestSharedIdentities:
         model = entangled_pauli_model(1)
         theta = np.array([0.2, -0.1, 0.3])
         radius = 0.1
-        envelope, exact = model.third_derivative_envelope(theta, radius)
-        assert exact
+        envelope = model.third_derivative_envelope(theta, radius)
         rng = np.random.default_rng(0)
         for _ in range(50):
             step = rng.standard_normal(3)
@@ -473,7 +504,7 @@ class TestGaussianModel:
         model = GaussianKnownCovModel(cov)
         f = fim(model, np.zeros(2))
         v_h, rho_diag, rho_top = model.score_moments(np.zeros(2), f)
-        assert model.envelope_moments(np.zeros(2), 0.1) == (0.0, 0.0, True)
+        assert model.envelope_moments(np.zeros(2), 0.1) == (0.0, 0.0)
         assert v_h == 0.0
         scale = 2.0 * math.sqrt(2.0 / math.pi)
         np.testing.assert_allclose(rho_diag, scale * np.array([8.0, 1.0]), rtol=1e-15)

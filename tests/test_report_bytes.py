@@ -39,7 +39,7 @@ CASES = [
     ("bounds", {"n": 2, "epsilon": 0.01, "grid_points": 3, "format": "json"},
      0, "479ead7dcbc0e5f04663e6fcdd42068e0b4bf05a39b26d3c31f0bcf4ddf0fb8c"),
     ("bounds", {"scheme": "poisson", "epsilon": 0.05, "format": "json"},
-     0, "800d81dfaef9404c10952e209b24a27b3e6a2df55537540782dae8e6fa2f8857"),
+     0, "632360d1bec3def9df9e6f1601896964d2f6bf67e4bb02c5b005afa8f23f1df3"),
     ("bounds", {"scheme": "separable-pauli", "epsilon": 0.02},
      0, "60271fa1631800703d7cf59b4fcb2999437868789a76ecab1eb8fe27a3035468"),
     ("bounds", {"scheme": "two-copy-bell", "preset": "random", "epsilon": 0.001},
@@ -54,13 +54,13 @@ CASES = [
                   "trials": 300, "format": "json"},
      0, "7a38fb83f86ed0ed3f338894a40b9e10586e6843a81898eee9118aae9feb6622"),
     ("simulate", {"scheme": "poisson", "epsilon": 0.3, "trials": 300},
-     0, "e0e25d6870721c7c0e03a40809755e5a057c960f595430856138c88d6b528b4e"),
+     0, "8a942141efc47b5cf2bb84351d9dc53c2f926a53cd46b8c8097d36eae791f9b1"),
     ("fisher", {"n": 2, "preset": "random", "param_seed": 5},
      0, "f67e6999e1d5abd8f83d400ae7bbb0bfa96f7546efe0814516c498c06aa812e1"),
     ("fisher", {"scheme": "separable-pauli", "format": "json"},
-     0, "fa15db1e8437d594177685eda674e615e7b5662d5f5d7004e3b6b4bcd8826d79"),
+     0, "49e0e73fec6be9105724809f010a705b46e92f36582ef72680497ebacc4a0353"),
     ("fisher", {"scheme": "separable-pauli", "r": [1.0, 0.8, 0.0, 0.5]},
-     0, "f8f2dd63d2cd96edfb218b292ad577734da227ae017cc7323c9d7004a5c30472"),
+     0, "17371e43f0f5258d78e14096248d9498e813e1bf99f2d89d4ed46298795deeef"),
     ("separation", {"n_max": 3, "simulate_upto": 1, "epsilon": 0.3, "trials": 200},
      0, "7a39f2c7696f45438545becc4d458dbafca0834418fe160e3cbd3c9704f175ed"),
     ("separation", {"n_max": 4, "format": "json"},
