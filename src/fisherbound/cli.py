@@ -435,9 +435,12 @@ def cmd_separation(cfg: dict) -> tuple[list, dict, int]:
     for n in range(cfg["n_min"], cfg["n_max"] + 1):
         upper = bounds.entangled_pauli_upper(n, eps, delta)
         lower = bounds.separable_pauli_lower(n, eps, delta)
-        row = {"n": n, "entangled_upper": upper, "separable_lower": lower,
-               "ratio": lower / upper, "m_star_entangled": None,
-               "m_star_separable": None}
+        rows.append({"n": n, "entangled_upper": upper, "separable_lower": lower,
+                     "ratio": lower / upper, "m_star_entangled": None,
+                     "m_star_separable": None})
+    # largest n first: the models refuse an oversized n before any search runs
+    for row in reversed(rows):
+        n = row["n"]
         if cfg["simulate_upto"] >= n:
             ent = models.entangled_pauli_model(n)
             sep = models.separable_pauli_model(
@@ -450,7 +453,6 @@ def cmd_separation(cfg: dict) -> tuple[list, dict, int]:
                 ent, np.zeros(ent.d), eps, delta, cfg["norm"], **search).m_star
             row["m_star_separable"] = mle_lab.find_min_samples(
                 sep, np.zeros(sep.d), eps, delta, cfg["norm"], **search).m_star
-        rows.append(row)
     meta = _meta(cfg, "separation")
     return rows, meta, EXIT_OK
 

@@ -1,12 +1,11 @@
-"""Finite-outcome statistical models with analytic log-likelihood derivatives.
+"""Finite-outcome statistical models with the quantities the bounds read.
 
-Each model exposes the outcome distribution p_theta(x), its first three
-log-likelihood derivatives, its Fisher matrix (analytic_fisher) and a
-closed-form maximum-likelihood estimator: mle_batch maps a (trials, K)
-count matrix to C-ordered rows of estimates (the bits of mle_lab's l2
-error norm depend on the row layout), and StatModel.mle applies it to
-one count vector.  estimate_batch draws the counts of many trials at
-once and returns their estimates.
+Each model exposes the outcome distribution p_theta(x), its score dlogp,
+its Fisher matrix (analytic_fisher) and a closed-form maximum-likelihood
+estimator: mle_batch maps a (trials, K) count matrix to C-ordered rows of
+estimates (the bits of mle_lab's l2 error norm depend on the row layout),
+and StatModel.mle applies it to one count vector.  estimate_batch draws
+the counts of many trials at once and returns their estimates.
 The finite-sample bounds read outcome moments at a parameter point from
 two methods: score_moments (V_H and the projected-score third moments,
 the same for both error norms) and envelope_moments (the mean and
@@ -24,10 +23,10 @@ the Hessian the rank-one -g_x g_x^T, and the third derivative the
 rank-one tensor 2 g_x^(3).  That makes the ball supremum of the
 third-derivative operator norm available in closed form, and the
 Hessian-fluctuation moment V_H = E||l''(x) + F||_F^2 a sum over the
-K x d score matrix: no model builds the K x d x d Hessian stack on the
-way to a bound.  Their domain, p > 0 within an inclusive theta box, is
-constructor data that contains and probs read through one rule.  The
-Pauli models are dense in 4^n x 4^n arrays; their size, like the
+K x d score matrix: no model builds a per-outcome Hessian or
+third-derivative tensor.  Their domain, p > 0 within an inclusive theta
+box, is constructor data that contains and probs read through one rule.
+The Pauli models are dense in 4^n x 4^n arrays; their size, like the
 classical models' dim and truncation, is checked against physical memory
 before allocating, with ValueError when the estimate exceeds it.
 """
@@ -82,9 +81,11 @@ class DomainError(ValueError):
 class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
-    Subclasses implement probs, dlogp, analytic_fisher, d2logp/d3logp,
-    hessian_fluctuation, third_derivative_envelope and mle_batch, or
-    override score_moments and envelope_moments.
+    The commands read a model through analytic_fisher, score_moments,
+    envelope_moments and estimate_batch.  Subclasses implement probs,
+    dlogp, analytic_fisher, hessian_fluctuation, third_derivative_envelope
+    and mle_batch, from which the defaults of the other three follow, or
+    override those three.
     theta is always a length-d float vector interior to the domain.
     The Pauli models set qubits, the qubit count n, and give a closed-form
     inverse-Fisher diagonal; the Bell models also draw random points.
@@ -102,16 +103,8 @@ class StatModel:
         """(K, d) score per outcome; p, when given, is probs(theta)."""
         raise NotImplementedError
 
-    def d2logp(self, theta: np.ndarray) -> np.ndarray:
-        """(K, d, d) log-likelihood Hessian per outcome."""
-        raise NotImplementedError
-
-    def d3logp(self, theta: np.ndarray) -> np.ndarray:
-        """(K, d, d, d) third log-likelihood derivative per outcome."""
-        raise NotImplementedError
-
     def third_derivative_envelope(self, theta, radius):
-        """Per-outcome upper bound on sup 0.5*||d3logp||_op over a ball.
+        """Per-outcome upper bound on sup 0.5*||D^3 log p(x)||_op over a ball.
 
         The supremum runs over parameter points within Euclidean distance
         `radius` of theta.  Entries are +inf when the ball reaches the
@@ -247,14 +240,6 @@ class LinearOutcomeModel(StatModel):
         """sum_x A_x A_x^T / p_x over every outcome; the domain keeps p > 0."""
         return self.dlogp(theta).T @ self.A
 
-    def d2logp(self, theta):
-        g = self.dlogp(theta)
-        return -np.einsum("ki,kj->kij", g, g)
-
-    def d3logp(self, theta):
-        g = self.dlogp(theta)
-        return 2.0 * np.einsum("ki,kj,kl->kijl", g, g, g)
-
     def hessian_fluctuation(self, theta, p, scores, fisher):
         """V_H from the (K, d) scores g_x, without the Hessian stack.
 
@@ -273,7 +258,7 @@ class LinearOutcomeModel(StatModel):
         return float(p @ (diag + cross))
 
     def third_derivative_envelope(self, theta, radius):
-        """Exact ball supremum of 0.5*||d3logp||_op for affine probabilities.
+        """Exact ball supremum of 0.5*||D^3 log p(x)||_op for affine probabilities.
 
         The third derivative at any point is 2 (A_x/p)^(3) with operator
         norm 2 ||A_x||^3 / p^3, and p is affine along the ball, so the
@@ -521,21 +506,15 @@ class PoissonTruncatedModel(StatModel):
         s = self.dlogp(theta, p)[:, 0]
         return np.array([[(p * s) @ s]])
 
-    def d2logp(self, theta):
-        t = np.asarray(theta, dtype=float)[0]
-        return (-self._ks / t**2 - self._logz_derivatives(t)[1]).reshape(self.K, 1, 1)
-
-    def d3logp(self, theta):
-        t = np.asarray(theta, dtype=float)[0]
-        return (2.0 * self._ks / t**3 - self._logz_derivatives(t)[2]).reshape(self.K, 1, 1, 1)
-
     def hessian_fluctuation(self, theta, p, scores, fisher):
-        """V_H over the K outcomes of the 1 x 1 Hessians."""
-        return float(p @ (self.d2logp(theta)[:, 0, 0] + fisher.matrix[0, 0]) ** 2)
+        """V_H over the K outcomes of the 1 x 1 Hessians -k/theta^2 - l2."""
+        t = np.asarray(theta, dtype=float)[0]
+        hessians = -self._ks / t**2 - self._logz_derivatives(t)[1]
+        return float(p @ (hessians + fisher.matrix[0, 0]) ** 2)
 
     def third_derivative_envelope(self, theta, radius):
         """Proven bound k/lo^3 + 0.5 h(hi) [(K/lo + 1)^2 + K/lo^2 + K/lo + 1]
-        on sup 0.5*|d3logp| over [lo, hi] = [theta - r, theta + r]: there
+        on sup 0.5*|2k/t^3 - l3| over [lo, hi] = [theta - r, theta + r]: there
         |g| <= K/lo + 1, and h <= h(hi) since every other term of
         Z / (t^K / K!) falls as t grows.  All +inf once lo <= 0."""
         t = np.asarray(theta, dtype=float)[0]

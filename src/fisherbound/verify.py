@@ -171,28 +171,43 @@ def _check_model_identities(rng):
         mean_score = p @ score
         assert np.abs(mean_score).max() <= 1e-8, f"{model.scheme}: E[score] != 0"
         outer = np.einsum("k,ki,kj->ij", p, score, score)
-        hess = np.einsum("k,kij->ij", p, model.d2logp(theta))
-        assert np.abs(outer + hess).max() <= 1e-8, f"{model.scheme}: info identity"
+        err = np.abs(outer - model.analytic_fisher(theta)).max()
+        assert err <= 1e-8, f"{model.scheme}: E[score score^T] != analytic_fisher ({err:.2e})"
     return "normalisation, score, and information identities on the model zoo"
 
 
 def _check_model_derivatives(rng):
+    h, h3 = 1e-5, 1e-3
     for model, theta in _model_zoo(rng):
-        h = 1e-5
+        p = model.probs(theta)
+        score = model.dlogp(theta)
+        info = model.analytic_fisher(theta)
+        logp = lambda t: np.log(model.probs(t))
         for _ in range(3):
             i = int(rng.integers(model.d))
             e = np.zeros(model.d)
             e[i] = h
-            logp = lambda t: np.log(model.probs(t))
             fd_grad = (logp(theta + e) - logp(theta - e)) / (2 * h)
-            err = np.abs(fd_grad - model.dlogp(theta)[:, i]).max()
+            err = np.abs(fd_grad - score[:, i]).max()
             assert err <= 1e-5, f"{model.scheme}: dlogp mismatch {err:.2e}"
             fd_hess = (model.dlogp(theta + e) - model.dlogp(theta - e)) / (2 * h)
-            err = np.abs(fd_hess - model.d2logp(theta)[:, :, i]).max()
-            assert err <= 1e-4, f"{model.scheme}: d2logp mismatch {err:.2e}"
-            fd_third = (model.d2logp(theta + e) - model.d2logp(theta - e)) / (2 * h)
-            err = np.abs(fd_third - model.d3logp(theta)[:, :, :, i]).max()
-            assert err <= 1e-3, f"{model.scheme}: d3logp mismatch {err:.2e}"
+            err = np.abs(p @ fd_hess + info[:, i]).max()
+            assert err <= 1e-4, f"{model.scheme}: analytic_fisher mismatch {err:.2e}"
+        # The second difference of the score along a unit u over steps of h3
+        # is the third derivative along u at a point of the stencil (mean
+        # value theorem), so half of it is at most the envelope over the ball
+        # of radius h3, up to its rounding.  u is each outcome's score
+        # direction, where an affine model's rank-one 2 g^(3) attains its
+        # operator norm.
+        envelope = model.third_derivative_envelope(theta, h3)
+        for x, g in enumerate(score):
+            u = g / np.linalg.norm(g)
+            along = [model.dlogp(theta + step * u)[x] @ u for step in (-h3, 0.0, h3)]
+            half_third = 0.5 * abs(along[0] - 2.0 * along[1] + along[2]) / h3**2
+            rounding = 1e-12 * max(map(abs, along)) / h3**2
+            assert half_third <= envelope[x] + rounding, (
+                f"{model.scheme}: third_derivative_envelope {envelope[x]:.6g} "
+                f"below {half_third:.6g} at outcome {x}")
     return "analytic derivatives match central differences"
 
 

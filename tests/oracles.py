@@ -205,6 +205,21 @@ def bernoulli_linf_success(theta, m, eps, scored=False):
     return float(binom.cdf(hi, m, theta) - binom.cdf(lo - 1, m, theta))
 
 
+def bernoulli_linf_curve(theta, eps, m_max):
+    """bernoulli_linf_success(theta, M, eps) for M = 1 .. m_max as one array,
+    the window ends rounded in exact integer arithmetic as in bernoulli_window."""
+    from scipy.stats import binom
+
+    low, high = Fraction(theta) - Fraction(eps), Fraction(theta) + Fraction(eps)
+    lo = np.array([max(-(-m * low.numerator // low.denominator), 0)
+                   for m in range(1, m_max + 1)])
+    hi = np.array([min(m * high.numerator // high.denominator, m)
+                   for m in range(1, m_max + 1)])
+    ms = np.arange(1, m_max + 1)
+    inside = binom.cdf(hi, ms, theta) - binom.cdf(lo - 1, ms, theta)
+    return np.where(lo <= hi, inside, 0.0)
+
+
 def multinomial_linf_success(theta, m, eps, scored=False):
     """Exact Pr[max_a |n_a/m - theta_a| <= eps] for the first d counts of
     Mult(m, (theta_1..theta_d, 1 - sum theta)), by nested binomial sums.
@@ -349,10 +364,34 @@ def separable_mle_batch_masked(counts, r):
     return np.clip(est, -1.0, 1.0)
 
 
+def d2logp(model, theta):
+    """(K, d, d) log-likelihood Hessian per outcome: -g_x g_x^T for an
+    affine model, whose score g_x = A_x / p_x is dlogp, and -k/t^2 - l2
+    for the truncated Poisson model, l2 from its closed form."""
+    if hasattr(model, "_logz_derivatives"):
+        t = np.asarray(theta, dtype=float)[0]
+        ks = np.arange(model.K, dtype=float)
+        return (-ks / t**2 - model._logz_derivatives(t)[1]).reshape(model.K, 1, 1)
+    g = model.dlogp(theta)
+    return -np.einsum("ki,kj->kij", g, g)
+
+
+def d3logp(model, theta):
+    """(K, d, d, d) third log-likelihood derivative per outcome: the
+    rank-one 2 g_x^(3) for an affine model, 2k/t^3 - l3 for the truncated
+    Poisson model."""
+    if hasattr(model, "_logz_derivatives"):
+        t = np.asarray(theta, dtype=float)[0]
+        ks = np.arange(model.K, dtype=float)
+        return (2.0 * ks / t**3 - model._logz_derivatives(t)[2]).reshape(model.K, 1, 1, 1)
+    g = model.dlogp(theta)
+    return 2.0 * np.einsum("ki,kj,kl->kijl", g, g, g)
+
+
 def hessian_fluctuation_dense(model, theta, fisher_matrix):
     """V_H = sum_x p_x ||l''(x) + F||_F^2 from the full K x d x d Hessian stack."""
     p = model.probs(theta)
-    centred = model.d2logp(theta) + np.asarray(fisher_matrix)[None, :, :]
+    centred = d2logp(model, theta) + np.asarray(fisher_matrix)[None, :, :]
     return float(p @ (centred**2).sum(axis=(1, 2)))
 
 

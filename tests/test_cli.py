@@ -593,6 +593,15 @@ class TestDenseMemoryGuard:
             with pytest.raises(ValueError, match="n=7 needs about"):
                 models._check_dense_size("scheme", 7, arrays)
 
+    def test_separation_refuses_before_any_search(self, monkeypatch, capsys):
+        # n = 7 is refused before the n = 1-6 searches, which take tens of seconds
+        monkeypatch.setattr(models, "_physical_memory", lambda: 7 * 2**30)
+        calls = []
+        monkeypatch.setattr(mle_lab, "find_min_samples", lambda *a, **k: calls.append(a))
+        assert main(["separation", "--simulate-upto", "7", "--n-max", "7"]) == 2
+        assert "config error: entangled-pauli at n=7 needs about" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestClassicalMemoryGuard:
     """dim and truncation are refused from their estimate, before allocating."""

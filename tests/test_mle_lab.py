@@ -28,6 +28,7 @@ from fisherbound.pauli import random_valid_eigenvalues
 from oracles import (
     bell_failures,
     bell_mstar_bracket,
+    bernoulli_linf_curve,
     bernoulli_linf_success,
     bernoulli_success_exact,
     bernoulli_window,
@@ -863,6 +864,9 @@ class TestExactSandwichAlongDelta:
     No Monte Carlo: the Gaussian m* is the first crossing of its exact
     success curve, and the Bell m* lies in the exact bracket
     [m*_marg, m*_bonf], so lower <= m*_marg and m*_bonf <= upper suffice.
+    The Bernoulli and multinomial curves dip below 1 - delta after their
+    first crossing, so they are scanned: lower <= the first crossing, and
+    every dip below upper.
     Along delta the upper bound grows like 1/delta^2 (its Berry-Esseen
     term) and the lower bound stops growing, so both stay valid but loose.
     """
@@ -879,7 +883,7 @@ class TestExactSandwichAlongDelta:
         assert upper.applicable and m_star <= upper.value, (m_star, upper)
 
     @pytest.mark.parametrize("delta", DELTAS)
-    @pytest.mark.parametrize("n, eps", [(1, 0.014), (2, 5.4e-4)])
+    @pytest.mark.parametrize("n, eps", [(1, 0.014), (2, 5.4e-4), (3, 1.8e-5)])
     def test_bell_depolarizing(self, n, eps, delta):
         model = entangled_pauli_model(n)
         theta = np.zeros(model.d)
@@ -889,3 +893,43 @@ class TestExactSandwichAlongDelta:
         upper = bounds.upper_bound(eps, delta, coeffs, "linf")
         assert lower.value <= m_marg
         assert upper.applicable and m_bonf <= upper.value, (m_bonf, upper)
+
+    @staticmethod
+    def assert_scanned_sandwich(model, theta, eps, delta, above, below):
+        """lower <= the first crossing of `above` and upper > the last dip of
+        `below`, two curves over M = 1, 2, ... that lie above and below the
+        exact success curve; the scan reaches past the last dip of `below`."""
+        target = 1.0 - delta
+        assert below[-1] >= target
+        first = 1 + int(np.argmax(above >= target))
+        last_dip = 1 + int(np.flatnonzero(below < target)[-1])
+        coeffs = bounds.estimate_coefficients(model, theta, eps)
+        lower = bounds.lower_bound(eps, delta, coeffs, "linf")
+        upper = bounds.upper_bound(eps, delta, coeffs, "linf")
+        assert lower.value <= first
+        assert upper.applicable and last_dip < upper.value, (last_dip, upper)
+
+    @staticmethod
+    def hoeffding_reach(eps, delta, d):
+        """The least M from which Hoeffding's bound 2 d exp(-2 M eps^2) on the
+        linf failure of d frequencies is at most delta."""
+        return math.ceil(math.log(2 * d / delta) / (2.0 * eps**2))
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_bernoulli(self, delta):
+        eps = 0.05
+        curve = bernoulli_linf_curve(0.5, eps, self.hoeffding_reach(eps, delta, 1))
+        self.assert_scanned_sandwich(bernoulli_model(), np.array([0.5]), eps, delta,
+                                     curve, curve)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_multinomial(self, delta):
+        # dim 3 at theta = 1/4 each, at eps = 0.01: the upper rows read
+        # tau0 <= 0 from eps = 0.015 up, and there the nested binomial sum
+        # costs too much to scan.  Each count is Bin(M, 1/4), so the curve
+        # lies between the Bonferroni 1 - 3 f and the marginal 1 - f, with f
+        # the one coordinate's failure.
+        eps, d = 0.01, 3
+        failure = 1.0 - bernoulli_linf_curve(0.25, eps, self.hoeffding_reach(eps, delta, d))
+        self.assert_scanned_sandwich(multinomial_model(d), np.full(d, 0.25), eps, delta,
+                                     1.0 - failure, 1.0 - d * failure)

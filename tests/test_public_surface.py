@@ -122,3 +122,22 @@ ALLOCATION_SIZES = ("TRIAL_BLOCK", "DRAW_ARRAYS", "GAUSSIAN_DENSE_ARRAYS", "_che
 
 def test_cli_sizes_no_allocation():
     assert not _references(_trees()["cli"]) & set(ALLOCATION_SIZES)
+
+
+# Per-outcome derivative tensors that no bound reads: the K x d x d Hessian
+# and K x d^3 third-derivative stacks live in tests/oracles.py.
+TEST_ONLY_TENSORS = ("d2logp", "d3logp")
+
+
+def test_src_defines_and_reads_no_derivative_tensor():
+    offenders = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            name = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    else node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if name in TEST_ONLY_TENSORS:
+                offenders.append(f"{module} line {node.lineno}: {name}")
+    assert not offenders, offenders

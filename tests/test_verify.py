@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fisherbound import special_functions, verify
+from fisherbound import models, special_functions, verify
 
 # seeds whose 64-point grid puts two points near x = -8 whose tails round
 # to the same double (at seed 21: x = -7.80997 and -7.80793 both give
@@ -63,3 +63,35 @@ class TestGaussianTailMonotone:
         results = verify.run_checks(seed=21)
         row = {r.name: r for r in results}["special-functions/gaussian-tail-monotone"]
         assert row.passed
+
+
+def _scaled(method, factor):
+    def scaled(self, *args, **kwargs):
+        return factor * method(self, *args, **kwargs)
+
+    return scaled
+
+
+# One production quantity of one zoo model corrupted at a time, each beyond
+# its check's tolerance.  The poisson model is the one zoo model that no other
+# check reads, so every other row keeps passing.  Its score scaled by
+# 1 + 1e-5 scales E[g g^T] and analytic_fisher alike, so only the central
+# differences of log p see it.
+CORRUPTIONS = {
+    "analytic-fisher": ("analytic_fisher", 1.0 + 1e-5, "models/identities",
+                        "poisson: E[score score^T] != analytic_fisher"),
+    "dlogp": ("dlogp", 1.0 + 1e-5, "models/derivatives", "poisson: dlogp mismatch"),
+    "envelope": ("third_derivative_envelope", 0.5, "models/derivatives",
+                 "poisson: third_derivative_envelope"),
+}
+
+
+class TestModelChecksCatchCorruption:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_only_the_matching_check_fails(self, corruption, monkeypatch):
+        method, factor, check, message = CORRUPTIONS[corruption]
+        monkeypatch.setattr(models.PoissonTruncatedModel, method,
+                            _scaled(getattr(models.PoissonTruncatedModel, method), factor))
+        failed = [r for r in verify.run_checks() if not r.passed]
+        assert [r.name for r in failed] == [check]
+        assert failed[0].detail.startswith(message), failed[0].detail
