@@ -201,8 +201,8 @@ def estimate_coefficients(
     return BoundCoefficients(
         V_H=v_h,
         C=constant,
-        opnorm_inv=f.opnorm_inverse(),
-        sigma_diag=np.sqrt(np.clip(f.inverse_diag(), 0.0, None)),
+        opnorm_inv=f.opnorm_inverse,
+        sigma_diag=np.sqrt(np.clip(f.inverse_diag, 0.0, None)),
         rho_diag=np.asarray(rho_diag, dtype=float),
         rho_top=rho_top,
         envelope={norm: balls[radii[norm]] for norm in NORMS},

@@ -365,7 +365,7 @@ def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     eps, delta, norm = cfg["epsilon"], cfg["delta"], cfg["norm"]
     f = fisher.fim(model, theta)
     # the small-eps lower limit reads [F^-1]_aa in linf and lambda_max(F^-1) in l2
-    inverse = float(f.inverse_diag().max()) if norm == "linf" else f.opnorm_inverse()
+    inverse = float(f.inverse_diag.max()) if norm == "linf" else f.opnorm_inverse
     lower = bounds.asymptotic_lower_linf(eps, delta, inverse)
     coeffs = bounds.estimate_coefficients(model, theta, eps, constant=cfg["be_constant"],
                                           fisher=f)
@@ -407,10 +407,10 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
         meta = _meta(cfg, "fisher", fim_defined=False, reason=str(exc))
         return [], meta, EXIT_OK
 
-    inv_diag = f.inverse_diag()
+    inv_diag = f.inverse_diag
     sigma = np.sqrt(np.clip(inv_diag, 0.0, None))
     closed = model.closed_form_inverse_diag(theta)
-    estimable = fisher.estimable(f).tolist()
+    estimable = f.estimable.tolist()
     rows = []
     for a in range(model.d):
         qfim_value = None if closed is None else float(closed[a])
@@ -423,7 +423,7 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
             "estimable": estimable[a],
             "sigma": float(sigma[a]),
         })
-    opnorm_inv = f.opnorm_inverse()
+    opnorm_inv = f.opnorm_inverse
     meta = _meta(cfg, "fisher", fim_defined=True, opnorm_inv=opnorm_inv,
                  lambda_max_inv=opnorm_inv, used_pseudoinverse=f.is_singular)
     return rows, meta, EXIT_OK

@@ -21,7 +21,6 @@ __all__ = [
     "FisherMatrix",
     "TraceBoundResult",
     "bell_fim_structural",
-    "estimable",
     "fim",
     "single_copy_trace_bound",
 ]
@@ -36,13 +35,17 @@ class FimUndefinedError(ValueError):
 
 
 class FisherMatrix:
-    """Symmetric PSD matrix with cached spectral data.
+    """Symmetric PSD matrix with its inverse side, computed once as read-only values.
 
     Eigenvalues are stored ascending; those at or below RANK_TOL * lambda_max
-    are null.  That one split decides is_singular, the Moore-Penrose
-    pseudoinverse the inverse-based quantities fall back to, top_eigvec and
-    fisher.estimable.  The bounds read inverse_diag, opnorm_inverse =
-    lambda_max(F^-1), its eigenvector top_eigvec and is_singular.
+    are null.  That one split, made here alone, decides is_singular; the
+    Moore-Penrose pseudoinverse pinv and its diagonal inverse_diag;
+    opnorm_inverse = lambda_max(pinv) = 1 / smallest kept eigenvalue (0.0
+    when none is kept) and its eigenvector top_eigvec (None when none is
+    kept, never a null direction); and estimable, whether e_a lies in the
+    range of F: its projection onto the null eigenvectors has norm at most
+    1e-8, so a nonsingular F, however ill-conditioned, has every coordinate
+    estimable.  Every array, the matrix and eigh's included, is read-only.
     """
 
     def __init__(self, matrix):
@@ -61,42 +64,19 @@ class FisherMatrix:
                 f"matrix is not positive semidefinite: min eigenvalue "
                 f"{self.eigenvalues[0]!r}"
             )
-        self._nonzero = self.eigenvalues > RANK_TOL * max(lam_max, 0.0)
-        self._pinv = None
-
-    @property
-    def is_singular(self) -> bool:
-        return not self._nonzero.all()
-
-    def pinv_matrix(self) -> np.ndarray:
-        """The (pseudo)inverse, computed on first use; a read-only array."""
-        if self._pinv is None:
-            inv_eigs = np.divide(1.0, self.eigenvalues, out=np.zeros(self.d),
-                                 where=self._nonzero)
-            pinv = (self.eigenvectors * inv_eigs) @ self.eigenvectors.T
-            pinv.flags.writeable = False
-            self._pinv = pinv
-        return self._pinv
-
-    def inverse_diag(self) -> np.ndarray:
-        """Diagonal of the inverse (pseudoinverse when singular)."""
-        return np.diag(self.pinv_matrix())
-
-    def opnorm_inverse(self) -> float:
-        """Operator norm of the (pseudo)inverse, 1 / smallest kept eigenvalue."""
-        kept = self.eigenvalues[self._nonzero]
-        if kept.size == 0:
-            return 0.0
-        return 1.0 / float(kept[0])
-
-    def top_eigvec(self) -> np.ndarray | None:
-        """Top eigenvector of the (pseudo)inverse, or None if nothing is kept.
-
-        It belongs to the smallest kept eigenvalue, the one opnorm_inverse
-        reads; a null direction of a singular F is never returned.
-        """
-        kept = np.flatnonzero(self._nonzero)
-        return self.eigenvectors[:, kept[0]] if kept.size else None
+        kept = self.eigenvalues > RANK_TOL * max(lam_max, 0.0)
+        self.is_singular = not kept.all()
+        inv_eigs = np.divide(1.0, self.eigenvalues, out=np.zeros(self.d), where=kept)
+        self.pinv = (self.eigenvectors * inv_eigs) @ self.eigenvectors.T
+        self.estimable = np.linalg.norm(self.eigenvectors[:, ~kept], axis=1) <= 1e-8
+        for array in (self.matrix, self.eigenvalues, self.eigenvectors, self.pinv,
+                      self.estimable):
+            array.flags.writeable = False
+        # views of read-only arrays, so read-only themselves
+        self.inverse_diag = np.diag(self.pinv)
+        kept_at = np.flatnonzero(kept)
+        self.opnorm_inverse = 1.0 / float(self.eigenvalues[kept_at[0]]) if kept_at.size else 0.0
+        self.top_eigvec = self.eigenvectors[:, kept_at[0]] if kept_at.size else None
 
 
 def fim(model, theta) -> FisherMatrix:
@@ -116,18 +96,6 @@ def fim(model, theta) -> FisherMatrix:
         raise FimUndefinedError(f"{model.scheme}: Fisher matrix at parameter "
                                 f"{theta!r} is not finite")
     return FisherMatrix(matrix)
-
-
-def estimable(f: FisherMatrix) -> np.ndarray:
-    """Boolean mask of the coordinates that admit an unbiased estimator.
-
-    Coordinate a is estimable when e_a lies in the range of F: its
-    projection onto the null eigenvectors of FisherMatrix's split (row a
-    of those columns) has Euclidean norm at most 1e-8.  A nonsingular F,
-    however ill-conditioned, has none, so every coordinate is estimable.
-    """
-    null = f.eigenvectors[:, ~f._nonzero]
-    return np.linalg.norm(null, axis=1) <= 1e-8
 
 
 def bell_fim_structural(p, n: int) -> FisherMatrix:

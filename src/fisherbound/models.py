@@ -33,7 +33,6 @@ before allocating, with ValueError when the estimate exceeds it.
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class DomainError(ValueError):
     """Parameter point lies outside the model's open domain."""
 
 
-@dataclass
 class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
@@ -89,12 +87,15 @@ class StatModel:
     theta is always a length-d float vector interior to the domain.
     The Pauli models set qubits, the qubit count n, and give a closed-form
     inverse-Fisher diagonal; the Bell models also draw random points.
+    Models compare and hash by identity.
     """
 
-    d: int
-    K: int
-    scheme: str
-    qubits: int | None = None
+    qubits = None
+
+    def __init__(self, d: int, K: int, scheme: str):
+        self.d = d
+        self.K = K
+        self.scheme = scheme
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -175,15 +176,15 @@ class StatModel:
 
         fisher is the FisherMatrix at theta.  The default sums over the K
         outcomes: rho_diag[a] = E|e_a^T F^-1 score|^3, rho_top the same
-        along fisher.top_eigvec() (0 when F is zero), and V_H =
+        along fisher.top_eigvec (0 when F is zero), and V_H =
         sum_x p_x ||l''(x) + F||_F^2 from the model's
         hessian_fluctuation(theta, p, scores, fisher).
         """
         p = self.probs(theta)
         scores = self.dlogp(theta, p)
-        projected = scores @ fisher.pinv_matrix()  # column a is e_a^T F^-1 score(x)
+        projected = scores @ fisher.pinv  # column a is e_a^T F^-1 score(x)
         rho_diag = p @ np.abs(projected) ** 3
-        top = fisher.top_eigvec()
+        top = fisher.top_eigvec
         rho_top = 0.0 if top is None else float(p @ np.abs(projected @ top) ** 3)
         v_h = self.hessian_fluctuation(theta, p, scores, fisher)
         return v_h, rho_diag, rho_top
@@ -513,18 +514,20 @@ class PoissonTruncatedModel(StatModel):
         return float(p @ (hessians + fisher.matrix[0, 0]) ** 2)
 
     def third_derivative_envelope(self, theta, radius):
-        """Proven bound k/lo^3 + 0.5 h(hi) [(K/lo + 1)^2 + K/lo^2 + K/lo + 1]
-        on sup 0.5*|2k/t^3 - l3| over [lo, hi] = [theta - r, theta + r]: there
-        |g| <= K/lo + 1, and h <= h(hi) since every other term of
-        Z / (t^K / K!) falls as t grows.  All +inf once lo <= 0."""
+        """Proven bound k/lo^3 + 0.5 h(hi) [g(lo)^2 + K/lo^2 + g(lo)] on
+        sup 0.5*|2k/t^3 - l3| over [lo, hi] = [theta - r, theta + r].  There
+        h <= h(hi), since every other term of Z / (t^K / K!) falls as t
+        grows; and 0 <= g <= g(lo): g = d(log h)/dt >= 0 as h grows, and
+        t g(t) = E_t[K - k] falls with t, since d E_t[k] / d(log t) =
+        Var_t(k) >= 0, so g(t) <= t g(t) / lo <= g(lo).  All +inf once lo <= 0."""
         t = np.asarray(theta, dtype=float)[0]
         lo = t - radius
         if not lo > 0.0:
             return np.full(self.K, np.inf)
-        weights = self._weights(t + radius)
-        a = self._gaps[0] / lo
+        high, low = self._weights(t + radius), self._weights(lo)
+        g = self._gaps @ (low / low.sum()) / lo
         return (self._ks / lo**3
-                + 0.5 * weights[-1] / weights.sum() * ((a + 1.0) ** 2 + a / lo + a + 1.0))
+                + 0.5 * high[-1] / high.sum() * (g * g + self._gaps[0] / lo**2 + g))
 
     def contains(self, theta):
         return bool(np.asarray(theta, dtype=float)[0] > 0.0)
@@ -569,7 +572,7 @@ class GaussianKnownCovModel(StatModel):
         """
         rho_scale = 2.0 * math.sqrt(2.0 / math.pi)
         rho_diag = rho_scale * np.sqrt(np.diag(self.cov)) ** 3
-        rho_top = rho_scale * fisher.opnorm_inverse() ** 1.5
+        rho_top = rho_scale * fisher.opnorm_inverse ** 1.5
         return 0.0, rho_diag, rho_top
 
     def envelope_moments(self, theta, radius):

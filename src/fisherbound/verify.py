@@ -229,7 +229,7 @@ def _check_entangled_inverse_diag(rng):
             if not model.contains(theta):
                 continue
             f = fisher.fim(model, theta)
-            diff = np.abs(f.inverse_diag() - model.closed_form_inverse_diag(theta)).max()
+            diff = np.abs(f.inverse_diag - model.closed_form_inverse_diag(theta)).max()
             worst = max(worst, diff)
     assert worst <= 1e-8, f"closed-form inverse diagonal off by {worst:.3e}"
     return f"[F^-1]_aa = 1 - lam_a^2 to {worst:.2e} on 50 draws, n in {{1,2}}"
@@ -259,7 +259,7 @@ def _check_penrose(rng):
         basis = rng.standard_normal((d, rank))
         mat = basis @ basis.T
         f = fisher.FisherMatrix(mat)
-        pinv = f.pinv_matrix()
+        pinv = f.pinv
         a = f.matrix
         for lhs, rhs, tag in [
             (a @ pinv @ a, a, "A X A = A"),
@@ -280,7 +280,7 @@ def _check_estimable(rng):
                           (np.diag([2.0, 0.5, 1.0]), [True] * 3),
                           ((q * np.geomspace(1.0, 1e-9, 6)) @ q.T, [True] * 6)]:
         f = fisher.FisherMatrix(matrix)
-        assert fisher.estimable(f).tolist() == flags
+        assert f.estimable.tolist() == flags
         assert f.is_singular == (not all(flags))
     return "estimability flags match range membership on constructed cases"
 
@@ -290,11 +290,11 @@ def _check_spectral_stats(rng):
         d = int(rng.integers(2, 6))
         basis = rng.standard_normal((d, d))
         f = fisher.FisherMatrix(basis @ basis.T + d * np.eye(d))
-        opnorm_inv = f.opnorm_inverse()
-        assert f.inverse_diag().max() <= opnorm_inv + 1e-12
+        opnorm_inv = f.opnorm_inverse
+        assert f.inverse_diag.max() <= opnorm_inv + 1e-12
         # lambda_max of the inverse, from its own eigendecomposition
-        assert abs(np.linalg.eigvalsh(f.pinv_matrix())[-1] - opnorm_inv) <= 1e-12
-        ident = f.matrix @ f.pinv_matrix()
+        assert abs(np.linalg.eigvalsh(f.pinv)[-1] - opnorm_inv) <= 1e-12
+        ident = f.matrix @ f.pinv
         assert np.abs(ident - np.eye(d)).max() <= 1e-8, "inverse inconsistent"
     return "inverse-side spectral ordering and consistency on random SPD draws"
 

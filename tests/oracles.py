@@ -24,7 +24,7 @@ from fisherbound.bounds import (
     _lower_terms,
     _upper_bracket,
 )
-from fisherbound.special_functions import lambert_w0
+from fisherbound.special_functions import BERRY_ESSEEN_CONSTANT, lambert_w0
 
 
 def lambert_bisect(x, tol=1e-15):
@@ -205,19 +205,45 @@ def bernoulli_linf_success(theta, m, eps, scored=False):
     return float(binom.cdf(hi, m, theta) - binom.cdf(lo - 1, m, theta))
 
 
-def bernoulli_linf_curve(theta, eps, m_max):
-    """bernoulli_linf_success(theta, M, eps) for M = 1 .. m_max as one array,
-    the window ends rounded in exact integer arithmetic as in bernoulli_window."""
+def _floor_multiples(x, ms):
+    """floor(M x) for every M of the integer array ms and a Fraction x,
+    exactly: the float product is off by at most M |x| 2^-52, below 1e-6
+    for |x| <= 2 and M < 2^30, so it is recomputed in integers only where
+    it lies that close to an integer."""
+    assert abs(x) <= 2 and np.all(ms < 2**30)
+    product = ms * float(x)
+    out = np.floor(product).astype(np.int64)
+    for i in np.flatnonzero(np.abs(product - np.rint(product)) < 1e-6):
+        out[i] = int(ms[i]) * x.numerator // x.denominator
+    return out
+
+
+def _window_ends(theta, eps, ms):
+    """The count window (lo, hi) of bernoulli_window for every M of ms, its
+    ends rounded in exact arithmetic; theta and eps are floats or Fractions."""
+    low, high = Fraction(theta) - Fraction(eps), Fraction(theta) + Fraction(eps)
+    return np.maximum(-_floor_multiples(-low, ms), 0), np.minimum(_floor_multiples(high, ms), ms)
+
+
+def _window_success(theta, lo, hi, ms):
+    """Pr[lo <= S <= hi] for S ~ Bin(M, theta), elementwise over ms."""
     from scipy.stats import binom
 
-    low, high = Fraction(theta) - Fraction(eps), Fraction(theta) + Fraction(eps)
-    lo = np.array([max(-(-m * low.numerator // low.denominator), 0)
-                   for m in range(1, m_max + 1)])
-    hi = np.array([min(m * high.numerator // high.denominator, m)
-                   for m in range(1, m_max + 1)])
-    ms = np.arange(1, m_max + 1)
-    inside = binom.cdf(hi, ms, theta) - binom.cdf(lo - 1, ms, theta)
+    inside = binom.cdf(hi, ms, float(theta)) - binom.cdf(lo - 1, ms, float(theta))
     return np.where(lo <= hi, inside, 0.0)
+
+
+def bernoulli_linf_curve(theta, eps, m_max):
+    """bernoulli_linf_success(theta, M, eps) for M = 1 .. m_max as one array,
+    the window ends rounded in exact arithmetic as in bernoulli_window."""
+    ms = np.arange(1, m_max + 1)
+    return _window_success(theta, *_window_ends(theta, eps, ms), ms)
+
+
+def hoeffding_reach(eps, delta, d):
+    """The least M from which Hoeffding's bound 2 d exp(-2 M eps^2) on the
+    linf failure of d frequencies is at most delta."""
+    return math.ceil(math.log(2 * d / delta) / (2.0 * eps**2))
 
 
 def multinomial_linf_success(theta, m, eps, scored=False):
@@ -289,17 +315,61 @@ def bell_failures(theta, m, eps):
     return np.array(out)
 
 
+def _bell_scan(values, counts, eps, delta):
+    """(m*_marg, m*_bonf) of bell_mstar_bracket from every M up to
+    Hoeffding's reach, past which both curves stay above 1 - delta.
+
+    Coordinate a fails when B_a ~ Bin(M, q_a), q_a = (1 + lam_a) / 2, leaves
+    the count window of bernoulli_linf_curve at eps / 2.  Each failure is
+    first taken from the normal approximation, which Berry-Esseen (with
+    C = BERRY_ESSEEN_CONSTANT, proven for iid sums) puts within
+    2 C (q^2 + (1 - q)^2) / sqrt(M q (1 - q)) of it.  The binomial is
+    evaluated exactly wherever that error could change a comparison with
+    delta, so both crossings are those of the exact curves.
+    """
+    from scipy.special import ndtr
+
+    half = Fraction(eps) / 2
+    ms = np.arange(1, hoeffding_reach(half, delta, int(counts.sum())) + 1)
+    windows, approx, error = [], [], []
+    for lam in values:
+        q = (1 + Fraction(lam)) / 2
+        lo, hi = _window_ends(q, half, ms)
+        mean, sd = ms * float(q), np.sqrt(ms * float(q * (1 - q)))
+        windows.append((q, lo, hi))
+        approx.append(ndtr((lo - 1 - mean) / sd) + ndtr((mean - hi) / sd))
+        error.append(2 * BERRY_ESSEEN_CONSTANT * float(q**2 + (1 - q) ** 2) / sd)
+    approx, error = np.array(approx), np.array(error)
+    unsure = ((np.abs(approx - delta) <= error).any(axis=0)
+              | (np.abs(counts @ approx - delta) <= counts @ error))
+    for failure, (q, lo, hi) in zip(approx, windows):
+        failure[unsure] = 1.0 - _window_success(q, lo[unsure], hi[unsure], ms[unsure])
+    target = 1.0 - delta
+    marginal, bonferroni = 1.0 - approx.max(axis=0), 1.0 - counts @ approx
+    assert bonferroni[-1] >= target
+    dips = np.flatnonzero(bonferroni < target)  # index M - 1
+    m_bonf = 2 + int(dips[-1]) if dips.size else 1
+    return 1 + int(np.argmax(marginal >= target)), m_bonf
+
+
 def bell_mstar_bracket(theta, eps, delta, hi=2**60):
     """(m*_marg, m*_bonf): exact brackets on the linf m* of a Bell scheme.
 
     With f_a(M) from bell_failures, the linf success probability lies
     between 1 - sum_a f_a (Bonferroni) and 1 - max_a f_a (the worst
-    marginal).  m*_marg and m*_bonf are where those two curves cross
-    1 - delta, found by first_crossing; the true success curve crosses
-    between them.  Equal coordinates share one binomial evaluation, so the
-    depolarizing point costs one per M at any n.
+    marginal).  Both curves dip below 1 - delta on the count lattice after
+    they first cross it.  At n = 1 (three coordinates) _bell_scan reads
+    them at every M: m*_marg is the first crossing of the worst marginal
+    and m*_bonf the first M after the last dip of the Bonferroni curve, so
+    m*_marg <= m* <= m*_bonf is proven.  From n = 2 the curves are too long
+    to scan, and each value is where first_crossing's bisection lands, a
+    crossing that need not be the first or follow the last dip.  Equal
+    coordinates share one binomial evaluation, so the depolarizing point
+    costs one per M at any n.
     """
     values, counts = np.unique(np.asarray(theta, dtype=float), return_counts=True)
+    if len(theta) == 3:
+        return _bell_scan(values, counts, eps, delta)
     target = 1.0 - delta
     m_marg = first_crossing(lambda m: 1.0 - bell_failures(values, m, eps).max(), target, hi)
     m_bonf = first_crossing(lambda m: 1.0 - counts @ bell_failures(values, m, eps), target, hi)

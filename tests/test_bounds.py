@@ -258,8 +258,9 @@ class TestEstimateCoefficients:
             assert coeffs.envelope[norm] == real(theta, radius)
 
     def test_poisson_forms_its_weights_a_fixed_number_of_times(self, monkeypatch):
-        # the envelope is a closed form in h(theta + r): one weight array per
-        # ball, whatever eps is, where the grid formed one per grid point
+        # the envelope is a closed form in h(theta + r) and g(theta - r): two
+        # weight arrays per ball, whatever eps is, where the grid formed one
+        # per grid point
         model = PoissonTruncatedModel(20)
         real = model._weights
         calls = []
@@ -274,7 +275,7 @@ class TestEstimateCoefficients:
             calls.clear()
             estimate_coefficients(model, np.array([1.0]), eps)
             counts.append(len(calls))
-        assert counts == [7, 7, 7]
+        assert counts == [8, 8, 8]
 
     def test_envelope_infinite_when_ball_hits_boundary(self):
         model = entangled_pauli_model(1)
@@ -290,7 +291,7 @@ class TestEstimateCoefficients:
         f = fim(model, theta)
         assert f.is_singular
         coeffs = estimate_coefficients(model, theta, 0.01, fisher=f)
-        pinv = f.pinv_matrix()
+        pinv = f.pinv
         top_value, top_vectors = np.linalg.eigh(pinv)
         top = top_vectors[:, -1]
         oracle = model.probs(theta) @ np.abs(model.dlogp(theta) @ pinv @ top) ** 3
@@ -348,13 +349,13 @@ class TestBellClosedForms:
         assume(f.eigenvalues[-1] <= 1e4 * f.eigenvalues[0])
         coeffs = estimate_coefficients(model, theta, 0.01, fisher=f)
         closed = bell_closed_forms(theta)
-        np.testing.assert_allclose(closed.inv_diag, f.inverse_diag(), rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(closed.inv_diag, f.inverse_diag, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(closed.rho_diag, coeffs.rho_diag, rtol=1e-11, atol=0.0)
         assert closed.v_h == pytest.approx(coeffs.V_H, rel=1e-11, abs=0.0)
         assert closed.opnorm_inverse == pytest.approx(coeffs.opnorm_inv, rel=1e-11, abs=0.0)
         top, next_ = 1.0 / f.eigenvalues[:2]
         if top - next_ > self.TOP_GAP * top:
-            dense = f.top_eigvec() * np.sign(f.top_eigvec() @ closed.top_eigvec)
+            dense = f.top_eigvec * np.sign(f.top_eigvec @ closed.top_eigvec)
             np.testing.assert_allclose(closed.top_eigvec, dense, rtol=0.0, atol=1e-11)
             assert closed.rho_top == pytest.approx(coeffs.rho_top, rel=1e-11, abs=0.0)
 
@@ -553,7 +554,7 @@ class TestAsymptoticEvaluators:
                 continue
             bound = entangled_pauli_l2_lower(1, p, 0.1, 0.1)
             f = bell_fim_structural(p, 1)
-            exact = asymptotic_lower_linf(0.1, 0.1, f.opnorm_inverse())
+            exact = asymptotic_lower_linf(0.1, 0.1, f.opnorm_inverse)
             assert bound <= exact + 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 30])

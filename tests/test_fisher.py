@@ -10,7 +10,6 @@ from fisherbound.fisher import (
     FimUndefinedError,
     FisherMatrix,
     bell_fim_structural,
-    estimable,
     fim,
     single_copy_trace_bound,
 )
@@ -79,7 +78,7 @@ class TestFim:
                 lam = random_valid_eigenvalues(n, rng)[1:]
                 f = fim(model, lam)
                 np.testing.assert_allclose(
-                    f.inverse_diag(), 1.0 - lam**2, atol=1e-8
+                    f.inverse_diag, 1.0 - lam**2, atol=1e-8
                 )
 
     def test_undefined_at_score_carrying_zero(self):
@@ -188,7 +187,7 @@ class TestQfimDiagonals:
         r = product_probe(bloch)[1:]
         model = separable_pauli_model(n, r)
         theta = rng.uniform(-0.5, 0.5, size=r.size)
-        np.testing.assert_allclose(fim(model, theta).inverse_diag(),
+        np.testing.assert_allclose(fim(model, theta).inverse_diag,
                                    model.closed_form_inverse_diag(theta), rtol=1e-9)
 
     def test_zero_component_flagged_infinite(self):
@@ -201,23 +200,23 @@ class TestQfimDiagonals:
         points = model.random_points(np.random.default_rng(8), 5)
         assert points
         for theta in points:
-            np.testing.assert_allclose(fim(model, theta).inverse_diag(),
+            np.testing.assert_allclose(fim(model, theta).inverse_diag,
                                        model.closed_form_inverse_diag(theta), atol=1e-8)
 
 
 class TestPseudoInverse:
     def test_identity(self):
-        np.testing.assert_allclose(FisherMatrix(np.eye(3)).pinv_matrix(), np.eye(3))
+        np.testing.assert_allclose(FisherMatrix(np.eye(3)).pinv, np.eye(3))
 
     def test_diagonal(self):
-        got = FisherMatrix(np.diag([2.0, 0.0])).pinv_matrix()
+        got = FisherMatrix(np.diag([2.0, 0.0])).pinv
         np.testing.assert_allclose(got, np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_rank_one_against_svd_oracle(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(4)
         f = np.outer(v, v)
-        got = FisherMatrix(f).pinv_matrix()
+        got = FisherMatrix(f).pinv
         np.testing.assert_allclose(got, np.outer(v, v) / np.linalg.norm(v) ** 4,
                                    atol=1e-10)
         u, s, vt = np.linalg.svd(f)
@@ -231,7 +230,7 @@ class TestPseudoInverse:
             rank = int(rng.integers(1, d + 1))
             basis = rng.standard_normal((d, rank))
             a = basis @ basis.T
-            x = FisherMatrix(a).pinv_matrix()
+            x = FisherMatrix(a).pinv
             scale = max(1.0, np.abs(a).max())
             assert np.abs(a @ x @ a - a).max() <= 1e-8 * scale
             assert np.abs(x @ a @ x - x).max() <= 1e-8 * max(1.0, np.abs(x).max())
@@ -242,45 +241,50 @@ class TestPseudoInverse:
         rng = np.random.default_rng(9)
         basis = rng.standard_normal((4, 4))
         a = basis @ basis.T + 4.0 * np.eye(4)
-        np.testing.assert_allclose(FisherMatrix(a).pinv_matrix(), np.linalg.inv(a),
+        np.testing.assert_allclose(FisherMatrix(a).pinv, np.linalg.inv(a),
                                    atol=1e-10)
 
 
-class TestPinvCache:
-    def test_computed_once_and_read_only(self):
+class TestInverseSideValues:
+    def test_read_only(self):
         rng = np.random.default_rng(12)
         basis = rng.standard_normal((5, 3))
         f = FisherMatrix(basis @ basis.T)
-        first = f.pinv_matrix()
-        assert f.pinv_matrix() is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 1.0
+        for name in ("pinv", "inverse_diag", "top_eigvec", "estimable", "matrix",
+                     "eigenvalues", "eigenvectors"):
+            array = getattr(f, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_values_not_accessors(self):
+        assert [name for name, value in vars(FisherMatrix).items()
+                if callable(value) or isinstance(value, property)] == ["__init__"]
 
     def test_same_bits_as_a_fresh_matrix(self):
         lam = random_valid_eigenvalues(2, np.random.default_rng(13))
         f = fim(entangled_pauli_model(2), 0.8 * lam[1:])
-        cached = f.pinv_matrix().copy()
-        estimable(f)
-        fresh = FisherMatrix(f.matrix).pinv_matrix()
-        assert np.array_equal(f.pinv_matrix(), cached)
-        assert np.array_equal(cached, fresh)
+        fresh = FisherMatrix(f.matrix)
+        for name in ("pinv", "inverse_diag", "top_eigvec", "estimable"):
+            assert np.array_equal(getattr(f, name), getattr(fresh, name)), name
+        assert (f.opnorm_inverse, f.is_singular) == (fresh.opnorm_inverse, fresh.is_singular)
+        assert np.array_equal(f.inverse_diag, np.diag(f.pinv))
 
 
 class TestEstimable:
     def test_full_rank_always_estimable(self):
         f = FisherMatrix(np.diag([2.0, 0.5, 1.0]))
-        assert np.array_equal(estimable(f), [True, True, True])
+        assert np.array_equal(f.estimable, [True, True, True])
 
     def test_axis_aligned_projector(self):
         f = FisherMatrix(np.diag([1.0, 0.0]))
-        assert np.array_equal(estimable(f), [True, False])
+        assert np.array_equal(f.estimable, [True, False])
 
     def test_rank_one_diagonal_direction(self):
         v = np.array([1.0, 1.0]) / math.sqrt(2.0)
         f = FisherMatrix(np.outer(v, v))
         # projector oracle: range projection of e_0 is v<v,e_0> != e_0
-        assert np.array_equal(estimable(f), [False, False])
+        assert np.array_equal(f.estimable, [False, False])
 
     def test_one_rank_split_decides_singular_and_estimable(self):
         # condition 1e9 under a random rotation: nonsingular at RANK_TOL, so
@@ -288,13 +292,13 @@ class TestEstimable:
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
         f = FisherMatrix((q * np.geomspace(1.0, 1e-9, 6)) @ q.T)
         assert not f.is_singular
-        assert estimable(f).all()
+        assert f.estimable.all()
         v = np.array([1.0, 1.0]) / math.sqrt(2.0)
         for matrix, flags in [(np.diag([1.0, 0.0]), [True, False]),
                               (np.outer(v, v), [False, False])]:
             f = FisherMatrix(matrix)
             assert f.is_singular
-            assert estimable(f).tolist() == flags
+            assert f.estimable.tolist() == flags
 
     def test_singular_exactly_when_some_coordinate_is_inestimable(self):
         rng = np.random.default_rng(34)
@@ -302,7 +306,7 @@ class TestEstimable:
             d = int(rng.integers(2, 8))
             basis = rng.standard_normal((d, int(rng.integers(1, d + 1))))
             f = FisherMatrix(basis @ basis.T)
-            assert f.is_singular == (not estimable(f).all())
+            assert f.is_singular == (not f.estimable.all())
 
     def test_agrees_with_projector_oracle(self):
         rng = np.random.default_rng(21)
@@ -313,7 +317,7 @@ class TestEstimable:
             f = FisherMatrix(basis @ basis.T)
             q, _ = np.linalg.qr(basis)
             projector = q @ q.T
-            mask = estimable(f)
+            mask = f.estimable
             for a in range(d):
                 e = np.zeros(d)
                 e[a] = 1.0
@@ -336,9 +340,9 @@ class TestEstimable:
             for a in range(d):
                 e = np.zeros(d)
                 e[a] = 1.0
-                residual = f.matrix @ (f.pinv_matrix() @ e) - e
+                residual = f.matrix @ (f.pinv @ e) - e
                 per_coordinate.append(bool(np.linalg.norm(residual) <= 1e-8))
-            assert estimable(f).tolist() == per_coordinate
+            assert f.estimable.tolist() == per_coordinate
 
 
 class TestSpectralStats:
@@ -346,13 +350,13 @@ class TestSpectralStats:
 
     def test_identity(self):
         f = FisherMatrix(np.eye(3))
-        assert (f.opnorm_inverse(), f.inverse_diag().max()) == (1, 1)
+        assert (f.opnorm_inverse, f.inverse_diag.max()) == (1, 1)
         assert not f.is_singular
 
     def test_diag_example(self):
         f = FisherMatrix(np.diag([4.0, 1.0]))
-        assert f.opnorm_inverse() == pytest.approx(1.0)
-        assert f.inverse_diag().max() == pytest.approx(1.0)
+        assert f.opnorm_inverse == pytest.approx(1.0)
+        assert f.inverse_diag.max() == pytest.approx(1.0)
 
     def test_random_spd_against_jacobi_oracle(self):
         rng = np.random.default_rng(31)
@@ -360,28 +364,28 @@ class TestSpectralStats:
         a = basis @ basis.T + 5.0 * np.eye(5)
         f = FisherMatrix(a)
         eigs = jacobi_eigenvalues(a)
-        assert f.opnorm_inverse() == pytest.approx(1.0 / eigs[0], rel=1e-9)
-        max_inv_diag = f.inverse_diag().max()
+        assert f.opnorm_inverse == pytest.approx(1.0 / eigs[0], rel=1e-9)
+        max_inv_diag = f.inverse_diag.max()
         assert max_inv_diag == pytest.approx(np.diag(np.linalg.inv(a)).max(), rel=1e-9)
-        assert max_inv_diag <= f.opnorm_inverse() + 1e-12
+        assert max_inv_diag <= f.opnorm_inverse + 1e-12
 
     def test_singular_flag(self):
         f = FisherMatrix(np.diag([1.0, 0.0]))
         assert f.is_singular
-        assert (f.opnorm_inverse(), f.inverse_diag().max()) == (1, 1)
+        assert (f.opnorm_inverse, f.inverse_diag.max()) == (1, 1)
 
     def test_top_eigvec_skips_the_null_direction(self):
         # eigh puts the null direction first; the pinv's top direction is e_2
         f = FisherMatrix(np.diag([2.0, 0.0, 0.5]))
-        np.testing.assert_array_equal(np.abs(f.top_eigvec()), [0.0, 0.0, 1.0])
-        assert FisherMatrix(np.zeros((2, 2))).top_eigvec() is None
+        np.testing.assert_array_equal(np.abs(f.top_eigvec), [0.0, 0.0, 1.0])
+        assert FisherMatrix(np.zeros((2, 2))).top_eigvec is None
 
     def test_top_eigvec_full_rank_is_first_column(self):
         rng = np.random.default_rng(32)
         basis = rng.standard_normal((4, 4))
         f = FisherMatrix(basis @ basis.T + np.eye(4))
-        assert f.top_eigvec() is not None
-        np.testing.assert_array_equal(f.top_eigvec(), f.eigenvectors[:, 0])
+        assert f.top_eigvec is not None
+        np.testing.assert_array_equal(f.top_eigvec, f.eigenvectors[:, 0])
 
 
 class TestBellStructural:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from oracles import (
     first_crossing,
     gauss_tail_quad,
     gaussian_linf_success,
+    hoeffding_reach,
     mse_vs_crb,
     multinomial_linf_success,
     replay_hits,
@@ -754,6 +756,8 @@ class TestBellExactBracket:
     Each Bell coordinate is exactly binomial, so the linf success curve lies
     between the Bonferroni curve 1 - sum_a f_a(M) and the worst marginal
     1 - max_a f_a(M); m*_marg <= m* <= m*_bonf with no sampling noise.
+    At n = 1 the bracket is read from every M, so these are the proven
+    statements; from n = 2 its ends are where a bisection lands.
     """
 
     DELTA = 0.1
@@ -792,6 +796,37 @@ class TestBellExactBracket:
             np.testing.assert_allclose(pmf @ ~hits, failures, rtol=1e-9, atol=1e-13)
             success = pmf @ hits.all(axis=1)
             assert 1.0 - failures.sum() - 1e-12 <= success <= 1.0 - failures.max() + 1e-12
+
+    @pytest.mark.parametrize("theta, eps, delta, want", [
+        (np.zeros(3), 0.014, 0.1, (13716, 23214)),
+        (np.zeros(3), 0.014, 0.01, (33716, 44072)),
+        (np.array([-0.6121255, 0.81051595, -0.59584833]), 0.014, 0.1, None),
+        (np.array([0.3, 0.3, -0.2]), 0.05, 1e-4, None),
+        (np.array([0.654, 0.075, -0.361]), 0.1, 0.1, (264, 377)),
+    ])
+    def test_n1_bracket_is_the_scan_of_every_count(self, theta, eps, delta, want):
+        # the first crossing of the worst marginal and the first M after the
+        # last dip of the Bonferroni curve, with every M read exactly; the
+        # bisection lands on 13 857 and 23 143 at the first point.  The
+        # window ends are those of bell_failures, exact in lam and eps: at
+        # the last point M (1 + lam_a - eps) / 2 is within 1e-16 of an
+        # integer whenever 8 divides M.
+        values, counts = np.unique(theta, return_counts=True)
+        half = Fraction(eps) / 2
+        reach = hoeffding_reach(half, delta, 3)
+        failures = np.array([1.0 - bernoulli_linf_curve((1 + Fraction(lam)) / 2, half, reach)
+                             for lam in values])
+        marginal, bonferroni = 1.0 - failures.max(axis=0), 1.0 - counts @ failures
+        target = 1.0 - delta
+        assert bonferroni[-1] >= target
+        scanned = (1 + int(np.argmax(marginal >= target)),
+                   2 + int(np.flatnonzero(bonferroni < target)[-1]))
+        assert bell_mstar_bracket(theta, eps, delta) == scanned
+        assert want is None or scanned == want
+        ms = np.unique(np.linspace(1, reach, 50).astype(int))
+        np.testing.assert_allclose(failures[:, ms - 1].T,
+                                   [bell_failures(values, m, eps) for m in ms],
+                                   rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("scheme, n, eps", BRACKET_CASES,
                              ids=[f"{s}-n{n}" for s, n, _ in BRACKET_CASES])
@@ -863,7 +898,9 @@ class TestExactSandwichAlongDelta:
 
     No Monte Carlo: the Gaussian m* is the first crossing of its exact
     success curve, and the Bell m* lies in the exact bracket
-    [m*_marg, m*_bonf], so lower <= m*_marg and m*_bonf <= upper suffice.
+    [m*_marg, m*_bonf], so lower <= m*_marg and m*_bonf <= upper suffice
+    (proven at n = 1, where the bracket is scanned; from n = 2 its ends are
+    where a bisection lands).
     The Bernoulli and multinomial curves dip below 1 - delta after their
     first crossing, so they are scanned: lower <= the first crossing, and
     every dip below upper.
@@ -909,16 +946,10 @@ class TestExactSandwichAlongDelta:
         assert lower.value <= first
         assert upper.applicable and last_dip < upper.value, (last_dip, upper)
 
-    @staticmethod
-    def hoeffding_reach(eps, delta, d):
-        """The least M from which Hoeffding's bound 2 d exp(-2 M eps^2) on the
-        linf failure of d frequencies is at most delta."""
-        return math.ceil(math.log(2 * d / delta) / (2.0 * eps**2))
-
     @pytest.mark.parametrize("delta", DELTAS)
     def test_bernoulli(self, delta):
         eps = 0.05
-        curve = bernoulli_linf_curve(0.5, eps, self.hoeffding_reach(eps, delta, 1))
+        curve = bernoulli_linf_curve(0.5, eps, hoeffding_reach(eps, delta, 1))
         self.assert_scanned_sandwich(bernoulli_model(), np.array([0.5]), eps, delta,
                                      curve, curve)
 
@@ -930,6 +961,6 @@ class TestExactSandwichAlongDelta:
         # lies between the Bonferroni 1 - 3 f and the marginal 1 - f, with f
         # the one coordinate's failure.
         eps, d = 0.01, 3
-        failure = 1.0 - bernoulli_linf_curve(0.25, eps, self.hoeffding_reach(eps, delta, d))
+        failure = 1.0 - bernoulli_linf_curve(0.25, eps, hoeffding_reach(eps, delta, d))
         self.assert_scanned_sandwich(multinomial_model(d), np.full(d, 0.25), eps, delta,
                                      1.0 - failure, 1.0 - d * failure)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisherbound.fisher import estimable, fim
+from fisherbound.fisher import fim
 from fisherbound.models import (
     DomainError,
     GaussianKnownCovModel,
@@ -164,7 +164,7 @@ class TestSeparablePauliModel:
     def test_zero_component_not_identifiable(self):
         model = separable_pauli_model(1, np.array([1.0, 0.0, 0.0]))
         f = fim(model, np.zeros(3))
-        assert estimable(f).tolist() == [True, False, False]
+        assert f.estimable.tolist() == [True, False, False]
         assert f.is_singular
         assert list(model.identifiable) == [True, False, False]
 
@@ -338,6 +338,20 @@ class TestClassicalModels:
         sup = poisson_half_d3logp(model._log_factorials, grid).max(axis=0)
         # both sides round k / lo^3 at the grid's first point, each its own way
         assert np.all(sup <= envelope * (1.0 + 4.0 * np.finfo(float).eps))
+
+    @pytest.mark.parametrize("truncation, theta, cap", [(20, 15.0, 4.0), (200, 150.0, 1.1),
+                                                        (20, 150.0, 6e3)])
+    def test_poisson_envelope_mean_near_the_grid_where_h_is_large(self, truncation, theta,
+                                                                  cap):
+        # g <= g(lo) instead of |g| <= K/lo + 1: mu_R over the r = 0.5 ball is
+        # 3.6, 1.08 and 5.2e3 times the grid's mean (35, 2.5 and 6.6e6 with
+        # the looser bound), where h = p_K is not small
+        model = PoissonTruncatedModel(truncation)
+        p = model.probs(np.array([theta]))
+        grid = np.linspace(theta - 0.5, theta + 0.5, 20001)
+        sup = poisson_half_d3logp(model._log_factorials, grid).max(axis=0)
+        mu_r, _ = model.envelope_moments(np.array([theta]), 0.5)
+        assert p @ sup <= mu_r <= cap * (p @ sup)
 
     def test_poisson_envelope_moments_infinite_where_the_ball_reaches_zero(self):
         model = PoissonTruncatedModel(20)
@@ -522,3 +536,25 @@ class TestGaussianModel:
         assert model.contains(np.array([1e300, -2.0]))
         for bad in (np.nan, np.inf, -np.inf):
             assert not model.contains(np.array([bad, 0.0]))
+
+
+class TestModelIdentity:
+    def test_models_compare_and_hash_by_identity(self):
+        # two models that share d, K, scheme and qubits are still two models
+        first = separable_pauli_model(1, [0.8, 0.4, 0.3])
+        second = separable_pauli_model(1, [0.1, 0.2, 0.3])
+        assert (first.d, first.K, first.scheme, first.qubits) == (
+            second.d, second.K, second.scheme, second.qubits)
+        assert first != second
+        assert first == first
+        zoo = [model for model, _ in interior_zoo()] + [first, second,
+                                                         GaussianKnownCovModel(np.eye(2))]
+        assert len({hash(model) for model in zoo}) == len(zoo)
+        assert len(set(zoo)) == len(zoo)
+        assert PoissonTruncatedModel(20) != PoissonTruncatedModel(20)
+
+    def test_qubits_is_set_only_by_the_pauli_models(self):
+        assert entangled_pauli_model(2).qubits == 2
+        assert separable_pauli_model(1, [0.8, 0.4, 0.3]).qubits == 1
+        assert bernoulli_model().qubits is None
+        assert PoissonTruncatedModel(20).qubits is None

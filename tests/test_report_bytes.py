@@ -54,7 +54,7 @@ CASES = [
                   "trials": 300, "format": "json"},
      0, "7a38fb83f86ed0ed3f338894a40b9e10586e6843a81898eee9118aae9feb6622"),
     ("simulate", {"scheme": "poisson", "epsilon": 0.3, "trials": 300},
-     0, "8a942141efc47b5cf2bb84351d9dc53c2f926a53cd46b8c8097d36eae791f9b1"),
+     0, "c16afe995d1acf6e8d8df23fff6d8a19215ab147a0e2d78d4ebc21e28747f5ab"),
     ("fisher", {"n": 2, "preset": "random", "param_seed": 5},
      0, "f67e6999e1d5abd8f83d400ae7bbb0bfa96f7546efe0814516c498c06aa812e1"),
     ("fisher", {"scheme": "separable-pauli", "format": "json"},

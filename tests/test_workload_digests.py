@@ -1,15 +1,20 @@
-"""Byte identity of every benchmark workload's reports at seeds 1-3.
+"""Byte identity of every benchmark workload's reports at seeds 1-3, and the
+benchmark's correctness gate at its golden seed.
 
-Each `bench/workloads.py` command goes through `cli.run_command` at seeds
-1, 2 and 3, and the SHA-256 of its report text and its exit code are
-compared with the digests below, command by command.  Together with the
-27 cases of tests/test_report_bytes.py this pins every report the
-benchmark renders at those seeds, so a change meant to leave the
-program's output alone is checked without diffing reports by hand.  A
-digest may change only together with a written reason in CHANGES.md, and
-then with bench/golden/ regenerated in the same change.  To regenerate
-one, print `hashlib.sha256(text.encode()).hexdigest()` for the command.
-The test only reads bench/.
+Each `bench/workloads.py` command list goes once through
+bench/worker.py's own Pass (which calls `cli.run_command`) at seeds 1, 2
+and 3, and the SHA-256 of each report text and its exit code are compared
+with the digests below, command by command.  At workloads.GOLDEN_SEED the
+worker's own Gate then checks the same pass against bench/golden/: the
+exit code, and every field to the gate's relative tolerance, so a report
+change that the golden files do not carry fails here, before the
+benchmark runs.  Together with the 27 cases of tests/test_report_bytes.py
+this pins every report the benchmark renders at those seeds, so a change
+meant to leave the program's output alone is checked without diffing
+reports by hand.  A digest may change only together with a written reason
+in CHANGES.md, and then with bench/golden/ regenerated in the same change.
+To regenerate one, print `hashlib.sha256(text.encode()).hexdigest()` for
+the command.  The test only reads bench/.
 """
 
 import hashlib
@@ -24,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 # no bytecode cache is written next to the benchmark's files
 saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
+    import worker
     import workloads
 finally:
     sys.dont_write_bytecode = saved
@@ -111,8 +117,13 @@ DIGESTS = {
 @pytest.mark.parametrize("workload, seed", sorted(DIGESTS),
                          ids=[f"{w}-seed{s}" for w, s in sorted(DIGESTS)])
 def test_workload_reports_match_their_digests(workload, seed):
-    got = []
-    for command, cfg in workloads.commands(workload, seed, cli, pauli):
-        text, code = cli.run_command(command, cfg)
-        got.append((code, hashlib.sha256(text.encode()).hexdigest()))
+    plan = workloads.commands(workload, seed, cli, pauli)
+    done = worker.Pass(cli, plan)
+    assert not any(done.errors), [error for error in done.errors if error]
+    got = [(code, hashlib.sha256(text.encode()).hexdigest())
+           for text, code in zip(done.texts, done.codes)]
     assert got == DIGESTS[workload, seed]
+    if seed == workloads.GOLDEN_SEED:
+        gate = worker.Gate(worker._load_golden(workload), seed)
+        gate.check(done, "golden-seed pass")
+        assert (gate.attempted, gate.failed) == (len(plan), 0), gate.problems
