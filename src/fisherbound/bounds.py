@@ -137,26 +137,18 @@ def _check_criteria(eps: float, delta: float) -> None:
         raise ValueError(f"failure probability delta must be in (0, 1), got {delta!r}")
 
 
-def idealized_coefficients(
-    d: int,
-    sigma: float = 1.0,
-    opnorm_inv: float = 1.0,
-    sigma_diag=None,
-    constant: float = BERRY_ESSEEN_CONSTANT,
-) -> BoundCoefficients:
+def idealized_coefficients(d: int, sigma: float = 1.0,
+                           opnorm_inv: float = 1.0) -> BoundCoefficients:
     """Coefficients of an idealized Gaussian-score model.
 
     mu_R = V_H = V_R = rho = 0; only the inverse-Fisher scalars remain,
     which collapses every bracket to its Lambert-W Gaussian term.
     """
-    sigma_diag = (
-        np.full(d, sigma) if sigma_diag is None else np.asarray(sigma_diag, dtype=float)
-    )
     return BoundCoefficients(
         V_H=0.0,
-        C=constant,
+        C=BERRY_ESSEEN_CONSTANT,
         opnorm_inv=opnorm_inv,
-        sigma_diag=sigma_diag,
+        sigma_diag=np.full(d, sigma),
         rho_diag=np.zeros(d),
         rho_top=0.0,
         envelope={norm: (0.0, 0.0) for norm in NORMS},

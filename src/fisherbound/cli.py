@@ -217,6 +217,8 @@ def build_model_and_theta(cfg: dict):
         model, theta = models.PoissonTruncatedModel(cfg["truncation"]), [1.0]
     else:  # gaussian-known-var; _validate_config admits no other scheme
         model, theta = models.gaussian_known_var_model(dim), np.zeros(dim)
+    if cfg["lambda"] is not None and cfg["theta"] is not None:
+        raise ConfigError("lambda and theta name the same parameter vector; set at most one")
     key = "lambda" if cfg["lambda"] is not None else "theta"
     if cfg[key] is not None:
         theta = np.asarray(cfg[key], dtype=float)

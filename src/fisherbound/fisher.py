@@ -58,8 +58,8 @@ class FisherMatrix:
         self.matrix = 0.5 * (matrix + matrix.T)
         self.d = matrix.shape[0]
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
-        lam_max = float(self.eigenvalues[-1]) if self.d else 0.0
-        if self.eigenvalues.size and self.eigenvalues[0] < -PSD_TOL * max(1.0, lam_max):
+        lam_max = float(self.eigenvalues[-1])
+        if self.eigenvalues[0] < -PSD_TOL * max(1.0, lam_max):
             raise ValueError(
                 f"matrix is not positive semidefinite: min eigenvalue "
                 f"{self.eigenvalues[0]!r}"

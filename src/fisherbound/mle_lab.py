@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
+from .bounds import NORMS
 
 __all__ = [
     "BudgetExceededError",
@@ -134,6 +135,11 @@ def _failures_to_fail(trials, level, target):
     return lo
 
 
+def _check_norm(norm):
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
+
+
 def _hits(model, theta, m, eps, norm, rng, rows):
     """Whether each of the next `rows` trials drawn from rng has error <= eps."""
     # the estimates are fresh per draw: score the requested norm in place
@@ -168,6 +174,7 @@ def success_probability(
         raise ValueError(f"sample size must be >= 1, got {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_norm(norm)
     check_draws(model, trials)
     theta = model.validate_theta(theta)
 
@@ -248,7 +255,8 @@ def find_min_samples(
     success_probability), so a failing probe may report fewer than
     `trials` trials.  A probe at
     M >= m_max runs in full, since BudgetExceededError reports its rate.
-    ValueError, before any draw, when not even `trials` successes could pass.
+    ValueError, before any draw, when not even `trials` successes could pass
+    or norm is not one of bounds.NORMS.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -256,6 +264,7 @@ def find_min_samples(
         raise ValueError("eps must be positive")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    _check_norm(norm)
     target = 1.0 - delta
     if _failures_to_fail(trials, level, target) == 0:
         # T successes out of T give the Wilson lower bound T / (T + z^2)

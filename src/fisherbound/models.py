@@ -58,10 +58,10 @@ DOMAIN_SHRINK = 1e-6
 
 # Most 4^n x 4^n float64 arrays that a command on a dense Pauli model holds
 # at once, measured as the traced peak of `bounds` (`fisher` needs fewer).
-# Bell models: 9 (building the sign matrix takes 4; A and the K x d score
-# arrays of the Fisher matrix and the moments take the rest), that is
-# 75 MB at n = 5 and 1.2 GB at n = 6 above the interpreter's 45 MB.  The
-# separable model: 15, since its A has 2 * 4^n rows.
+# Bell models: 9, held by A and the K x d score arrays of the Fisher matrix
+# and the moments (building the model peaks at 3, the sign matrix alone at
+# 2.1), that is 75 MB at n = 5 and 1.2 GB at n = 6 above the interpreter's
+# 45 MB.  The separable model: 15, since its A has 2 * 4^n rows.
 BELL_DENSE_ARRAYS = 9
 SEPARABLE_DENSE_ARRAYS = 15
 # Classical models: the larger traced peak of `bounds` and `fisher` at dim
@@ -70,6 +70,12 @@ SEPARABLE_DENSE_ARRAYS = 15
 MULTINOMIAL_DENSE_ARRAYS = 9
 GAUSSIAN_DENSE_ARRAYS = 8
 POISSON_ARRAYS = 8
+# The supremum grid: the traced peak of random_points in arrays of
+# size x 4^n floats.  At n = 3 it is 3.2 (entangled) to 4 (two-copy, whose
+# absolute values are one more copy): the Dirichlet draw, the two fwht
+# buffers and the shrunk copy.  At n = 1 a returned point's row view
+# weighs about as much as its four floats, so the peak reaches 7.25.
+GRID_ARRAYS = 8
 
 
 class DomainError(ValueError):
@@ -153,7 +159,7 @@ class StatModel:
         Draws a (trials, K) multinomial count matrix from one generator
         call and applies mle_batch; theta must already be validated.
         """
-        p = np.clip(self.probs(theta), 0.0, None)
+        p = self.probs(theta)
         counts = rng.multinomial(m, p / p.sum(), size=trials)
         return self.mle_batch(counts)
 
@@ -323,7 +329,10 @@ class _PauliBellModel(LinearOutcomeModel):
         """Random channels from random_valid_eigenvalues, shrunk by
         DOMAIN_SHRINK, as C-ordered rows like single draws; a boxed model
         (two-copy-bell, whose parameters are squared moments) takes their
-        absolute values.  Points outside the domain are dropped."""
+        absolute values.  Points outside the domain are dropped.  The draw's
+        size is checked against physical memory first."""
+        _check_memory(f"{self.scheme} supremum grid of {size} points", GRID_ARRAYS,
+                      size * self.K, f"{size} x {self.K}")
         draws = random_valid_eigenvalues(self.qubits, rng, size=size)
         lam = (1.0 - DOMAIN_SHRINK) * np.ascontiguousarray(draws[:, 1:])
         points = lam if self._box is None else np.abs(lam)

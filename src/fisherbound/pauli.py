@@ -131,16 +131,16 @@ def _swap_permutation(n: int) -> np.ndarray:
 
 
 def sign_matrix(n: int) -> np.ndarray:
-    """Dense K x K matrix S with S[x, a] = (-1)^<x, a>, K = 4^n."""
-    size = num_paulis(n)
-    idx = np.arange(size, dtype=np.uint64)
-    mask = np.uint64((1 << n) - 1)
-    x_bits = idx >> np.uint64(n)
-    z_bits = idx & mask
-    # parity(u ^ v) == (popcount(u) + popcount(v)) mod 2 for any u, v
-    cross = (x_bits[:, None] & z_bits[None, :]) ^ (z_bits[:, None] & x_bits[None, :])
-    parity = np.bitwise_count(cross) & np.uint64(1)
-    return 1.0 - 2.0 * parity.astype(float)
+    """Dense K x K matrix S with S[x, a] = (-1)^<x, a>, K = 4^n.
+
+    The x/z swap that fwht applies after its butterfly carries a's x bits
+    to the low half and its z bits to the high half, so x & swap(a) holds
+    exactly the bits of x_x & a_z and x_z & a_x, and <x, a> is its
+    popcount mod 2.
+    """
+    idx = np.arange(num_paulis(n))
+    parity = np.bitwise_count(idx[:, None] & _swap_permutation(n)) & 1
+    return 1.0 - 2.0 * parity
 
 
 def validate_rates(p: np.ndarray) -> np.ndarray:

@@ -658,3 +658,19 @@ class TestBoundResultContract:
                     lower_bound(eps, delta, coeffs, "linf"),
                 ):
                     assert result.value >= 1.0 or not result.applicable
+
+
+# Input refusals: (accuracy eps, message)
+BOUNDS_REFUSALS = {
+    "zero-eps": (0.0, "accuracy eps must be positive, got 0.0"),
+    "negative-eps": (-0.1, "accuracy eps must be positive, got -0.1"),
+    "nan-eps": (math.nan, "accuracy eps must be positive, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_REFUSALS))
+def test_estimate_coefficients_refuses(case):
+    eps, message = BOUNDS_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        estimate_coefficients(bernoulli_model(), [0.5], eps)
+    assert str(info.value) == message

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -63,7 +64,38 @@ class TestColumnsGolden:
         assert COLUMNS == GOLDEN_COLUMNS
 
 
+# Config refusals, each exit 2: (config file text, message); None leaves the
+# file unwritten
+CONFIG_REFUSALS = {
+    "unreadable-file": (None, "cannot read config"),
+    "not-an-object": ("[1, 2]", "must contain a JSON object"),
+    "norm": ('{"norm": "max"}', "norm must be one of ('linf', 'l2'), got 'max'"),
+    "format": ('{"format": "xml"}', "format must be 'csv' or 'json', got 'xml'"),
+    "qubit-range": ('{"n_min": 3, "n_max": 2}', "n_max must be >= n_min"),
+    "fault-target": ('{"inject_fault": "lambert"}',
+                     "unknown fault target 'lambert'; known: ('fwht',)"),
+    "identity-eigenvalue": ('{"lambda": [0.5, 0.1, 0.0, 0.0]}',
+                            "lambda[0] is the identity eigenvalue and must be 1, "
+                            "got np.float64(0.5)"),
+    # the two names of the parameter vector: neither silently wins
+    "lambda-and-theta": ('{"scheme": "bernoulli", "lambda": [0.3], "theta": [0.6]}',
+                         "lambda and theta name the same parameter vector; set at most one"),
+}
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+    def test_config_refused(self, case, tmp_path, capsys):
+        text, message = CONFIG_REFUSALS[case]
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        argv = ["bounds", "--config", str(path)]
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_model_and_theta(resolve_config(main_parse(argv)))
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"epsilon": 0.1, "bogus": true}')
@@ -592,6 +624,17 @@ class TestDenseMemoryGuard:
             models._check_dense_size("scheme", 6, arrays)  # does not raise
             with pytest.raises(ValueError, match="n=7 needs about"):
                 models._check_dense_size("scheme", 7, arrays)
+
+    @pytest.mark.parametrize("scheme", ["entangled-pauli", "two-copy-bell"])
+    def test_supremum_grid_refused_before_the_draw(self, scheme, monkeypatch, capsys):
+        monkeypatch.setattr(models, "_physical_memory", lambda: 7 * 2**30)
+        monkeypatch.setattr(models, "random_valid_eigenvalues", _fail)
+        argv = ["bounds", "--scheme", scheme, "--grid-points", "100000000",
+                "--epsilon", "0.05"]
+        assert main(argv) == 2
+        assert (f"config error: {scheme} supremum grid of 100000000 points needs about "
+                "24 GiB of 100000000 x 4 arrays, more than the 7 GiB of physical "
+                "memory") in capsys.readouterr().err
 
     def test_separation_refuses_before_any_search(self, monkeypatch, capsys):
         # n = 7 is refused before the n = 1-6 searches, which take tens of seconds

@@ -484,3 +484,24 @@ class TestFisherMatrixType:
     def test_eigenvalues_sorted_ascending(self):
         f = FisherMatrix(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(f.eigenvalues, [1.0, 2.0, 3.0])
+
+
+# Input refusals: (call, exception type, message)
+FISHER_REFUSALS = {
+    # 1/p overflows float64 at the coin's edge
+    "non-finite": (lambda: fim(bernoulli_model(), [1e-310]), FimUndefinedError,
+                   "bernoulli: Fisher matrix at parameter array([1.e-310]) is not finite"),
+    "non-square": (lambda: FisherMatrix(np.ones((2, 3))), ValueError,
+                   "expected a square matrix, got (2, 3)"),
+    # FisherMatrix needs no guard of its own for an empty matrix
+    "empty": (lambda: FisherMatrix(np.zeros((0, 0))), ValueError,
+              "zero-size array to reduction operation maximum which has no identity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FISHER_REFUSALS))
+def test_input_refused(case):
+    call, kind, message = FISHER_REFUSALS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message

@@ -284,6 +284,38 @@ class TestFindMinSamples:
         assert result.bracket[0] < result.m_star == result.bracket[1]
 
 
+# Refusals of the search entry points, each before any draw: (call on a coin at
+# theta = 1/2, message)
+SEARCH_REFUSALS = {
+    "find-delta": (lambda m: find_min_samples(m, [0.5], 0.2, 1.0, "linf"),
+                   "delta must be in (0, 1)"),
+    "find-eps": (lambda m: find_min_samples(m, [0.5], 0.0, 0.1, "linf"),
+                 "eps must be positive"),
+    "find-resolution": (lambda m: find_min_samples(m, [0.5], 0.2, 0.1, "linf", resolution=0),
+                        "resolution must be >= 1"),
+    "find-norm": (lambda m: find_min_samples(m, [0.5], 0.2, 0.1, "inf", trials=300),
+                  "norm must be one of ('linf', 'l2'), got 'inf'"),
+    "success-norm": (lambda m: success_probability(m, [0.5], 16, 0.2, "Linf", trials=300,
+                                                   seed=0),
+                     "norm must be one of ('linf', 'l2'), got 'Linf'"),
+    "wilson-trials": (lambda m: wilson_interval(0, 0), "trials must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_REFUSALS))
+def test_search_input_refused_before_any_draw(case, monkeypatch):
+    model = bernoulli_model()
+
+    def draw(*args):
+        raise AssertionError("drew before the input check")
+
+    monkeypatch.setattr(model, "estimate_batch", draw)
+    call, message = SEARCH_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call(model)
+    assert str(info.value) == message
+
+
 CURTAIL_CASES = {
     "entangled-n1-linf": (lambda: entangled_pauli_model(1), np.zeros(3), 0.1, "linf"),
     "entangled-n1-l2": (lambda: entangled_pauli_model(1), np.zeros(3), 0.15, "l2"),

@@ -558,3 +558,24 @@ class TestModelIdentity:
         assert separable_pauli_model(1, [0.8, 0.4, 0.3]).qubits == 1
         assert bernoulli_model().qubits is None
         assert PoissonTruncatedModel(20).qubits is None
+
+
+# Input refusals: (call, message)
+MODEL_REFUSALS = {
+    "theta-length": (lambda: bernoulli_model().validate_theta([0.2, 0.3]),
+                     "bernoulli: expected parameter vector of length 1, got shape (2,)"),
+    "probe-identity": (lambda: separable_pauli_model(1, [0.5, 1.0, 0.0, 0.0]),
+                       "identity component of the probe must be 1"),
+    "probe-length": (lambda: separable_pauli_model(1, [1.0, 0.0]),
+                     "probe vector must have length 3 or 4"),
+    "multinomial-dim": (lambda: multinomial_model(0), "multinomial needs d >= 1"),
+    "poisson-truncation": (lambda: PoissonTruncatedModel(0), "truncation must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_REFUSALS))
+def test_input_refused(case):
+    call, message = MODEL_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

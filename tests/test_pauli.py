@@ -20,6 +20,14 @@ from oracles import fwht_stack, pauli_matrix_naive, symplectic_naive, wht_naive
 # index layout for n=1: 0=I, 1=Z, 2=X, 3=Y
 I1, Z1, X1, Y1 = (PauliIndex(a, 1) for a in range(4))
 
+# the default seed of `fisherbound verify`, whose pauli/* checks draw from a
+# fresh generator on it: the tests below replay those draws
+VERIFY_SEED = 2024
+
+
+def seeded(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
 
 class TestSymplecticProduct:
     def test_identity_commutes_with_everything(self):
@@ -61,17 +69,20 @@ class TestFwht:
             fwht(np.array([0.7, 0.1, 0.1, 0.1])), np.array([1.0, 0.6, 0.6, 0.6]),
             atol=1e-15,
         )
+        verify_rng = seeded(VERIFY_SEED)
         for n in (1, 2, 3):
-            rng = np.random.default_rng(10 + n)
-            v = rng.standard_normal(4**n)
-            np.testing.assert_allclose(fwht(v), wht_naive(v, n), atol=1e-11)
+            for v in (np.random.default_rng(10 + n).standard_normal(4**n),
+                      verify_rng.standard_normal(4**n)):
+                np.testing.assert_allclose(fwht(v), wht_naive(v, n), rtol=0, atol=1e-12)
 
     def test_involution(self):
+        verify_rng = seeded(VERIFY_SEED)
         for n in (1, 2, 3):
             size = 4**n
-            for seed in range(10):
-                v = np.random.default_rng(seed).standard_normal(size)
-                np.testing.assert_allclose(fwht(fwht(v)), size * v, atol=1e-10)
+            draws = [np.random.default_rng(seed).standard_normal(size) for seed in range(10)]
+            draws += [verify_rng.standard_normal(size) for _ in range(10)]
+            for v in draws:
+                np.testing.assert_allclose(fwht(fwht(v)), size * v, rtol=0, atol=1e-10)
 
     def test_matrix_rows(self):
         rng = np.random.default_rng(3)
@@ -87,6 +98,15 @@ class TestFwht:
         s = sign_matrix(2)
         v = np.random.default_rng(0).standard_normal(16)
         np.testing.assert_allclose(fwht(v), s @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sign_matrix_against_bit_oracle(self, n):
+        # sign_matrix and fwht share the x/z swap, so this is the check of it
+        # that does not go through fwht
+        size = 4**n
+        expected = [[(-1.0) ** symplectic_naive(x, a, n) for a in range(size)]
+                    for x in range(size)]
+        assert np.array_equal(sign_matrix(n), expected)
 
 
 class TestFwhtBitwise:
@@ -173,12 +193,13 @@ class TestRateEigenvalueMaps:
         )
 
     def test_roundtrip_is_identity(self):
+        verify_rng = seeded(VERIFY_SEED)
         for n in (1, 2, 3):
-            rng = np.random.default_rng(20 + n)
-            p = rng.dirichlet(np.ones(4**n))
-            np.testing.assert_allclose(
-                eigenvalues_to_rates(rates_to_eigenvalues(p)), p, atol=1e-12
-            )
+            for rng in (np.random.default_rng(20 + n), verify_rng):
+                p = rng.dirichlet(np.ones(4**n))
+                np.testing.assert_allclose(
+                    eigenvalues_to_rates(rates_to_eigenvalues(p)), p, rtol=0, atol=1e-12
+                )
 
     def test_invalid_simplex_rejected(self):
         with pytest.raises(ValueError):
@@ -251,7 +272,7 @@ class TestPauliMatrix:
             for i, ma in enumerate(mats):
                 for j, mb in enumerate(mats):
                     sign = (-1.0) ** symplectic_product(PauliIndex(i, n), PauliIndex(j, n))
-                    np.testing.assert_allclose(ma @ mb, sign * mb @ ma, atol=1e-14)
+                    np.testing.assert_allclose(ma @ mb, sign * mb @ ma, rtol=0, atol=1e-14)
 
     def test_hermitian_and_unitary(self):
         for a in range(16):
@@ -320,3 +341,22 @@ def test_num_paulis():
     assert num_paulis(3) == 64
     with pytest.raises(ValueError):
         num_paulis(0)
+
+
+# Input refusals: (call, message)
+PAULI_REFUSALS = {
+    "identity-eigenvalue": (lambda: eigenvalues_to_rates([0.9, 0.0, 0.0, 0.0]),
+                            "eigenvalue of the identity must be 1, got np.float64(0.9)"),
+    "eigenvalue-range": (lambda: eigenvalues_to_rates([1.0, 1.5, 0.0, 0.0]),
+                         "Pauli eigenvalues must lie in [-1, 1]"),
+    "probe-shape": (lambda: product_probe(np.zeros((2, 2))),
+                    "bloch_vectors must have shape (n, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAULI_REFUSALS))
+def test_input_refused(case):
+    call, message = PAULI_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -23,6 +23,14 @@ W0_OF_ONE = 0.5671432904097835
 TAIL_AT_ONE = 0.15865525393145516
 PHI_AT_ONE = 0.24197072451914337
 
+# the default seed of `fisherbound verify`, whose special-functions/* checks
+# draw from a fresh generator on it: the tests below replay those draws
+VERIFY_SEED = 2024
+
+
+def seeded(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
 
 class TestLambertW0:
     def test_fixed_points(self):
@@ -46,6 +54,9 @@ class TestLambertW0:
         xs = np.concatenate([
             [BRANCH_POINT + 1e-9, -0.3, -1e-8, 1e-8],
             np.logspace(-8, 12, 80),
+            # the points of `fisherbound verify`
+            [BRANCH_POINT + 1e-9, -0.25, -1e-6, 0.0, 1e-9],
+            np.logspace(-6, 12, 60),
         ])
         for x in xs:
             w = lambert_w0(float(x))
@@ -58,14 +69,20 @@ class TestLambertW0:
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
     def test_log_upper_bound(self):
-        for x in np.logspace(math.log10(math.e), 12, 50):
-            assert lambert_w0(float(x)) <= math.log(x) + 1e-12
+        # 50 points, and the 40 of `fisherbound verify`
+        for points in (50, 40):
+            for x in np.logspace(math.log10(math.e), 12, points):
+                assert lambert_w0(float(x)) <= math.log(x) + 1e-12
 
     def test_concavity_probe(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            x, y = rng.uniform(1e-6, 1e6, size=2)
-            t = rng.uniform()
+        chords = [(*rng.uniform(1e-6, 1e6, size=2), rng.uniform()) for _ in range(200)]
+        # and the 40 chords of `fisherbound verify`
+        verify_rng = seeded(VERIFY_SEED)
+        chords += zip(verify_rng.uniform(1e-3, 1e3, size=40),
+                      verify_rng.uniform(1e-3, 1e3, size=40),
+                      verify_rng.uniform(0.0, 1.0, size=40))
+        for x, y, t in chords:
             mid = lambert_w0(t * x + (1 - t) * y)
             chord = t * lambert_w0(x) + (1 - t) * lambert_w0(y)
             assert mid >= chord - 1e-10
@@ -88,6 +105,19 @@ class TestGaussianTail:
         values = [gaussian_tail(float(x)) for x in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    # the verify grid, and seeds whose grids put two points near x = -8
+    # whose tails round to the same double
+    @pytest.mark.parametrize("seed", [VERIFY_SEED, 21, 35, 43])
+    def test_decreasing_on_random_grids_up_to_rounding(self, seed):
+        grid = np.sort(seeded(seed).uniform(-8.0, 8.0, size=64))
+        values = [gaussian_tail(float(x)) for x in grid]
+        # a tie passes only when the mirrored tails, small and accurate
+        # there, put the true gap above zero and below one ulp of the value
+        mirrored = [gaussian_tail(float(-x)) for x in grid]
+        for i in range(len(grid) - 1):
+            a, b = values[i], values[i + 1]
+            assert a > b or (a == b and 0.0 < mirrored[i + 1] - mirrored[i] < math.ulp(a))
+
 
 class TestMillsBounds:
     def test_value_at_one(self):
@@ -100,6 +130,7 @@ class TestMillsBounds:
             pair = mills_bounds(x)
             tail = gaussian_tail(x) if x < 8 else gauss_tail_quad(x)
             assert pair.lower < tail < pair.upper
+            assert pair.lower < gaussian_tail(x) < pair.upper
 
     def test_bracket_at_ten_against_quadrature(self):
         pair = mills_bounds(10.0)

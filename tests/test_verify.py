@@ -95,3 +95,25 @@ class TestModelChecksCatchCorruption:
         failed = [r for r in verify.run_checks() if not r.passed]
         assert [r.name for r in failed] == [check]
         assert failed[0].detail.startswith(message), failed[0].detail
+
+
+# A check that raises anything but AssertionError: (exception, recorded detail)
+CRASHES = {
+    "runtime-error": (RuntimeError("boom"), "RuntimeError: boom"),
+    "value-error": (ValueError("bad input"), "ValueError: bad input"),
+    "zero-division": (ZeroDivisionError("division by zero"),
+                      "ZeroDivisionError: division by zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRASHES))
+def test_a_crashing_check_fails_and_the_run_goes_on(case, monkeypatch):
+    exc, detail = CRASHES[case]
+
+    def crash(rng):
+        raise exc
+
+    monkeypatch.setattr(verify, "_CHECKS", [("crash", crash), ("after", lambda rng: "ran")])
+    results = verify.run_checks()
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("crash", False, detail), ("after", True, "ran")]
