@@ -226,11 +226,9 @@ def _upper_bracket(eps, delta, coeffs, norm, tau0, big_d):
     term_eta = (2.0 * d * eta / delta) ** 2
     half = 0.5 / tau0
     a = d * eta / delta + big_d * half + coeffs.sigma * math.sqrt(w0) * half
-    disc = a * a - (2.0 * d * eta / delta) * (big_d / tau0)
-    if disc < 0.0:
-        if disc < -1e-9 * max(a * a, 1.0):
-            return _inapplicable(coeffs, "negative discriminant")
-        disc = 0.0  # provably >= 0; tiny negatives are round-off
+    # a >= u + v for u = d eta / delta and v = D / 2 tau0, so a^2 >= 4 u v and
+    # the discriminant is >= 0 but for round-off
+    disc = max(a * a - (2.0 * d * eta / delta) * (big_d / tau0), 0.0)
     y_star = (a + math.sqrt(disc)) ** 2
     terms = {"tau-regime": term_tau, "eta-regime": term_eta, "y-star": y_star}
     limiting = max(terms, key=terms.get)

@@ -36,10 +36,11 @@ EXIT_INTERNAL = 4
 # constant: for smaller constants the inequality fails for some distribution
 _ESSEEN_LOWER_LIMIT = (math.sqrt(10.0) + 3.0) / (6.0 * math.sqrt(2.0 * math.pi))
 
-# The bounds multiply delta^-2, eps^-2 and, for the Bell models, d^2 < 16^n.
-# Each factor may take a quarter of float64's binary exponent range, 2^256,
-# so that their product with W0 and the inverse-Fisher scalars stays
-# finite: eps in [2^-128, 2^128], delta >= 2^-128 and qubit counts <= 64.
+# The bounds multiply delta^-2, eps^-2, C^2 and, for the Bell models,
+# d^2 < 16^n.  Each factor may take a quarter of float64's binary exponent
+# range, 2^256, so that their product with W0 and the inverse-Fisher scalars
+# stays finite: eps in [2^-128, 2^128], delta >= 2^-128, the Berry-Esseen
+# constant C <= 2^128 and qubit counts <= 64.
 _FACTOR_EXP = sys.float_info.max_exp // 4
 _SCALE_EXP = _FACTOR_EXP // 2
 _MAX_QUBITS = _FACTOR_EXP // 4
@@ -50,33 +51,65 @@ SCHEMES = ("entangled-pauli", "separable-pauli", "two-copy-bell",
 PRESETS = {"entangled-pauli": ("depolarizing", "identity", "random"),
            "two-copy-bell": ("depolarizing", "random")}
 
-DEFAULTS = {
-    "scheme": "entangled-pauli",
-    "n": 1,
-    "epsilon": 0.1,
-    "delta": 0.1,
-    "norm": "linf",
-    "trials": 2000,
-    "seed": 0,
-    "m_max": 2**22,
-    "resolution": 1,
-    "be_constant": 0.4748,
-    "format": "csv",
-    "out": None,
-    "preset": "depolarizing",
-    "param_seed": 1,
-    "lambda": None,
-    "theta": None,
-    "r": None,
-    "dim": 3,
-    "truncation": 20,
-    "grid_points": 0,
-    "n_min": 1,
-    "n_max": 8,
-    "simulate_upto": 0,
-    "wilson_level": 0.95,
-    "inject_fault": None,
+# Every config field: its default, its JSON type ("int", "number", "string"
+# or "list" of numbers) and the subcommands that take it as a flag.  A field
+# whose default is null also takes null.
+_EVERY = ("bounds", "simulate", "fisher", "separation", "verify")
+FIELDS = {
+    "scheme": ("entangled-pauli", "string", _EVERY),
+    "n": (1, "int", _EVERY),
+    "epsilon": (0.1, "number", _EVERY),
+    "delta": (0.1, "number", _EVERY),
+    "norm": ("linf", "string", _EVERY),
+    "trials": (2000, "int", _EVERY),
+    "seed": (0, "int", _EVERY),
+    "m_max": (2**22, "int", _EVERY),
+    "resolution": (1, "int", _EVERY),
+    "be_constant": (0.4748, "number", _EVERY),
+    "format": ("csv", "string", _EVERY),
+    "out": (None, "string", _EVERY),
+    "preset": ("depolarizing", "string", _EVERY),
+    "param_seed": (1, "int", _EVERY),
+    "lambda": (None, "list", ()),
+    "theta": (None, "list", ()),
+    "r": (None, "list", ()),
+    "dim": (3, "int", ()),
+    "truncation": (20, "int", ()),
+    "grid_points": (0, "int", _EVERY),
+    "n_min": (1, "int", ("separation",)),
+    "n_max": (8, "int", ("separation",)),
+    "simulate_upto": (0, "int", ("separation",)),
+    "wilson_level": (0.95, "number", ()),
+    "inject_fault": (None, "string", ("verify",)),
 }
+DEFAULTS = {key: default for key, (default, _, _) in FIELDS.items()}
+
+# the values a field may take, where they are few
+CHOICES = {
+    "scheme": SCHEMES,
+    "norm": bounds.NORMS,
+    "format": ("csv", "json"),
+    "wilson_level": tuple(mle_lab.Z_FOR_LEVEL),
+    "inject_fault": verify.FAULT_TARGETS,
+}
+
+
+def _is_number(x) -> bool:
+    """Whether a JSON value is a number within float64 (NaN, +-inf and huge
+    ints are not; nor is a bool, though Python counts it an int)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+# each JSON type: (what it reads as in a message, the test of a value)
+_TYPES = {
+    "int": ("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)),
+    "number": ("a finite number", _is_number),
+    "string": ("a string", lambda x: isinstance(x, str)),
+    "list": ("a flat list of finite numbers",
+             lambda x: isinstance(x, list) and all(map(_is_number, x))),
+}
+_FLAG_TYPES = {"int": int, "number": float, "string": str}
 
 COLUMNS = {
     "bounds": ["bound_id", "kind", "norm", "value", "applicable", "reason",
@@ -105,7 +138,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must contain a JSON object")
-    unknown = sorted(set(raw) - set(DEFAULTS))
+    unknown = sorted(set(raw) - set(FIELDS))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     return raw
@@ -116,7 +149,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
-    for key in DEFAULTS:
+    for key in FIELDS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             cfg[key] = flag_value
@@ -125,38 +158,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["scheme"] not in SCHEMES:
-        raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-    if cfg["norm"] not in bounds.NORMS:
-        raise ConfigError(f"norm must be one of {bounds.NORMS}, got {cfg['norm']!r}")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
-    for key in ("n", "n_min", "n_max", "dim", "truncation", "grid_points",
-                "simulate_upto", "seed", "param_seed", "trials", "m_max", "resolution"):
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
-            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    for key in ("epsilon", "delta", "be_constant", "wilson_level"):
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
-            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
-        if not _finite(cfg[key]):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    for key in ("lambda", "theta", "r"):
+    for key, (default, kind, _) in FIELDS.items():
         value = cfg[key]
-        if value is not None and not (isinstance(value, list) and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
-            raise ConfigError(f"{key} must be null or a flat list of numbers, got {value!r}")
-        if value is not None and not all(_finite(x) for x in value):
-            raise ConfigError(f"{key} must hold finite numbers, got {value!r}")
+        if value is None and default is None:
+            continue
+        what, is_kind = _TYPES[kind]
+        if not is_kind(value):
+            null = "null or " if default is None else ""
+            raise ConfigError(f"{key} must be {null}{what}, got {value!r}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
     presets = PRESETS.get(cfg["scheme"], ("depolarizing",))
     if cfg["preset"] not in presets:
         raise ConfigError(
             f"preset {cfg['preset']!r} is not available for {cfg['scheme']}; "
             f"known: {presets}"
-        )
-    if cfg["wilson_level"] not in mle_lab.Z_FOR_LEVEL:
-        raise ConfigError(
-            f"wilson_level must be one of {tuple(mle_lab.Z_FOR_LEVEL)}, "
-            f"got {cfg['wilson_level']!r}"
         )
     if not 2.0**-_SCALE_EXP <= cfg["delta"] < 1.0:
         raise ConfigError(f"delta must be in [2**-{_SCALE_EXP}, 1) for the bounds to stay "
@@ -164,10 +180,11 @@ def _validate_config(cfg: dict) -> None:
     if not 2.0**-_SCALE_EXP <= cfg["epsilon"] <= 2.0**_SCALE_EXP:
         raise ConfigError(f"epsilon must be in [2**-{_SCALE_EXP}, 2**{_SCALE_EXP}] for the "
                           f"bounds to stay within float64, got {cfg['epsilon']!r}")
-    if not cfg["be_constant"] >= _ESSEEN_LOWER_LIMIT:
+    if not _ESSEEN_LOWER_LIMIT <= cfg["be_constant"] <= 2.0**_SCALE_EXP:
         raise ConfigError(
-            f"be_constant must be >= {_ESSEEN_LOWER_LIMIT:.5f}, below which no "
-            f"Berry-Esseen constant holds, got {cfg['be_constant']!r}"
+            f"be_constant must be in [{_ESSEEN_LOWER_LIMIT:.5f}, 2**{_SCALE_EXP}]: below it no "
+            f"Berry-Esseen constant holds, and above it the bounds leave float64, "
+            f"got {cfg['be_constant']!r}"
         )
     for key in ("n", "n_min", "n_max"):
         if not 1 <= cfg[key] <= _MAX_QUBITS:
@@ -183,15 +200,6 @@ def _validate_config(cfg: dict) -> None:
     # sample counts are scored in float64, which holds integers exactly to 2**53
     if not 1 <= cfg["m_max"] <= 2**53:
         raise ConfigError("m_max must be in [1, 2**53]")
-    if cfg["inject_fault"] is not None and cfg["inject_fault"] not in verify.FAULT_TARGETS:
-        raise ConfigError(
-            f"unknown fault target {cfg['inject_fault']!r}; known: {verify.FAULT_TARGETS}"
-        )
-
-
-def _finite(x) -> bool:
-    """Whether a JSON number is a finite float64 (NaN, +-inf and huge ints are not)."""
-    return abs(x) <= sys.float_info.max
 
 
 def build_model_and_theta(cfg: dict):
@@ -325,20 +333,25 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
     model, theta = build_model_and_theta(cfg)
     eps, delta, c = cfg["epsilon"], cfg["delta"], cfg["be_constant"]
     # the documented supremum search runs over theta and the model's random points
-    grid = [theta]
+    points = []
     if cfg["grid_points"] > 0:
         rng = np.random.default_rng(np.random.SeedSequence(cfg["param_seed"]))
-        grid.extend(model.random_points(rng, cfg["grid_points"]))
+        points = model.random_points(rng, cfg["grid_points"])
 
-    # grid[0] is theta, so its coefficients also feed the lower bounds
-    per_point = [bounds.estimate_coefficients(model, point, eps, constant=c) for point in grid]
+    # theta's coefficients also feed the lower bounds
+    first = bounds.estimate_coefficients(model, theta, eps, constant=c)
+    upper = {norm: bounds.upper_bound(eps, delta, first, norm) for norm in bounds.NORMS}
+    # the supremum over the grid, one point's coefficients held at a time; an
+    # inapplicable candidate sorts above all, and of equals the first stays
+    for point in points:
+        coeffs = bounds.estimate_coefficients(model, point, eps, constant=c)
+        for norm in bounds.NORMS:
+            upper[norm] = max(upper[norm], bounds.upper_bound(eps, delta, coeffs, norm),
+                              key=_bound_sort_key)
     rows = []
     for norm in bounds.NORMS:
-        # the supremum over the grid; an inapplicable candidate sorts above all
-        upper = max((bounds.upper_bound(eps, delta, coeffs, norm) for coeffs in per_point),
-                    key=_bound_sort_key)
-        lower = bounds.lower_bound(eps, delta, per_point[0], norm)
-        rows.append(_bound_row(f"upper-{norm}", "upper", norm, upper,
+        lower = bounds.lower_bound(eps, delta, first, norm)
+        rows.append(_bound_row(f"upper-{norm}", "upper", norm, upper[norm],
                                eps, delta, model.d))
         rows.append(_bound_row(f"lower-{norm}", "lower", norm, lower,
                                eps, delta, model.d))
@@ -351,7 +364,8 @@ def cmd_bounds(cfg: dict) -> tuple[list, dict, int]:
             result = bounds.BoundResult(limit(model.qubits, eps, delta), True,
                                         "small-eps limit")
             rows.append(_bound_row(bound_id, kind, "linf", result, eps, delta, model.d))
-    meta = _meta(cfg, "bounds", grid_points=len(grid), domain_shrink=models.DOMAIN_SHRINK)
+    meta = _meta(cfg, "bounds", grid_points=1 + len(points),
+                 domain_shrink=models.DOMAIN_SHRINK)
     return rows, meta, EXIT_OK
 
 
@@ -502,29 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--out", help="output path (default: stdout)")
-        cmd.add_argument("--format", choices=["csv", "json"])
-        cmd.add_argument("--trials", type=int)
-        cmd.add_argument("--epsilon", type=float)
-        cmd.add_argument("--delta", type=float)
-        cmd.add_argument("--norm", choices=bounds.NORMS)
-        cmd.add_argument("--scheme")
-        cmd.add_argument("--n", type=int)
-        cmd.add_argument("--be-constant", dest="be_constant", type=float)
-        cmd.add_argument("--m-max", dest="m_max", type=int)
-        cmd.add_argument("--preset")
-        cmd.add_argument("--param-seed", dest="param_seed", type=int)
-        cmd.add_argument("--grid-points", dest="grid_points", type=int)
-        cmd.add_argument("--resolution", type=int)
-        if name == "separation":
-            cmd.add_argument("--n-min", dest="n_min", type=int)
-            cmd.add_argument("--n-max", dest="n_max", type=int)
-            cmd.add_argument("--simulate-upto", dest="simulate_upto", type=int)
-        if name == "verify":
-            cmd.add_argument("--inject-fault", dest="inject_fault",
-                             choices=list(verify.FAULT_TARGETS),
-                             help="test-only corruption hook")
+        # flags are parsed to their JSON type and checked with the config
+        for key, (_, kind, commands) in FIELDS.items():
+            if name in commands:
+                values = CHOICES.get(key)
+                cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES[kind],
+                                 help=values and "one of: " + ", ".join(map(str, values)))
     return parser
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .bounds import NORMS
+from .bounds import _check_norm
 
 __all__ = [
     "BudgetExceededError",
@@ -135,11 +135,6 @@ def _failures_to_fail(trials, level, target):
     return lo
 
 
-def _check_norm(norm):
-    if norm not in NORMS:
-        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
-
-
 def _hits(model, theta, m, eps, norm, rng, rows):
     """Whether each of the next `rows` trials drawn from rng has error <= eps."""
     # the estimates are fresh per draw: score the requested norm in place
@@ -189,11 +184,10 @@ def success_probability(
             end += size
         rows = end - run
         failures = run - successes
-        if target is not None:
-            # a hint only: the rows expected to use up the failures left at
-            # the failure rate seen so far (smoothed, so the first piece is
-            # `limit` rows)
-            rows = min(rows, max(1, -(-(limit - failures) * (run + 1) // (failures + 1))))
+        # a hint only: the rows expected to use up the failures left at the
+        # failure rate seen so far (smoothed, so the first piece is `limit`
+        # rows); with no target it exceeds the rows left
+        rows = min(rows, max(1, -(-(limit - failures) * (run + 1) // (failures + 1))))
         hits = _hits(model, theta, m, eps, norm, rng, rows)
         count = int(np.count_nonzero(hits))
         if failures + rows - count >= limit:

@@ -517,9 +517,10 @@ class PoissonTruncatedModel(StatModel):
         return np.array([[(p * s) @ s]])
 
     def hessian_fluctuation(self, theta, p, scores, fisher):
-        """V_H over the K outcomes of the 1 x 1 Hessians -k/theta^2 - l2."""
+        """V_H over the K outcomes of the 1 x 1 Hessians -k/theta^2 - l2, with
+        l2 = -h g read from p: h = p_K and g = sum_k (K - k) p_k / theta."""
         t = np.asarray(theta, dtype=float)[0]
-        hessians = -self._ks / t**2 - self._logz_derivatives(t)[1]
+        hessians = -self._ks / t**2 + p[-1] * (self._gaps @ p / t)
         return float(p @ (hessians + fisher.matrix[0, 0]) ** 2)
 
     def third_derivative_envelope(self, theta, radius):

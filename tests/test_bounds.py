@@ -260,7 +260,7 @@ class TestEstimateCoefficients:
     def test_poisson_forms_its_weights_a_fixed_number_of_times(self, monkeypatch):
         # the envelope is a closed form in h(theta + r) and g(theta - r): two
         # weight arrays per ball, whatever eps is, where the grid formed one
-        # per grid point
+        # per grid point; V_H reads h and g from p, forming none
         model = PoissonTruncatedModel(20)
         real = model._weights
         calls = []
@@ -275,7 +275,7 @@ class TestEstimateCoefficients:
             calls.clear()
             estimate_coefficients(model, np.array([1.0]), eps)
             counts.append(len(calls))
-        assert counts == [8, 8, 8]
+        assert counts == [7, 7, 7]
 
     def test_envelope_infinite_when_ball_hits_boundary(self):
         model = entangled_pauli_model(1)

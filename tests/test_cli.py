@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,10 +71,10 @@ CONFIG_REFUSALS = {
     "unreadable-file": (None, "cannot read config"),
     "not-an-object": ("[1, 2]", "must contain a JSON object"),
     "norm": ('{"norm": "max"}', "norm must be one of ('linf', 'l2'), got 'max'"),
-    "format": ('{"format": "xml"}', "format must be 'csv' or 'json', got 'xml'"),
+    "format": ('{"format": "xml"}', "format must be one of ('csv', 'json'), got 'xml'"),
     "qubit-range": ('{"n_min": 3, "n_max": 2}', "n_max must be >= n_min"),
     "fault-target": ('{"inject_fault": "lambert"}',
-                     "unknown fault target 'lambert'; known: ('fwht',)"),
+                     "inject_fault must be one of ('fwht',), got 'lambert'"),
     "identity-eigenvalue": ('{"lambda": [0.5, 0.1, 0.0, 0.0]}',
                             "lambda[0] is the identity eigenvalue and must be 1, "
                             "got np.float64(0.5)"),
@@ -192,6 +193,8 @@ class TestConfigHandling:
         ("simulate", {"epsilon": 1e300}),
         ("bounds", {"epsilon": 1e300, "scheme": "poisson"}),
         ("simulate", {"epsilon": 1e-160, "m_max": 8}),
+        ("bounds", {"be_constant": 1e200}),
+        ("simulate", {"be_constant": 1e200, "scheme": "bernoulli"}),
     ])
     def test_float64_overflow_exits_2(self, tmp_path, capsys, command, config):
         path = tmp_path / "cfg.json"
@@ -210,6 +213,8 @@ class TestConfigHandling:
          {"n_max": 65}),
         ("separation", {"n_min": 64, "n_max": 64}, {"n_min": 65, "n_max": 65}),
         ("bounds", {"n": 64, "scheme": "bernoulli"}, {"n": 65, "scheme": "bernoulli"}),
+        ("bounds", {"be_constant": 2.0**128, "epsilon": 2.0**-128, "delta": 2.0**-128},
+         {"be_constant": float(np.nextafter(2.0**128, math.inf))}),
     ])
     def test_float64_range_edges(self, tmp_path, capsys, command, inside, outside):
         path = tmp_path / "cfg.json"
@@ -327,6 +332,50 @@ class TestConfigHandling:
         cfg = resolve("bounds", scheme="separable-pauli", param_seed=4)
         model, theta = build_model_and_theta(cfg)
         assert model.scheme == "separable-pauli"
+
+
+# a JSON value of the wrong type for each type of field; a field whose
+# default is null also takes null, the others do not
+WRONG_TYPE = {
+    "int": [2.0, "2", True, [1]],
+    "number": ["0.1", True, math.nan, 10**400, [0.1]],
+    "string": [2, True, [1]],
+    "list": ["1,0,0", 5, [True], [[1.0]], [math.inf]],
+}
+
+
+class TestFieldTable:
+    """Every field of cli.FIELDS is typed from its row, and a flag goes
+    through the same checks as the config file."""
+
+    @pytest.mark.parametrize("key", list(cli.FIELDS))
+    def test_a_value_of_the_wrong_type_exits_2(self, key, tmp_path, capsys):
+        default, kind, _ = cli.FIELDS[key]
+        path = tmp_path / "cfg.json"
+        for value in WRONG_TYPE[kind] + ([None] if default is not None else []):
+            path.write_text(json.dumps({key: value}))
+            assert main(["bounds", "--config", str(path)]) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {key} must be "), err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, command", [
+        (key, command) for key in cli.CHOICES for command in cli.FIELDS[key][2]])
+    def test_a_flag_and_a_file_refuse_alike(self, key, command, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: "bogus"}))
+        assert main([command, "--config", str(path)]) == 2
+        message = capsys.readouterr().err
+        assert message == (f"config error: {key} must be one of {cli.CHOICES[key]}, "
+                           "got 'bogus'\n")
+        assert main([command, "--" + key.replace("_", "-"), "bogus"]) == 2
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_subcommand_takes_the_flags_its_rows_give(self, command):
+        flags = set(vars(main_parse([command]))) - {"command", "config"}
+        assert flags == {key for key, (_, _, commands) in cli.FIELDS.items()
+                         if command in commands}
 
 
 class TestReports:
@@ -563,6 +612,20 @@ class TestAllSchemesEndToEnd:
         # both draws land inside the domain: theta plus two points
         assert json.loads(text)["meta"]["grid_points"] == 3
         assert calls == {"estimate_coefficients": 3, "upper_bound": 6, "lower_bound": 2}
+
+    def test_bounds_holds_one_grid_point_at_a_time(self):
+        # the draw check sizes GRID_ARRAYS arrays of K doubles per grid point;
+        # holding every point's coefficients took about 4 times that at n = 1
+        cfg = resolve("bounds", n=1, epsilon=0.01, grid_points=1000, format="json")
+        tracemalloc.start()
+        try:
+            text, code = run_command("bounds", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = json.loads(text)["meta"]["grid_points"]
+        assert code == 0 and points > 900
+        assert peak / points <= models.GRID_ARRAYS * 4 * 8
 
     def test_supremum_grid_reported(self):
         cfg = resolve("bounds", epsilon=0.01, grid_points=5, param_seed=2,
