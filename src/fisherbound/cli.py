@@ -375,6 +375,15 @@ def _bound_sort_key(result):
     return (1, result.value)
 
 
+def _search(cfg, model, theta):
+    """The config's Monte Carlo search for m* on model at theta."""
+    return mle_lab.find_min_samples(
+        model, theta, cfg["epsilon"], cfg["delta"], cfg["norm"],
+        trials=cfg["trials"], seed=cfg["seed"], resolution=cfg["resolution"],
+        m_max=cfg["m_max"], level=cfg["wilson_level"],
+    )
+
+
 def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     model, theta = build_model_and_theta(cfg)
     mle_lab.check_draws(model, cfg["trials"])  # before any work, not at the first probe
@@ -386,28 +395,15 @@ def cmd_simulate(cfg: dict) -> tuple[list, dict, int]:
     coeffs = bounds.estimate_coefficients(model, theta, eps, constant=cfg["be_constant"],
                                           fisher=f)
     upper = bounds.upper_bound(eps, delta, coeffs, norm)
-
-    def base_row(**kwargs):
-        row = {"scheme": cfg["scheme"], "n": cfg["n"], "epsilon": eps, "delta": delta,
-               "norm": norm, "lower_bound": lower,
-               "upper_bound": upper.value if upper.applicable else None,
-               "seed": cfg["seed"]}
-        row.update(kwargs)
-        return row
-
-    try:
-        result = mle_lab.find_min_samples(
-            model, theta, eps, delta, norm,
-            trials=cfg["trials"], seed=cfg["seed"], resolution=cfg["resolution"],
-            m_max=cfg["m_max"], level=cfg["wilson_level"],
-        )
-    except mle_lab.BudgetExceededError as exc:
-        rows = [base_row(m_star=None, rate=probe.rate, wilson_lo=probe.wilson_lo,
-                         wilson_hi=probe.wilson_hi) for probe in exc.probes[-1:]]
-        meta = _meta(cfg, "simulate", budget_exceeded=True, error=str(exc))
+    result = _search(cfg, model, theta)
+    rows = [{"scheme": cfg["scheme"], "n": cfg["n"], "epsilon": eps, "delta": delta,
+             "norm": norm, "m_star": result.m_star, "rate": result.rate_at_m_star,
+             "wilson_lo": result.wilson_lo, "wilson_hi": result.wilson_hi,
+             "lower_bound": lower, "upper_bound": upper.value if upper.applicable else None,
+             "seed": cfg["seed"]}]
+    if result.m_star is None:
+        meta = _meta(cfg, "simulate", budget_exceeded=True, error=result.message)
         return rows, meta, EXIT_BUDGET
-    rows = [base_row(m_star=result.m_star, rate=result.rate_at_m_star,
-                     wilson_lo=result.wilson_lo, wilson_hi=result.wilson_hi)]
     meta = _meta(cfg, "simulate", bracket=list(result.bracket),
                  stable_at_double=result.stable_at_double,
                  upper_bound_applicable=upper.applicable,
@@ -454,7 +450,8 @@ def cmd_separation(cfg: dict) -> tuple[list, dict, int]:
         rows.append({"n": n, "entangled_upper": upper, "separable_lower": lower,
                      "ratio": lower / upper, "m_star_entangled": None,
                      "m_star_separable": None})
-    # largest n first: the models refuse an oversized n before any search runs
+    # largest n first: the models refuse an oversized n before any search runs;
+    # the first search that reaches m_max ends the table there
     for row in reversed(rows):
         n = row["n"]
         if cfg["simulate_upto"] >= n:
@@ -462,15 +459,13 @@ def cmd_separation(cfg: dict) -> tuple[list, dict, int]:
             sep = models.separable_pauli_model(
                 n, pauli.product_probe(np.tile([0.0, 0.0, 1.0], (n, 1)))
             )
-            search = dict(trials=cfg["trials"], seed=cfg["seed"],
-                          resolution=cfg["resolution"], m_max=cfg["m_max"],
-                          level=cfg["wilson_level"])
-            row["m_star_entangled"] = mle_lab.find_min_samples(
-                ent, np.zeros(ent.d), eps, delta, cfg["norm"], **search).m_star
-            row["m_star_separable"] = mle_lab.find_min_samples(
-                sep, np.zeros(sep.d), eps, delta, cfg["norm"], **search).m_star
-    meta = _meta(cfg, "separation")
-    return rows, meta, EXIT_OK
+            for key, model in (("m_star_entangled", ent), ("m_star_separable", sep)):
+                result = _search(cfg, model, np.zeros(model.d))
+                row[key] = result.m_star
+                if result.m_star is None:
+                    meta = _meta(cfg, "separation", budget_exceeded=True, error=result.message)
+                    return rows, meta, EXIT_BUDGET
+    return rows, _meta(cfg, "separation"), EXIT_OK
 
 
 def cmd_verify(cfg: dict) -> tuple[list, dict, int]:

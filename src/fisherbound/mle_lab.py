@@ -1,10 +1,11 @@
-"""Monte Carlo verification of accuracy criteria under closed-form MLEs.
+"""Monte Carlo verification of accuracy criteria under the models' MLEs.
 
-Trials draw multinomial counts from a model, apply its closed-form
+Trials draw multinomial counts from a model, apply its
 maximum-likelihood estimator, and score success as max-norm or Euclidean
 error at most eps.  find_min_samples searches for the smallest sample
 size whose Wilson lower confidence bound on the success rate clears
-1 - delta, by exponential doubling followed by bisection.
+1 - delta, by exponential doubling followed by bisection; a search that
+reaches m_max without a pass returns that as its result, with m_star None.
 
 Reproducibility: every probe derives its own generator from the master
 seed through numpy SeedSequence spawn keys, and trials are grouped into
@@ -30,7 +31,6 @@ from . import models
 from .bounds import _check_norm
 
 __all__ = [
-    "BudgetExceededError",
     "MinSamplesResult",
     "SuccessEstimate",
     "check_draws",
@@ -41,18 +41,10 @@ __all__ = [
 ]
 
 TRIAL_BLOCK = 512
-DRAW_ARRAYS = 2
+DRAW_ARRAYS = 4
 WILSON_LEVEL = 0.95
 Z_FOR_LEVEL = {0.90: 1.6448536269514722, 0.95: 1.959963984540054,
                0.99: 2.5758293035489004}
-
-
-class BudgetExceededError(RuntimeError):
-    """Doubling search passed the sample-size budget without success."""
-
-    def __init__(self, message, probes=None):
-        super().__init__(message)
-        self.probes = probes or []
 
 
 def resolve_threads() -> int:
@@ -74,8 +66,10 @@ def resolve_threads() -> int:
 
 
 def check_draws(model, trials):
-    """Refuse, before any draw, draws of DRAW_ARRAYS (counts, mle_batch's float copy)
-    TRIAL_BLOCK x K arrays beyond physical memory; no dense guard bounds poisson's K."""
+    """Refuse, before any draw, draws of DRAW_ARRAYS TRIAL_BLOCK x K arrays beyond
+    physical memory; no dense guard bounds poisson's K.  DRAW_ARRAYS is the traced
+    peak of poisson's estimate_batch, 3.2 arrays: the counts, then mle_batch's
+    float copy or the two arrays of its Newton steps."""
     rows = min(trials, TRIAL_BLOCK)
     models._check_memory(f"search on {model.scheme} at trials={trials}, K={model.K} outcomes",
                          DRAW_ARRAYS, rows * model.K, f"{rows} x {model.K} count")
@@ -211,15 +205,19 @@ class MinSamplesResult:
 
     m_star is the smallest probed sample size whose Wilson lower bound
     reaches 1 - delta; bracket records the largest failing size below it.
+    When the doubling reaches m_max without a pass, m_star is None, the rate
+    and interval are those of the m_max probe, bracket is (m_max, None) and
+    message says why.
     """
 
-    m_star: int
+    m_star: int | None
     rate_at_m_star: float
     wilson_lo: float
     wilson_hi: float
     bracket: tuple
     stable_at_double: bool
     probes: list = field(default_factory=list)
+    message: str | None = None
 
 
 def find_min_samples(
@@ -248,7 +246,8 @@ def find_min_samples(
     A probe stops at the first trial at which it cannot pass (see
     success_probability), so a failing probe may report fewer than
     `trials` trials.  A probe at
-    M >= m_max runs in full, since BudgetExceededError reports its rate.
+    M >= m_max runs in full, since a search that reaches it without a pass
+    reports its rate.
     ValueError, before any draw, when not even `trials` successes could pass
     or norm is not one of bounds.NORMS.
     """
@@ -276,16 +275,18 @@ def find_min_samples(
             )
         return probes[m]
 
+    def result(m_star, at, bracket, stable, message=None):
+        return MinSamplesResult(m_star, at.rate, at.wilson_lo, at.wilson_hi, bracket, stable,
+                                sorted(probes.values(), key=lambda s: s.m), message)
+
     m = 1
     context = 0
     estimate = probe(m, context)
     while estimate.wilson_lo < target:
         if m >= m_max:
-            raise BudgetExceededError(
-                f"criterion unreachable at budget m_max={m_max}: Wilson lower "
-                f"bound {estimate.wilson_lo:.4f} < {target:.4f} at M={m}",
-                probes=sorted(probes.values(), key=lambda s: s.m),
-            )
+            return result(None, estimate, (m, None), False,
+                          f"criterion unreachable at budget m_max={m_max}: Wilson lower "
+                          f"bound {estimate.wilson_lo:.4f} < {target:.4f} at M={m}")
         m = min(2 * m, m_max)
         context += 1
         estimate = probe(m, context)
@@ -302,14 +303,5 @@ def find_min_samples(
 
     context += 1
     stability = probe(min(2 * hi, m_max), context)
-    final = probes[hi]
-    return MinSamplesResult(
-        m_star=hi,
-        rate_at_m_star=final.rate,
-        wilson_lo=final.wilson_lo,
-        wilson_hi=final.wilson_hi,
-        bracket=(lo, hi),
-        stable_at_double=stability.wilson_lo >= target,
-        probes=sorted(probes.values(), key=lambda s: s.m),
-    )
+    return result(hi, probes[hi], (lo, hi), stability.wilson_lo >= target)
 

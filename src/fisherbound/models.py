@@ -1,8 +1,9 @@
 """Finite-outcome statistical models with the quantities the bounds read.
 
 Each model exposes the outcome distribution p_theta(x), its score dlogp,
-its Fisher matrix (analytic_fisher) and a closed-form maximum-likelihood
-estimator: mle_batch maps a (trials, K) count matrix to C-ordered rows of
+its Fisher matrix (analytic_fisher) and its maximum-likelihood estimator,
+in closed form but for poisson's, which solves its likelihood equation by
+Newton steps: mle_batch maps a (trials, K) count matrix to C-ordered rows of
 estimates (the bits of mle_lab's l2 error norm depend on the row layout),
 and StatModel.mle applies it to one count vector.  estimate_batch draws
 the counts of many trials at once and returns their estimates.
@@ -173,8 +174,9 @@ class StatModel:
 
     def random_points(self, rng, size):
         """Up to `size` random parameter points inside the domain, drawn from
-        rng, for the supremum of the upper bounds; none by default."""
-        return []
+        rng, for the supremum of the upper bounds.  Only the Bell models draw
+        any; the others refuse with ValueError."""
+        raise ValueError(f"{self.scheme} draws no random points: grid_points must be 0")
 
     def score_moments(self, theta, fisher):
         """(V_H, rho_diag, rho_top), the moments the bounds read at theta
@@ -463,8 +465,8 @@ class PoissonTruncatedModel(StatModel):
 
     p_k = (theta^k / k!) / Z(theta) for k = 0..K with Z the truncated
     exponential series.  Z' = Z - theta^K / K! makes the derivatives of
-    log Z closed forms in h = p_K.  The closed-form MLE is the sample mean,
-    exact for the untruncated family.
+    log Z closed forms in h = p_K.  The MLE solves the likelihood equation
+    E_theta[k] = theta (1 - h(theta)) = kbar, the sample mean.
     """
 
     def __init__(self, truncation: int = 20):
@@ -473,10 +475,9 @@ class PoissonTruncatedModel(StatModel):
         _check_memory(f"poisson at truncation={truncation}", POISSON_ARRAYS,
                       int(truncation) + 1, f"length-{truncation + 1}")
         super().__init__(d=1, K=truncation + 1, scheme="poisson")
-        self._log_factorials = np.cumsum(
-            np.concatenate([[0.0], np.log(np.arange(1, truncation + 1))])
-        )
         self._ks = np.arange(truncation + 1, dtype=float)
+        self._log_ks = np.log(np.maximum(self._ks, 1.0))  # log k, and 0 at k = 0
+        self._log_factorials = np.cumsum(self._log_ks)
         self._gaps = truncation - self._ks  # K - k, the terms of g's sum
 
     def _weights(self, t):
@@ -542,9 +543,58 @@ class PoissonTruncatedModel(StatModel):
     def contains(self, theta):
         return bool(np.asarray(theta, dtype=float)[0] > 0.0)
 
+    def _mean_and_variance(self, t):
+        """E_t[k] = t Z_1/Z_0 and Var_t(k) for each t of a vector, with Z_1 the
+        sum of the weights below the top one, as in _logz_derivatives, and
+        Z_0 = Z_1 + w_K, so that Z_1/Z_0 is exactly 1 where w_K rounds away.
+        The weights t^k/k! are taken over the weight at the mode
+        min(floor(t), K), their logs summed outward from the mode, so that
+        the terms near it carry few roundings."""
+        mode = np.minimum(np.floor(t), self._gaps[0])[:, None]
+        steps = np.log(t)[:, None] - self._log_ks  # log(t/k) for k >= 1
+        logw = steps * (self._ks > mode)  # the steps above the mode, and 0
+        steps -= logw  # the steps up to the mode, and 0
+        np.cumsum(logw, axis=1, out=logw)
+        # in place, from the mode down: steps[:, k] = sum_{i=k}^{mode} log(t/i)
+        np.cumsum(steps[:, :0:-1], axis=1, out=steps[:, :0:-1])
+        logw[:, :-1] -= steps[:, 1:]
+        w = np.exp(logw, out=logw)
+        z1 = w[:, :-1].sum(axis=1)
+        z0 = z1 + w[:, -1]
+        mean = t * (z1 / z0)
+        spread = np.subtract(self._ks, mean[:, None], out=steps)
+        return mean, np.einsum("ij,ij->i", w, np.square(spread, out=spread)) / z0
+
     def mle_batch(self, counts):
+        """Root of E_theta[k] = kbar per row: 0 at kbar = 0 and +inf at kbar = K.
+
+        E_theta[k] rises with theta, at d E / d(log theta) = Var_theta(k), and
+        E_theta[k] <= theta, so the root lies at or above kbar.  Newton steps on
+        log theta start from theta = kbar; a step that leaves the bracket of
+        the iterates so far is replaced by the bracket's geometric midpoint.
+        A row where theta h(theta) rounds away at kbar returns kbar itself.
+        Rows of one sample mean, which probes of one sample size share, are
+        solved once.
+        """
         counts = np.asarray(counts, dtype=float)
-        return (counts @ self._ks)[:, None] / counts.sum(axis=1)[:, None]
+        kbar = (counts @ self._ks) / counts.sum(axis=1)
+        del counts  # the float copy: the Newton steps hold two more of its size
+        kbar, rows_of = np.unique(kbar, return_inverse=True)
+        theta = np.where(kbar < self._gaps[0], kbar, np.inf)
+        rows = np.flatnonzero((kbar > 0.0) & (kbar < self._gaps[0]))
+        t = lo = kbar[rows]
+        hi = np.full_like(t, np.inf)
+        while rows.size:
+            mean, var = self._mean_and_variance(t)
+            residual = mean - kbar[rows]
+            lo = np.where(residual < 0.0, t, lo)
+            hi = np.where(residual > 0.0, t, hi)
+            newton = t * np.exp(-residual / var)
+            step = np.where((lo < newton) & (newton < hi), newton, np.sqrt(lo * hi))
+            done = (newton == t) | (step == t)
+            theta[rows[done]] = t[done]
+            rows, t, lo, hi = rows[~done], step[~done], lo[~done], hi[~done]
+        return theta[rows_of, None]
 
 
 class GaussianKnownCovModel(StatModel):

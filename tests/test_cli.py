@@ -287,6 +287,16 @@ class TestConfigHandling:
         assert (code, row["m_star"]) == (0, 1)
         assert row["lower_bound"] <= row["m_star"]
 
+    def test_poisson_m_star_between_its_bounds_where_truncation_matters(self):
+        # at K = 20 the sample mean estimates E_15[k] = 15 (1 - h(15)) = 14.32,
+        # which never comes within 0.3 of 15; the model's MLE does
+        cfg = resolve("simulate", scheme="poisson", theta=[15.0], epsilon=0.3,
+                      format="json")
+        text, code = run_command("simulate", cfg)
+        row = json.loads(text)["rows"][0]
+        assert code == 0
+        assert row["lower_bound"] <= row["m_star"] <= row["upper_bound"]
+
     # an outcome of probability far below 1e-12 still carries F ~ 1/p
     @pytest.mark.parametrize("overrides, m_star", [
         ({"scheme": "bernoulli", "theta": [1e-19]}, 1),
@@ -636,6 +646,13 @@ class TestAllSchemesEndToEnd:
         assert meta["grid_points"] >= 2  # configured point plus valid draws
         assert meta["domain_shrink"] == 1e-6
 
+    @pytest.mark.parametrize("scheme", ["separable-pauli", "bernoulli", "multinomial",
+                                        "poisson", "gaussian-known-var"])
+    def test_grid_refused_by_a_model_without_random_points(self, scheme, capsys):
+        assert main(["bounds", "--scheme", scheme, "--grid-points", "5"]) == 2
+        assert capsys.readouterr().err == (f"config error: {scheme} draws no random points: "
+                                           "grid_points must be 0\n")
+
 
 class TestThetaGrid:
     """The Bell models' random_points, the supremum grid of `bounds`."""
@@ -757,7 +774,7 @@ LIBRARY_SEARCHES = {
 
 
 class TestSearchMemoryGuard:
-    """A search's draws hold two arrays of up to TRIAL_BLOCK x K counts; the
+    """A search's draws hold four arrays of up to TRIAL_BLOCK x K counts; the
     poisson truncation is the one K that no dense guard bounds.  The search
     itself checks them, so library callers are covered as well as simulate."""
 
@@ -765,7 +782,7 @@ class TestSearchMemoryGuard:
     def small_box(self, monkeypatch, tmp_path):
         monkeypatch.setattr(models, "_physical_memory", lambda: 7 * 2**30)
         self.path = tmp_path / "cfg.json"
-        # 2 x 512 x (10^6 + 1) counts are 7.6 GiB; the model itself is 61 MiB
+        # 4 x 512 x (10^6 + 1) counts are 15.3 GiB; the model itself is 61 MiB
         self.path.write_text(json.dumps({"scheme": "poisson", "truncation": 10**6}))
 
     def test_search_refused_before_any_draw(self, monkeypatch, capsys):
@@ -777,16 +794,28 @@ class TestSearchMemoryGuard:
         assert main(["simulate", "--config", str(self.path)]) == 2
         err = capsys.readouterr().err
         assert ("config error: search on poisson at trials=2000, K=1000001 outcomes "
-                "needs about 8 GiB of 512 x 1000001 count arrays") in err
+                "needs about 16 GiB of 512 x 1000001 count arrays") in err
         assert "more than the 7 GiB of physical memory" in err
 
     @pytest.mark.parametrize("search", sorted(LIBRARY_SEARCHES))
     def test_library_search_refused_before_any_draw(self, search, monkeypatch):
         model = models.PoissonTruncatedModel(10**6)
         monkeypatch.setattr(models.StatModel, "estimate_batch", _fail)
-        with pytest.raises(ValueError, match=r"needs about 8 GiB of 512 x 1000001 count "
+        with pytest.raises(ValueError, match=r"needs about 16 GiB of 512 x 1000001 count "
                                              r"arrays, more than the 7 GiB of physical memory"):
             LIBRARY_SEARCHES[search](model)
+
+    def test_poisson_draw_stays_within_the_estimate(self):
+        # near theta = K every row's MLE takes Newton steps over all K + 1 outcomes
+        model = models.PoissonTruncatedModel(5000)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            model.estimate_batch(np.array([4990.0]), 3, rng, mle_lab.TRIAL_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mle_lab.DRAW_ARRAYS * mle_lab.TRIAL_BLOCK * model.K * 8
 
     @pytest.mark.parametrize("search", sorted(LIBRARY_SEARCHES))
     def test_library_search_runs_at_a_small_truncation(self, search):
@@ -829,6 +858,25 @@ class TestExitCodes:
                           "--m-max", "64"])
         assert result.returncode == 3
         assert "budget_exceeded" in result.stdout or "m_star" in result.stdout
+
+    def test_separation_budget_exceeded(self):
+        # n = 2 is searched first: its entangled search passes and its
+        # separable one reaches m_max; n = 1 is then not searched
+        result = run_cli(["separation", "--n-max", "3", "--simulate-upto", "2",
+                          "--epsilon", "0.3", "--trials", "200", "--m-max", "400",
+                          "--format", "json"])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        report = json.loads(result.stdout)
+        assert report["meta"]["budget_exceeded"] is True
+        assert report["meta"]["error"].startswith("criterion unreachable at budget m_max=400:")
+        cfg = resolve("separation", n_max=3, simulate_upto=2, epsilon=0.3, trials=200,
+                      format="json")
+        unbounded = json.loads(run_command("separation", cfg)[0])["rows"][1]
+        columns = [(row["m_star_entangled"], row["m_star_separable"])
+                   for row in report["rows"]]
+        assert columns == [(None, None), (unbounded["m_star_entangled"], None), (None, None)]
+        assert unbounded["m_star_separable"] > 400
 
     def test_out_file_written(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -6,7 +6,6 @@ import pytest
 
 from fisherbound import bounds, cli
 from fisherbound.mle_lab import (
-    BudgetExceededError,
     SuccessEstimate,
     _block_streams,
     find_min_samples,
@@ -42,6 +41,7 @@ from oracles import (
     hoeffding_reach,
     mse_vs_crb,
     multinomial_linf_success,
+    poisson_logz_mp,
     replay_hits,
     wht_naive,
 )
@@ -97,11 +97,44 @@ class TestClassicalMle:
         np.testing.assert_allclose(np.cov(est.T), cov / m, rtol=0.1)
 
     def test_poisson(self):
-        # samples 2, 0, 4 as outcome counts; the MLE is their mean
+        # samples 2, 0, 4 as outcome counts; the MLE exceeds their mean by
+        # about theta h(theta), 1e-13 at theta = 2 and truncation 20
         counts = np.zeros(21)
         counts[[0, 2, 4]] = 1
         est = PoissonTruncatedModel(20).mle(counts)
         assert est[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("truncation", [5, 20, 200])
+    def test_poisson_solves_the_likelihood_equation(self, truncation):
+        # rows of 1000 samples whose mean kbar lies near E_theta[k] for theta
+        # from 0.05 to 2K; at the estimate, E[k] = theta Z_1/Z_0 in 50-digit
+        # arithmetic must return kbar to a few ulps
+        samples, rows = 1000, []
+        for theta in np.geomspace(0.05, 2 * truncation, 25):
+            mean = theta * poisson_logz_mp(truncation, theta, 50)[0]
+            low, high = divmod(int(round(samples * mean)), samples)
+            row = np.zeros(truncation + 1)
+            row[low] = samples - high
+            if high:
+                row[low + 1] = high
+            rows.append(row)
+        counts = np.array(rows)
+        kbar = counts @ np.arange(truncation + 1) / samples
+        estimates = PoissonTruncatedModel(truncation).mle_batch(counts)[:, 0]
+        assert np.all(estimates >= kbar)
+        for k, t in zip(kbar, estimates):
+            residual = t * poisson_logz_mp(truncation, t, 50)[0] - k
+            assert abs(residual) <= 4 * math.ulp(k), (k, t, float(residual))
+
+    def test_poisson_at_the_ends_and_where_truncation_rounds_away(self):
+        # kbar = 0 and K are the limits theta -> 0 and +inf; at kbar = 1.05,
+        # theta h(theta) is 4e-19, below half an ulp, so the MLE is kbar itself
+        counts = np.zeros((3, 21))
+        counts[0, 0] = 3
+        counts[1, 20] = 3
+        counts[2, [1, 2]] = [19, 1]
+        est = PoissonTruncatedModel(20).mle_batch(counts)
+        assert est.tolist() == [[0.0], [math.inf], [21 / 20]]
 
     def test_multinomial(self):
         est = multinomial_model(2).mle(np.array([2, 3, 5]))
@@ -247,10 +280,16 @@ class TestFindMinSamples:
 
     def test_budget_exceeded(self):
         model = entangled_pauli_model(1)
-        with pytest.raises(BudgetExceededError) as err:
-            find_min_samples(model, np.zeros(3), eps=0.01, delta=0.1, norm="linf",
-                             trials=200, seed=0, m_max=64)
-        assert err.value.probes  # partial results available
+        result = find_min_samples(model, np.zeros(3), eps=0.01, delta=0.1, norm="linf",
+                                  trials=200, seed=0, m_max=64)
+        assert result.m_star is None
+        assert result.probes  # partial results available
+        last = result.probes[-1]
+        assert (last.m, result.bracket, result.stable_at_double) == (64, (64, None), False)
+        assert (result.rate_at_m_star, result.wilson_lo, result.wilson_hi) == (
+            last.rate, last.wilson_lo, last.wilson_hi)
+        assert result.message == (f"criterion unreachable at budget m_max=64: Wilson lower "
+                                  f"bound {last.wilson_lo:.4f} < 0.9000 at M=64")
 
     @pytest.mark.parametrize("trials, refused", [(3837, True), (3838, False)])
     def test_trials_that_cannot_certify_the_target_are_refused(self, monkeypatch, trials,
@@ -378,11 +417,10 @@ class TestCurtailedSearch:
     def test_budget_exceeded_last_probe_runs_in_full(self):
         model = entangled_pauli_model(1)
         args = (model, np.zeros(3), 0.01, 0.1, "linf")
-        with pytest.raises(BudgetExceededError) as err:
-            find_min_samples(*args, trials=self.TRIALS, seed=0, m_max=48)
+        result = find_min_samples(*args, trials=self.TRIALS, seed=0, m_max=48)
         full = self._full(*args, trials=self.TRIALS, seed=0, m_max=48)
-        probes = err.value.probes
-        assert full["m_star"] is None
+        probes = result.probes
+        assert result.m_star is full["m_star"] is None
         assert [p.m for p in probes] == [1, 2, 4, 8, 16, 32, 48]
         assert probes[-1] == full["probes"][-1]
         assert probes[-1].trials == self.TRIALS

@@ -141,3 +141,17 @@ def test_src_defines_and_reads_no_derivative_tensor():
             if name in TEST_ONLY_TENSORS:
                 offenders.append(f"{module} line {node.lineno}: {name}")
     assert not offenders, offenders
+
+
+def test_cli_runs_every_search_from_one_function():
+    # simulate and separation read a search's outcome, m_star or None at
+    # m_max, from the same helper, so a new table cannot grow its own path
+    def reads(statement):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    callers = [getattr(statement, "name", f"line {statement.lineno}")
+               for statement in _trees()["cli"].body
+               if "find_min_samples" in reads(statement)]
+    assert callers == ["_search"]

@@ -14,9 +14,10 @@ two-copy-bell at a random point in linf), and a separable-pauli search at
 n = 2 with the balanced probe (1, 1, 1)/sqrt(3) on each qubit, whose MLE
 and max-norm error are per coordinate.  Every other simulate case runs at
 n = 1, where d = 3 and the order in which the MLE and the error norm sum
-their terms cannot change a bit.  Two cases pin the per-model paths: the
-two-copy-bell closed-form inverse diagonal in `fisher` at n = 2, and a
-separable-pauli `bounds` grid, whose model draws no random points.
+their terms cannot change a bit.  One case pins a per-model path: the
+two-copy-bell closed-form inverse diagonal in `fisher` at n = 2.  A
+separable-pauli `bounds` grid, whose model draws no random points, writes
+no report: it exits 2.
 
 A change that is meant to leave the program's output alone must keep
 every digest.  A digest may change only together with a written reason in
@@ -92,8 +93,6 @@ CASES = [
      0, "8690c338d0753cdded30274162a82411bc3f76591e3d51ceaaf1287a6dea3a15"),
     ("fisher", {"scheme": "two-copy-bell", "n": 2, "preset": "random"},
      0, "60fae59434f60f221f0164ce4213481a66efdc29373f1044325750a1c8f8bb6e"),
-    ("bounds", {"scheme": "separable-pauli", "n": 2, "grid_points": 5},
-     0, "d39b0997b43848b64fd62949051c7b39613aac5394733db5d0678273950a1a27"),
 ]
 
 
@@ -105,3 +104,14 @@ def test_report_digest(command, overrides, code, digest):
     text, got_code = cli.run_command(command, {**cli.DEFAULTS, **overrides})
     assert got_code == code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_grid_on_a_model_without_random_points_is_refused(capsys):
+    # separable-pauli draws no random points, so a supremum grid on it is
+    # refused rather than reported over theta alone
+    argv = ["bounds", "--scheme", "separable-pauli", "--n", "2", "--grid-points", "5"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: separable-pauli draws no random points: "
+                            "grid_points must be 0\n")
