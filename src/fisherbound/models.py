@@ -464,9 +464,9 @@ class PoissonTruncatedModel(StatModel):
     """Poisson model truncated at outcome K and renormalised.
 
     p_k = (theta^k / k!) / Z(theta) for k = 0..K with Z the truncated
-    exponential series.  Z' = Z - theta^K / K! makes the derivatives of
-    log Z closed forms in h = p_K.  The MLE solves the likelihood equation
-    E_theta[k] = theta (1 - h(theta)) = kbar, the sample mean.
+    exponential series, every weight formed by _weights.  Z' = Z - theta^K/K!
+    makes the derivatives of log Z closed forms in h = p_K.  The MLE solves
+    the likelihood equation E_theta[k] = theta (1 - h(theta)) = kbar, the sample mean.
     """
 
     def __init__(self, truncation: int = 20):
@@ -477,37 +477,33 @@ class PoissonTruncatedModel(StatModel):
         super().__init__(d=1, K=truncation + 1, scheme="poisson")
         self._ks = np.arange(truncation + 1, dtype=float)
         self._log_ks = np.log(np.maximum(self._ks, 1.0))  # log k, and 0 at k = 0
-        self._log_factorials = np.cumsum(self._log_ks)
         self._gaps = truncation - self._ks  # K - k, the terms of g's sum
 
     def _weights(self, t):
-        """theta^k / k! for every outcome k, formed in log space; scaled by one
-        factor, which no ratio of them sees, where they or their sum overflow."""
-        logs = self._ks * math.log(t) - self._log_factorials
-        with np.errstate(over="ignore"):
-            weights = np.exp(logs)
-            return weights if math.isfinite(weights.sum()) else np.exp(logs - logs.max())
-
-    def _logz_derivatives(self, t):
-        """The derivatives l1 = 1 - h, l2 = -h g, l3 = -h (g^2 - K/t^2 + h g)
-        of log Z at t, with g = d(log h)/dt = K/t - 1 + h.  1 - h = Z_1/Z_0
-        and g = sum_k (K - k) p_k / t are sums of non-negative terms of one
-        weight array, which keep their digits where h is near 1 (t >> K)."""
-        weights = self._weights(t)
-        z0 = weights.sum()
-        h = weights[-1] / z0
-        g = self._gaps @ (weights / z0) / t
-        return weights[:-1].sum() / z0, -h * g, -h * (g * g - self._gaps[0] / t / t + h * g)
+        """t^k/k! over the weight at the mode min(floor(t), K), a row for each
+        t of a vector, with their logs summed outward from the mode, so that
+        none overflows and the terms near the mode carry few roundings."""
+        mode = np.minimum(np.floor(t), self._gaps[0])[:, None]
+        steps = np.log(t)[:, None] - self._log_ks  # log(t/k) for k >= 1
+        logw = steps * (self._ks > mode)  # the steps above the mode, and 0
+        steps -= logw  # the steps up to the mode, and 0
+        np.cumsum(logw, axis=1, out=logw)
+        # in place, from the mode down: steps[:, k] = sum_{i=k}^{mode} log(t/i)
+        np.cumsum(steps[:, :0:-1], axis=1, out=steps[:, :0:-1])
+        logw[:, :-1] -= steps[:, 1:]
+        return np.exp(logw, out=logw)
 
     def probs(self, theta):
-        theta = self.validate_theta(theta)
-        weights = self._weights(float(theta[0]))
+        weights = self._weights(self.validate_theta(theta))[0]
         return weights / weights.sum()
 
     def dlogp(self, theta, p=None):
-        """(K, 1) score k/theta - Z_1/Z_0, finite also where p_k underflows to 0."""
-        t = np.asarray(theta, dtype=float)[0]
-        return (self._ks / t - self._logz_derivatives(t)[0])[:, None]
+        """(K, 1) score k/theta - Z_1/Z_0, finite also where p_k underflows to
+        0, with Z_1 the sum of the weights below the top one and Z_0 = Z_1 +
+        w_K, so that Z_1/Z_0 is exactly 1 where w_K rounds away."""
+        weights = self._weights(np.asarray(theta, dtype=float))[0]
+        z1 = weights[:-1].sum()
+        return (self._ks / theta[0] - z1 / (z1 + weights[-1]))[:, None]
 
     def analytic_fisher(self, theta):
         """[[sum_k (p_k s_k) s_k]] over every outcome, with s = dlogp, so
@@ -526,44 +522,24 @@ class PoissonTruncatedModel(StatModel):
 
     def third_derivative_envelope(self, theta, radius):
         """Proven bound k/lo^3 + 0.5 h(hi) [g(lo)^2 + K/lo^2 + g(lo)] on
-        sup 0.5*|2k/t^3 - l3| over [lo, hi] = [theta - r, theta + r].  There
-        h <= h(hi), since every other term of Z / (t^K / K!) falls as t
-        grows; and 0 <= g <= g(lo): g = d(log h)/dt >= 0 as h grows, and
-        t g(t) = E_t[K - k] falls with t, since d E_t[k] / d(log t) =
-        Var_t(k) >= 0, so g(t) <= t g(t) / lo <= g(lo).  All +inf once lo <= 0."""
+        sup 0.5*|2k/t^3 - l3| over [lo, hi] = [theta - r, theta + r], with
+        l3 = d^3(log Z)/dt^3 = -h (g^2 - K/t^2 + h g), h = p_K and g =
+        d(log h)/dt = sum_k (K - k) p_k / t.  There h <= h(hi), since every
+        other term of Z / (t^K / K!) falls as t grows; and 0 <= g <= g(lo):
+        g >= 0 as h grows, and t g(t) = E_t[K - k] falls with t, since
+        d E_t[k] / d(log t) = Var_t(k) >= 0, so g(t) <= t g(t) / lo <= g(lo).
+        All +inf once lo <= 0."""
         t = np.asarray(theta, dtype=float)[0]
         lo = t - radius
         if not lo > 0.0:
             return np.full(self.K, np.inf)
-        high, low = self._weights(t + radius), self._weights(lo)
+        high, low = self._weights(np.array([t + radius, lo]))
         g = self._gaps @ (low / low.sum()) / lo
         return (self._ks / lo**3
                 + 0.5 * high[-1] / high.sum() * (g * g + self._gaps[0] / lo**2 + g))
 
     def contains(self, theta):
         return bool(np.asarray(theta, dtype=float)[0] > 0.0)
-
-    def _mean_and_variance(self, t):
-        """E_t[k] = t Z_1/Z_0 and Var_t(k) for each t of a vector, with Z_1 the
-        sum of the weights below the top one, as in _logz_derivatives, and
-        Z_0 = Z_1 + w_K, so that Z_1/Z_0 is exactly 1 where w_K rounds away.
-        The weights t^k/k! are taken over the weight at the mode
-        min(floor(t), K), their logs summed outward from the mode, so that
-        the terms near it carry few roundings."""
-        mode = np.minimum(np.floor(t), self._gaps[0])[:, None]
-        steps = np.log(t)[:, None] - self._log_ks  # log(t/k) for k >= 1
-        logw = steps * (self._ks > mode)  # the steps above the mode, and 0
-        steps -= logw  # the steps up to the mode, and 0
-        np.cumsum(logw, axis=1, out=logw)
-        # in place, from the mode down: steps[:, k] = sum_{i=k}^{mode} log(t/i)
-        np.cumsum(steps[:, :0:-1], axis=1, out=steps[:, :0:-1])
-        logw[:, :-1] -= steps[:, 1:]
-        w = np.exp(logw, out=logw)
-        z1 = w[:, :-1].sum(axis=1)
-        z0 = z1 + w[:, -1]
-        mean = t * (z1 / z0)
-        spread = np.subtract(self._ks, mean[:, None], out=steps)
-        return mean, np.einsum("ij,ij->i", w, np.square(spread, out=spread)) / z0
 
     def mle_batch(self, counts):
         """Root of E_theta[k] = kbar per row: 0 at kbar = 0 and +inf at kbar = K.
@@ -572,28 +548,40 @@ class PoissonTruncatedModel(StatModel):
         E_theta[k] <= theta, so the root lies at or above kbar.  Newton steps on
         log theta start from theta = kbar; a step that leaves the bracket of
         the iterates so far is replaced by the bracket's geometric midpoint.
-        A row where theta h(theta) rounds away at kbar returns kbar itself.
-        Rows of one sample mean, which probes of one sample size share, are
-        solved once.
+        Where kbar > K - 1, E_theta[k] - kbar has few digits left: the residual
+        there is (K - kbar) - E_theta[K - k], a sum of non-negative terms, from
+        max(kbar, K/(K - kbar)), since E_theta[K - k] ~ K/theta for theta >> K.
+        A row where theta h(theta) rounds away at kbar returns kbar itself.  Rows
+        of one sample mean, which probes of one sample size share, are solved once.
         """
         counts = np.asarray(counts, dtype=float)
         kbar = (counts @ self._ks) / counts.sum(axis=1)
         del counts  # the float copy: the Newton steps hold two more of its size
         kbar, rows_of = np.unique(kbar, return_inverse=True)
-        theta = np.where(kbar < self._gaps[0], kbar, np.inf)
-        rows = np.flatnonzero((kbar > 0.0) & (kbar < self._gaps[0]))
-        t = lo = kbar[rows]
+        top = self._gaps[0]
+        theta = np.where(kbar < top, kbar, np.inf)
+        rows = np.flatnonzero((kbar > 0.0) & (kbar < top))
+        lo = kbar[rows]
+        near = lo > top - 1.0
+        t = np.where(near, np.maximum(lo, top / (top - lo)), lo)
         hi = np.full_like(t, np.inf)
         while rows.size:
-            mean, var = self._mean_and_variance(t)
-            residual = mean - kbar[rows]
+            w = self._weights(t)
+            z1 = w[:, :-1].sum(axis=1)
+            z0 = z1 + w[:, -1]  # so that Z_1/Z_0 is exactly 1 where w_K rounds away
+            mean = t * (z1 / z0)
+            residual = np.where(near, top - kbar[rows] - (w @ self._gaps) / z0,
+                                mean - kbar[rows])
+            spread = np.subtract(self._ks, mean[:, None])
+            var = np.einsum("ij,ij->i", w, np.square(spread, out=spread)) / z0
+            del w, spread  # freed before the next step forms its weights
             lo = np.where(residual < 0.0, t, lo)
             hi = np.where(residual > 0.0, t, hi)
             newton = t * np.exp(-residual / var)
             step = np.where((lo < newton) & (newton < hi), newton, np.sqrt(lo * hi))
             done = (newton == t) | (step == t)
             theta[rows[done]] = t[done]
-            rows, t, lo, hi = rows[~done], step[~done], lo[~done], hi[~done]
+            rows, t, lo, hi, near = (a[~done] for a in (rows, step, lo, hi, near))
         return theta[rows_of, None]
 
 

@@ -434,14 +434,26 @@ def separable_mle_batch_masked(counts, r):
     return np.clip(est, -1.0, 1.0)
 
 
+def poisson_logz_closed_forms(model, t):
+    """(l2, l3), the second and third derivatives of the truncated Poisson
+    model's log Z at t, l2 = -h g and l3 = -h (g^2 - K/t^2 + h g), from
+    model.probs: h = p_K and g = sum_k (K - k) p_k / t, sums of non-negative
+    terms, which keep their digits where h is near 1 (t >> K)."""
+    p = model.probs(np.array([t]))
+    top = model.K - 1
+    h = p[-1]
+    g = (top - np.arange(model.K, dtype=float)) @ p / t
+    return -h * g, -h * (g * g - top / t / t + h * g)
+
+
 def d2logp(model, theta):
     """(K, d, d) log-likelihood Hessian per outcome: -g_x g_x^T for an
     affine model, whose score g_x = A_x / p_x is dlogp, and -k/t^2 - l2
     for the truncated Poisson model, l2 from its closed form."""
-    if hasattr(model, "_logz_derivatives"):
+    if model.scheme == "poisson":
         t = np.asarray(theta, dtype=float)[0]
-        ks = np.arange(model.K, dtype=float)
-        return (-ks / t**2 - model._logz_derivatives(t)[1]).reshape(model.K, 1, 1)
+        l2 = poisson_logz_closed_forms(model, t)[0]
+        return (-np.arange(model.K) / t**2 - l2).reshape(model.K, 1, 1)
     g = model.dlogp(theta)
     return -np.einsum("ki,kj->kij", g, g)
 
@@ -450,10 +462,10 @@ def d3logp(model, theta):
     """(K, d, d, d) third log-likelihood derivative per outcome: the
     rank-one 2 g_x^(3) for an affine model, 2k/t^3 - l3 for the truncated
     Poisson model."""
-    if hasattr(model, "_logz_derivatives"):
+    if model.scheme == "poisson":
         t = np.asarray(theta, dtype=float)[0]
-        ks = np.arange(model.K, dtype=float)
-        return (2.0 * ks / t**3 - model._logz_derivatives(t)[2]).reshape(model.K, 1, 1, 1)
+        l3 = poisson_logz_closed_forms(model, t)[1]
+        return (2.0 * np.arange(model.K) / t**3 - l3).reshape(model.K, 1, 1, 1)
     g = model.dlogp(theta)
     return 2.0 * np.einsum("ki,kj,kl->kijl", g, g, g)
 
@@ -583,6 +595,11 @@ def mse_vs_crb(model, theta, m, trials, seed, block=512) -> MseCrbReport:
     return MseCrbReport(mse=mse, crb=crb, ratio=mse / crb, m=m, trials=trials)
 
 
+def poisson_log_factorials(truncation):
+    """log k! for k = 0..truncation, as a running sum of log k."""
+    return np.cumsum(np.log(np.maximum(np.arange(truncation + 1, dtype=float), 1.0)))
+
+
 def poisson_partial_sum(log_factorials, theta, order):
     """Z_order = sum of theta^k / k! over k <= len(log_factorials) - 1 - order.
 
@@ -615,6 +632,17 @@ def poisson_logz_mp(truncation, theta, dps):
         z0, z1, z2, z3 = (mpmath.fsum(weights[: truncation + 1 - m]) for m in range(4))
         l1 = z1 / z0
         return l1, z2 / z0 - l1**2, z3 / z0 - 3 * (z2 / z0) * l1 + 2 * l1**3
+
+
+def poisson_deficit_mp(truncation, theta, dps):
+    """E_theta[K - k] in dps-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(theta)
+        weights = [t**k / mpmath.factorial(k) for k in range(truncation + 1)]
+        deficit = mpmath.fsum((truncation - k) * w for k, w in enumerate(weights))
+        return deficit / mpmath.fsum(weights)
 
 
 def poisson_half_d3logp(log_factorials, thetas):

@@ -258,9 +258,9 @@ class TestEstimateCoefficients:
             assert coeffs.envelope[norm] == real(theta, radius)
 
     def test_poisson_forms_its_weights_a_fixed_number_of_times(self, monkeypatch):
-        # the envelope is a closed form in h(theta + r) and g(theta - r): two
-        # weight arrays per ball, whatever eps is, where the grid formed one
-        # per grid point; V_H reads h and g from p, forming none
+        # the envelope is a closed form in h(theta + r) and g(theta - r): one
+        # two-row weight array per ball, whatever eps is, where the grid formed
+        # one per grid point; V_H reads h and g from p, forming none
         model = PoissonTruncatedModel(20)
         real = model._weights
         calls = []
@@ -275,7 +275,17 @@ class TestEstimateCoefficients:
             calls.clear()
             estimate_coefficients(model, np.array([1.0]), eps)
             counts.append(len(calls))
-        assert counts == [7, 7, 7]
+        assert counts == [6, 6, 6]
+        # the MLE forms one weight array per Newton step, at the step's iterate:
+        # from kbar = 12, each differs from the last, and the last is the estimate
+        calls.clear()
+        sample = np.zeros((1, 21))
+        sample[0, 12] = 10
+        estimate = model.mle_batch(sample)[0, 0]
+        iterates = [float(t[0]) for t in calls]
+        assert all(t.shape == (1,) for t in calls)
+        assert iterates[0] == 12.0 and iterates[-1] == estimate > 12.0
+        assert len(set(iterates)) == len(iterates) > 2
 
     def test_envelope_infinite_when_ball_hits_boundary(self):
         model = entangled_pauli_model(1)

@@ -41,6 +41,7 @@ from oracles import (
     hoeffding_reach,
     mse_vs_crb,
     multinomial_linf_success,
+    poisson_deficit_mp,
     poisson_logz_mp,
     replay_hits,
     wht_naive,
@@ -125,6 +126,34 @@ class TestClassicalMle:
         for k, t in zip(kbar, estimates):
             residual = t * poisson_logz_mp(truncation, t, 50)[0] - k
             assert abs(residual) <= 4 * math.ulp(k), (k, t, float(residual))
+
+    @pytest.mark.parametrize("truncation", [1, 2, 5, 20, 200, 5000])
+    def test_poisson_near_the_top(self, monkeypatch, truncation):
+        # kbar = K - 2^-j K (2^j - 1 samples at K, one at 0) and K - 2^-40:
+        # at most 25 weight arrays, one per Newton step, 10 on average, and
+        # E_theta[K - k] = K - kbar to 1e-13 in 60-digit arithmetic (K <= 200,
+        # where these kbar are exact)
+        model = PoissonTruncatedModel(truncation)
+        real, calls = model._weights, []
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(model, "_weights", counting)
+        ks = np.arange(truncation + 1)
+        steps = []
+        for low, j in [(0, j) for j in range(1, 45)] + [(truncation - 1, 40)]:
+            row = np.zeros(truncation + 1, dtype=np.int64)
+            row[[low, truncation]] = 1, 2**j - 1
+            short = (truncation - ks) @ row / 2**j  # K - kbar, exact
+            calls.clear()
+            theta = model.mle_batch(row[None, :])[0, 0]
+            steps.append(len(calls))
+            if truncation <= 200:
+                error = float(abs(poisson_deficit_mp(truncation, theta, 60) / short - 1))
+                assert error <= 1e-13, (short, theta, error)
+        assert 1 <= min(steps) and max(steps) <= 25 and np.mean(steps) <= 10, steps
 
     def test_poisson_at_the_ends_and_where_truncation_rounds_away(self):
         # kbar = 0 and K are the limits theta -> 0 and +inf; at kbar = 1.05,

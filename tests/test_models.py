@@ -32,6 +32,8 @@ from oracles import (
     mse_vs_crb,
     pauli_matrix_naive,
     poisson_half_d3logp,
+    poisson_log_factorials,
+    poisson_logz_closed_forms,
     poisson_logz_mp,
     poisson_logz_partial_sums,
     separable_mle_batch_masked,
@@ -310,20 +312,40 @@ class TestClassicalModels:
         # The closed forms l1 = 1 - h, l2 = -h g, l3 = -h (g^2 - K/t^2 + h g)
         # against the partial-sum formulas in mpmath, at theta from 0.05 to
         # 10 K.  Their error is never above that of the same formulas in
-        # float64, which keep no digit of l2 and l3 where p_K is small.
+        # float64, which keep no digit of l2 and l3 where p_K is small.  l1 is
+        # read from the score at k = 0, l2 and l3 from the probabilities.
         model = PoissonTruncatedModel(truncation)
+        log_factorials = poisson_log_factorials(truncation)
         for theta in np.geomspace(0.05, 10.0 * truncation, 15):
             want = poisson_logz_mp(truncation, float(theta), dps)
-            got = model._logz_derivatives(np.float64(theta))
-            old = poisson_logz_partial_sums(model._log_factorials, float(theta))
+            got = (-model.dlogp(np.array([theta]))[0, 0],
+                   *poisson_logz_closed_forms(model, theta))
+            old = poisson_logz_partial_sums(log_factorials, float(theta))
             for order, (g, o, w) in enumerate(zip(got, old, want), start=1):
                 err, old_err = (float(abs((value - w) / w)) for value in (g, o))
                 assert err <= old_err, (theta, order, err, old_err)
                 if model.probs([theta])[-1] > 1e-300:
                     # where h is a normal float; l3 loses most at theta >> K,
                     # where its cancellation amplifies the weights' own
-                    # k log(theta) rounding (1.7e-10 at K = 200, theta = 2000)
+                    # rounding (2.2e-13 at K = 200, theta = 2000)
                     assert err <= 1e-9, (theta, order, err)
+
+    @pytest.mark.parametrize("theta", [0.05, 3.3, 1000.3, 1999.3, 3400.0, 20000.0])
+    def test_poisson_probs_against_mpmath_at_truncation_2000(self, theta):
+        # the weights' logs are summed outward from the mode, so each carries
+        # only the roundings of the steps between it and the mode
+        import mpmath
+
+        truncation = 2000
+        got = PoissonTruncatedModel(truncation).probs(np.array([theta]))
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            weights = [t**k / mpmath.factorial(k) for k in range(truncation + 1)]
+            z = mpmath.fsum(weights)
+            want = np.array([float(w / z) for w in weights])
+        normal = want > 1e-290
+        assert normal.any()
+        assert np.abs(got[normal] / want[normal] - 1.0).max() <= 2e-12
 
     @pytest.mark.parametrize("truncation", [20, 200])
     @pytest.mark.parametrize("theta", [0.05, 1.0, 5.0, 15.0, 150.0])
@@ -335,7 +357,7 @@ class TestClassicalModels:
             assert np.all(envelope == np.inf)
             return
         grid = np.linspace(theta - radius, theta + radius, 20001)
-        sup = poisson_half_d3logp(model._log_factorials, grid).max(axis=0)
+        sup = poisson_half_d3logp(poisson_log_factorials(truncation), grid).max(axis=0)
         # both sides round k / lo^3 at the grid's first point, each its own way
         assert np.all(sup <= envelope * (1.0 + 4.0 * np.finfo(float).eps))
 
@@ -349,7 +371,7 @@ class TestClassicalModels:
         model = PoissonTruncatedModel(truncation)
         p = model.probs(np.array([theta]))
         grid = np.linspace(theta - 0.5, theta + 0.5, 20001)
-        sup = poisson_half_d3logp(model._log_factorials, grid).max(axis=0)
+        sup = poisson_half_d3logp(poisson_log_factorials(truncation), grid).max(axis=0)
         mu_r, _ = model.envelope_moments(np.array([theta]), 0.5)
         assert p @ sup <= mu_r <= cap * (p @ sup)
 

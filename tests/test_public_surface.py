@@ -127,9 +127,13 @@ def test_cli_sizes_no_allocation():
 # Per-outcome derivative tensors that no bound reads: the K x d x d Hessian
 # and K x d^3 third-derivative stacks live in tests/oracles.py.
 TEST_ONLY_TENSORS = ("d2logp", "d3logp")
+# The truncated Poisson model's retired log-space weight path: every weight
+# comes from its mode-centred _weights, and log Z's closed forms from probs.
+RETIRED_POISSON_PATHS = ("_logz_derivatives", "_log_factorials")
 
 
-def test_src_defines_and_reads_no_derivative_tensor():
+def _defined_or_read(names):
+    """Where src/ defines or reads any of names, as module and line."""
     offenders = []
     for module, tree in _trees().items():
         for node in ast.walk(tree):
@@ -138,9 +142,17 @@ def test_src_defines_and_reads_no_derivative_tensor():
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.value if isinstance(node, ast.Constant)
                     else None)
-            if name in TEST_ONLY_TENSORS:
+            if name in names:
                 offenders.append(f"{module} line {node.lineno}: {name}")
-    assert not offenders, offenders
+    return offenders
+
+
+def test_src_defines_and_reads_no_derivative_tensor():
+    assert not _defined_or_read(TEST_ONLY_TENSORS)
+
+
+def test_src_has_one_poisson_weight_path():
+    assert not _defined_or_read(RETIRED_POISSON_PATHS)
 
 
 def test_cli_runs_every_search_from_one_function():
