@@ -20,10 +20,9 @@ d, and model-dependent coefficients:
     C          Berry-Esseen constant (default 0.4748, always overridable).
 
 estimate_coefficients returns one BoundCoefficients per point, for both
-norms.  It reads the inverse-Fisher scalars from the FisherMatrix and the
-outcome moments from the model: V_H and rho from one score_moments call,
-and mu_R, V_R, the only norm-dependent values, from envelope_moments over
-each norm's ball, one call per distinct ball.
+norms.  It reads the inverse-Fisher scalars from the FisherMatrix and every
+outcome moment from one model.outcome_moments call: V_H, rho, and mu_R, V_R,
+the only norm-dependent values, over each distinct ball of the two norms.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits are two Lambert-W forms in one inverse-Fisher scalar,
@@ -167,10 +166,10 @@ def estimate_coefficients(
 
     The inverse-Fisher scalars come from `fisher` (built here when not
     given): sigma_diag = sqrt([F^-1]_aa) and opnorm_inv = lambda_max(F^-1).
-    V_H, rho_diag and rho_top come from one model.score_moments(theta,
-    fisher) call.  The envelope holds, per norm, mu_R and V_R from
-    model.envelope_moments over that norm's parameter ball (Euclidean
-    radius sqrt(d)*eps for "linf", eps for "l2"), once per distinct ball.
+    V_H, rho_diag, rho_top and, per norm, the envelope's mu_R and V_R over
+    that norm's parameter ball (Euclidean radius sqrt(d)*eps for "linf", eps
+    for "l2") come from one model.outcome_moments call over the distinct
+    radii.
     The provenance is "unproven-constant" when C is below
     BERRY_ESSEEN_CONSTANT, the smallest proven value (Shevtsova 2011), else
     "exact": every model's envelope is a proven bound.
@@ -182,14 +181,13 @@ def estimate_coefficients(
     if not eps > 0.0:
         raise ValueError(f"accuracy eps must be positive, got {eps!r}")
     theta = model.validate_theta(np.asarray(theta, dtype=float))
-    d = model.d
     f = fisher if fisher is not None else fim(model, theta)
+    radii = {"linf": math.sqrt(model.d) * eps, "l2": eps}
     # a moment beyond float64 comes out non-finite, and the bounds then
     # read non-finite coefficients
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v_h, rho_diag, rho_top = model.score_moments(theta, f)
-        radii = {"linf": math.sqrt(d) * eps, "l2": eps}
-        balls = {r: model.envelope_moments(theta, r) for r in dict.fromkeys(radii.values())}
+        v_h, rho_diag, rho_top, balls = model.outcome_moments(
+            theta, f, dict.fromkeys(radii.values()))
     return BoundCoefficients(
         V_H=v_h,
         C=constant,

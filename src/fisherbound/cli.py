@@ -174,6 +174,8 @@ def _validate_config(cfg: dict) -> None:
             f"preset {cfg['preset']!r} is not available for {cfg['scheme']}; "
             f"known: {presets}"
         )
+    if cfg["r"] is not None and cfg["scheme"] != "separable-pauli":
+        raise ConfigError(f"r is the probe of separable-pauli; {cfg['scheme']} reads none")
     if not 2.0**-_SCALE_EXP <= cfg["delta"] < 1.0:
         raise ConfigError(f"delta must be in [2**-{_SCALE_EXP}, 1) for the bounds to stay "
                           f"within float64, got {cfg['delta']!r}")

@@ -7,15 +7,14 @@ Newton steps: mle_batch maps a (trials, K) count matrix to C-ordered rows of
 estimates (the bits of mle_lab's l2 error norm depend on the row layout),
 and StatModel.mle applies it to one count vector.  estimate_batch draws
 the counts of many trials at once and returns their estimates.
-The finite-sample bounds read outcome moments at a parameter point from
-two methods: score_moments (V_H and the projected-score third moments,
-the same for both error norms) and envelope_moments (the mean and
-variance of the third-derivative envelope over the ball of one norm).
-The defaults enumerate the outcomes; the Gaussian model overrides both
-with closed forms.  The Pauli measurement schemes and the classical
-textbook models (Bernoulli, multinomial, truncated Poisson, Gaussian with
-known covariance) all fit this surface, each built by its own factory or
-constructor.
+The finite-sample bounds read every outcome moment at a parameter point
+from one outcome_moments call: V_H, the projected-score third moments,
+and the mean and variance of the third-derivative envelope over each
+ball they name.  The default enumerates the outcomes from one probs and
+one dlogp; the Gaussian model overrides it with closed forms.  The Pauli
+measurement schemes and the classical textbook models (Bernoulli,
+multinomial, truncated Poisson, Gaussian with known covariance) all fit
+this surface, each built by its own factory or constructor.
 
 Models whose outcome probabilities are affine in the parameters share
 the LinearOutcomeModel machinery: for p(x) = b_x + A_x . theta the score
@@ -86,11 +85,11 @@ class DomainError(ValueError):
 class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
-    The commands read a model through analytic_fisher, score_moments,
-    envelope_moments and estimate_batch.  Subclasses implement probs,
-    dlogp, analytic_fisher, hessian_fluctuation, third_derivative_envelope
-    and mle_batch, from which the defaults of the other three follow, or
-    override those three.
+    The commands read a model through analytic_fisher, outcome_moments
+    and estimate_batch.  Subclasses implement probs, dlogp,
+    analytic_fisher, hessian_fluctuation, third_derivative_envelope and
+    mle_batch, from which the defaults of the other two follow, or
+    override those two.
     theta is always a length-d float vector interior to the domain.
     The Pauli models set qubits, the qubit count n, and give a closed-form
     inverse-Fisher diagonal; the Bell models also draw random points.
@@ -111,12 +110,12 @@ class StatModel:
         """(K, d) score per outcome; p, when given, is probs(theta)."""
         raise NotImplementedError
 
-    def third_derivative_envelope(self, theta, radius):
+    def third_derivative_envelope(self, theta, radius, p):
         """Per-outcome upper bound on sup 0.5*||D^3 log p(x)||_op over a ball.
 
         The supremum runs over parameter points within Euclidean distance
-        `radius` of theta.  Entries are +inf when the ball reaches the
-        domain boundary.
+        `radius` of theta; p is probs(theta).  Entries are +inf when the
+        ball reaches the domain boundary.
         """
         raise NotImplementedError
 
@@ -178,15 +177,18 @@ class StatModel:
         any; the others refuse with ValueError."""
         raise ValueError(f"{self.scheme} draws no random points: grid_points must be 0")
 
-    def score_moments(self, theta, fisher):
-        """(V_H, rho_diag, rho_top), the moments the bounds read at theta
-        that do not depend on the criterion norm.
+    def outcome_moments(self, theta, fisher, radii):
+        """(V_H, rho_diag, rho_top, envelopes), every outcome moment the
+        bounds read at theta.
 
-        fisher is the FisherMatrix at theta.  The default sums over the K
-        outcomes: rho_diag[a] = E|e_a^T F^-1 score|^3, rho_top the same
-        along fisher.top_eigvec (0 when F is zero), and V_H =
-        sum_x p_x ||l''(x) + F||_F^2 from the model's
-        hessian_fluctuation(theta, p, scores, fisher).
+        fisher is the FisherMatrix at theta, and envelopes maps each radius
+        of radii to (mu_R, V_R) over the parameter ball of that radius.  The
+        default sums over the K outcomes from one probs and one dlogp:
+        rho_diag[a] = E|e_a^T F^-1 score|^3, rho_top the same along
+        fisher.top_eigvec (0 when F is zero), V_H = sum_x p_x ||l''(x) + F||_F^2
+        from hessian_fluctuation, and mu_R, V_R the mean and variance of
+        third_derivative_envelope, both +inf where it is infinite on an
+        outcome of positive probability.
         """
         p = self.probs(theta)
         scores = self.dlogp(theta, p)
@@ -194,22 +196,15 @@ class StatModel:
         rho_diag = p @ np.abs(projected) ** 3
         top = fisher.top_eigvec
         rho_top = 0.0 if top is None else float(p @ np.abs(projected @ top) ** 3)
-        v_h = self.hessian_fluctuation(theta, p, scores, fisher)
-        return v_h, rho_diag, rho_top
-
-    def envelope_moments(self, theta, radius):
-        """(mu_R, V_R) over the parameter ball of the given radius.
-
-        The default takes the mean and variance over the outcomes of
-        third_derivative_envelope; an infinite envelope on an outcome of
-        positive probability makes both +inf.
-        """
-        p = self.probs(theta)
-        envelope = self.third_derivative_envelope(theta, radius)
-        if np.any(np.isinf(envelope) & (p > 0.0)):
-            return math.inf, math.inf
-        mu_r = float(p @ envelope)
-        return mu_r, float(p @ (envelope - mu_r) ** 2)
+        envelopes = {}
+        for radius in radii:
+            envelope = self.third_derivative_envelope(theta, radius, p)
+            if np.any(np.isinf(envelope) & (p > 0.0)):
+                envelopes[radius] = math.inf, math.inf
+            else:
+                mu_r = float(p @ envelope)
+                envelopes[radius] = mu_r, float(p @ (envelope - mu_r) ** 2)
+        return self.hessian_fluctuation(theta, p, scores, fisher), rho_diag, rho_top, envelopes
 
 
 class LinearOutcomeModel(StatModel):
@@ -266,7 +261,7 @@ class LinearOutcomeModel(StatModel):
         cross = 2.0 * np.einsum("kj,kj->k", a, before)
         return float(p @ (diag + cross))
 
-    def third_derivative_envelope(self, theta, radius):
+    def third_derivative_envelope(self, theta, radius, p):
         """Exact ball supremum of 0.5*||D^3 log p(x)||_op for affine probabilities.
 
         The third derivative at any point is 2 (A_x/p)^(3) with operator
@@ -275,7 +270,6 @@ class LinearOutcomeModel(StatModel):
         Non-positive minima mean the ball reaches the boundary where the
         supremum diverges; those entries are +inf.
         """
-        p = self.probs(theta)
         p_min = p - radius * self._row_norms
         envelope = np.full(self.K, np.inf)
         ok = p_min > 0.0
@@ -520,7 +514,7 @@ class PoissonTruncatedModel(StatModel):
         hessians = -self._ks / t**2 + p[-1] * (self._gaps @ p / t)
         return float(p @ (hessians + fisher.matrix[0, 0]) ** 2)
 
-    def third_derivative_envelope(self, theta, radius):
+    def third_derivative_envelope(self, theta, radius, p):
         """Proven bound k/lo^3 + 0.5 h(hi) [g(lo)^2 + K/lo^2 + g(lo)] on
         sup 0.5*|2k/t^3 - l3| over [lo, hi] = [theta - r, theta + r], with
         l3 = d^3(log Z)/dt^3 = -h (g^2 - K/t^2 + h g), h = p_K and g =
@@ -528,7 +522,8 @@ class PoissonTruncatedModel(StatModel):
         other term of Z / (t^K / K!) falls as t grows; and 0 <= g <= g(lo):
         g >= 0 as h grows, and t g(t) = E_t[K - k] falls with t, since
         d E_t[k] / d(log t) = Var_t(k) >= 0, so g(t) <= t g(t) / lo <= g(lo).
-        All +inf once lo <= 0."""
+        All +inf once lo <= 0.  p is not read: the bound needs the weights at
+        the ball's ends."""
         t = np.asarray(theta, dtype=float)[0]
         lo = t - radius
         if not lo > 0.0:
@@ -548,8 +543,9 @@ class PoissonTruncatedModel(StatModel):
         E_theta[k] <= theta, so the root lies at or above kbar.  Newton steps on
         log theta start from theta = kbar; a step that leaves the bracket of
         the iterates so far is replaced by the bracket's geometric midpoint.
-        Where kbar > K - 1, E_theta[k] - kbar has few digits left: the residual
-        there is (K - kbar) - E_theta[K - k], a sum of non-negative terms, from
+        Where kbar > K/2, E_theta[k] - kbar loses about log10(K/(K - kbar))
+        digits, so the residual there is (K - kbar) - E_theta[K - k], with
+        E_theta[K - k] a sum of non-negative terms, and the steps start from
         max(kbar, K/(K - kbar)), since E_theta[K - k] ~ K/theta for theta >> K.
         A row where theta h(theta) rounds away at kbar returns kbar itself.  Rows
         of one sample mean, which probes of one sample size share, are solved once.
@@ -562,7 +558,7 @@ class PoissonTruncatedModel(StatModel):
         theta = np.where(kbar < top, kbar, np.inf)
         rows = np.flatnonzero((kbar > 0.0) & (kbar < top))
         lo = kbar[rows]
-        near = lo > top - 1.0
+        near = lo > top / 2.0
         t = np.where(near, np.maximum(lo, top / (top - lo)), lo)
         hi = np.full_like(t, np.inf)
         while rows.size:
@@ -611,8 +607,9 @@ class GaussianKnownCovModel(StatModel):
     def probs(self, theta):
         raise ValueError("gaussian-known-var has continuous outcomes")
 
-    def score_moments(self, theta, fisher):
-        """V_H = 0 and rho = 2*sqrt(2/pi)*variance^(3/2).
+    def outcome_moments(self, theta, fisher, radii):
+        """V_H = 0, rho = 2*sqrt(2/pi)*variance^(3/2), and mu_R = V_R = 0
+        exactly on every ball, since the third derivative vanishes.
 
         The projected score e_a^T F^-1 grad(log p) equals y_a - theta_a, a
         centred normal with variance Sigma_aa; along the top eigenvector
@@ -621,11 +618,7 @@ class GaussianKnownCovModel(StatModel):
         rho_scale = 2.0 * math.sqrt(2.0 / math.pi)
         rho_diag = rho_scale * np.sqrt(np.diag(self.cov)) ** 3
         rho_top = rho_scale * fisher.opnorm_inverse ** 1.5
-        return 0.0, rho_diag, rho_top
-
-    def envelope_moments(self, theta, radius):
-        """mu_R = V_R = 0 exactly: the third derivative vanishes."""
-        return 0.0, 0.0
+        return 0.0, rho_diag, rho_top, dict.fromkeys(radii, (0.0, 0.0))
 
     def estimate_batch(self, theta, m, rng, trials):
         # the MLE is the sample mean, which is drawn directly

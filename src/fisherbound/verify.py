@@ -199,7 +199,7 @@ def _check_model_derivatives(rng):
         # of radius h3, up to its rounding.  u is each outcome's score
         # direction, where an affine model's rank-one 2 g^(3) attains its
         # operator norm.
-        envelope = model.third_derivative_envelope(theta, h3)
+        envelope = model.third_derivative_envelope(theta, h3, p)
         for x, g in enumerate(score):
             u = g / np.linalg.norm(g)
             along = [model.dlogp(theta + step * u)[x] @ u for step in (-h3, 0.0, h3)]

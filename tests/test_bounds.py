@@ -244,23 +244,44 @@ class TestEstimateCoefficients:
     def test_one_envelope_per_distinct_ball(self, monkeypatch, model, theta, calls):
         # the linf ball has radius sqrt(d)*eps, the l2 ball eps: one ball at d = 1
         radii = []
-        real = model.envelope_moments
+        real = model.third_derivative_envelope
 
-        def counting(theta, radius):
+        def counting(theta, radius, p):
             radii.append(radius)
-            return real(theta, radius)
+            return real(theta, radius, p)
 
-        monkeypatch.setattr(model, "envelope_moments", counting)
+        monkeypatch.setattr(model, "third_derivative_envelope", counting)
         coeffs = estimate_coefficients(model, theta, 0.01)
         assert len(radii) == calls
         assert len(set(radii)) == calls
+        f = fim(model, theta)
         for norm, radius in (("linf", math.sqrt(model.d) * 0.01), ("l2", 0.01)):
-            assert coeffs.envelope[norm] == real(theta, radius)
+            assert coeffs.envelope[norm] == model.outcome_moments(theta, f, [radius])[3][radius]
+
+    def test_bell_forms_its_probabilities_at_most_four_times(self, monkeypatch):
+        # b + A theta is formed by contains and probs alone: once to validate
+        # theta, once more in fim, once for the Fisher matrix's scores and
+        # once for every outcome moment
+        model = entangled_pauli_model(2)
+        formed = []
+
+        def counted(real):
+            def wrapper(theta):
+                formed.append(real.__name__)
+                return real(theta)
+            return wrapper
+
+        for name in ("probs", "contains"):
+            monkeypatch.setattr(model, name, counted(getattr(model, name)))
+        estimate_coefficients(model, np.full(15, 0.1), 0.01)
+        assert len(formed) <= 4
 
     def test_poisson_forms_its_weights_a_fixed_number_of_times(self, monkeypatch):
         # the envelope is a closed form in h(theta + r) and g(theta - r): one
         # two-row weight array per ball, whatever eps is, where the grid formed
-        # one per grid point; V_H reads h and g from p, forming none
+        # one per grid point; V_H reads h and g from p, forming none.  So the
+        # Fisher matrix forms two (probs and dlogp), the outcome moments two
+        # more and the envelope one
         model = PoissonTruncatedModel(20)
         real = model._weights
         calls = []
@@ -275,7 +296,7 @@ class TestEstimateCoefficients:
             calls.clear()
             estimate_coefficients(model, np.array([1.0]), eps)
             counts.append(len(calls))
-        assert counts == [6, 6, 6]
+        assert counts == [5, 5, 5]
         # the MLE forms one weight array per Newton step, at the step's iterate:
         # from kbar = 12, each differs from the last, and the last is the estimate
         calls.clear()

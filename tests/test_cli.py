@@ -81,6 +81,9 @@ CONFIG_REFUSALS = {
     # the two names of the parameter vector: neither silently wins
     "lambda-and-theta": ('{"scheme": "bernoulli", "lambda": [0.3], "theta": [0.6]}',
                          "lambda and theta name the same parameter vector; set at most one"),
+    # a probe that only separable-pauli reads is not silently ignored
+    "probe-without-separable": ('{"scheme": "bernoulli", "r": [0.5, 0.1]}',
+                                "r is the probe of separable-pauli; bernoulli reads none"),
 }
 
 

@@ -130,9 +130,11 @@ class TestClassicalMle:
     @pytest.mark.parametrize("truncation", [1, 2, 5, 20, 200, 5000])
     def test_poisson_near_the_top(self, monkeypatch, truncation):
         # kbar = K - 2^-j K (2^j - 1 samples at K, one at 0) and K - 2^-40:
-        # at most 25 weight arrays, one per Newton step, 10 on average, and
-        # E_theta[K - k] = K - kbar to 1e-13 in 60-digit arithmetic (K <= 200,
-        # where these kbar are exact)
+        # at most 25 weight arrays, one per Newton step, 10 on average.  With
+        # them, for K <= 200, where every kbar here is exact, the rows of one
+        # sample at K and one at each lower outcome, so that K - kbar runs from
+        # 1 to K/2 in steps of 1/2: E_theta[K - k] = K - kbar to 1e-14 in
+        # 60-digit arithmetic on every row
         model = PoissonTruncatedModel(truncation)
         real, calls = model._weights, []
 
@@ -142,8 +144,10 @@ class TestClassicalMle:
 
         monkeypatch.setattr(model, "_weights", counting)
         ks = np.arange(truncation + 1)
+        sweep = [(0, j) for j in range(1, 45)] + [(truncation - 1, 40)]
+        halves = [(low, 1) for low in range(truncation - 1)] if truncation <= 200 else []
         steps = []
-        for low, j in [(0, j) for j in range(1, 45)] + [(truncation - 1, 40)]:
+        for low, j in sweep + halves:
             row = np.zeros(truncation + 1, dtype=np.int64)
             row[[low, truncation]] = 1, 2**j - 1
             short = (truncation - ks) @ row / 2**j  # K - kbar, exact
@@ -152,7 +156,8 @@ class TestClassicalMle:
             steps.append(len(calls))
             if truncation <= 200:
                 error = float(abs(poisson_deficit_mp(truncation, theta, 60) / short - 1))
-                assert error <= 1e-13, (short, theta, error)
+                assert error <= 1e-14, (short, theta, error)
+        steps = steps[:len(sweep)]
         assert 1 <= min(steps) and max(steps) <= 25 and np.mean(steps) <= 10, steps
 
     def test_poisson_at_the_ends_and_where_truncation_rounds_away(self):
@@ -1017,6 +1022,25 @@ class TestExactSandwichAlongDelta:
         upper = bounds.upper_bound(eps, delta, coeffs, "linf")
         assert lower.value <= m_star
         assert upper.applicable and m_star <= upper.value, (m_star, upper)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("d", [1, 3, 15, 63])
+    def test_gaussian_l2(self, d, delta):
+        # P(||theta_hat - theta||_2 <= eps) = P(chi2_d <= M eps^2) at identity
+        # covariance, so m* = ceil(q / eps^2) with q the 1 - delta quantile of
+        # chi2_d; the small-eps limits bracket q / eps^2 as well
+        from scipy.stats import chi2
+
+        eps = 0.05
+        q = chi2.ppf(1.0 - delta, d)
+        m_star = math.ceil(q / eps**2)
+        coeffs = bounds.estimate_coefficients(gaussian_known_var_model(d), np.zeros(d), eps)
+        lower = bounds.lower_bound(eps, delta, coeffs, "l2")
+        upper = bounds.upper_bound(eps, delta, coeffs, "l2")
+        assert lower.value <= m_star
+        assert upper.applicable and m_star <= upper.value, (m_star, upper)
+        assert (bounds.asymptotic_lower_linf(eps, delta, 1.0) <= q / eps**2
+                <= bounds.asymptotic_upper_l2(eps, delta, d, 1.0))
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("n, eps", [(1, 0.014), (2, 5.4e-4), (3, 1.8e-5)])

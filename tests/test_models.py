@@ -352,7 +352,8 @@ class TestClassicalModels:
     @pytest.mark.parametrize("radius", [0.01, 0.1, 0.5])
     def test_poisson_envelope_dominates_a_fine_grid(self, truncation, theta, radius):
         model = PoissonTruncatedModel(truncation)
-        envelope = model.third_derivative_envelope(np.array([theta]), radius)
+        point = np.array([theta])
+        envelope = model.third_derivative_envelope(point, radius, model.probs(point))
         if theta - radius <= 0.0:
             assert np.all(envelope == np.inf)
             return
@@ -369,16 +370,19 @@ class TestClassicalModels:
         # 3.6, 1.08 and 5.2e3 times the grid's mean (35, 2.5 and 6.6e6 with
         # the looser bound), where h = p_K is not small
         model = PoissonTruncatedModel(truncation)
-        p = model.probs(np.array([theta]))
+        point = np.array([theta])
+        p = model.probs(point)
         grid = np.linspace(theta - 0.5, theta + 0.5, 20001)
         sup = poisson_half_d3logp(poisson_log_factorials(truncation), grid).max(axis=0)
-        mu_r, _ = model.envelope_moments(np.array([theta]), 0.5)
+        mu_r, _ = model.outcome_moments(point, fim(model, point), [0.5])[3][0.5]
         assert p @ sup <= mu_r <= cap * (p @ sup)
 
     def test_poisson_envelope_moments_infinite_where_the_ball_reaches_zero(self):
         model = PoissonTruncatedModel(20)
-        assert model.envelope_moments(np.array([1.0]), 1.0) == (math.inf, math.inf)
-        assert all(math.isfinite(v) for v in model.envelope_moments(np.array([1.0]), 0.99))
+        point = np.array([1.0])
+        envelopes = model.outcome_moments(point, fim(model, point), [1.0, 0.99])[3]
+        assert envelopes[1.0] == (math.inf, math.inf)
+        assert all(math.isfinite(v) for v in envelopes[0.99])
 
     def test_gaussian_analytic_fisher(self):
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -457,7 +461,7 @@ class TestSharedIdentities:
         model = entangled_pauli_model(1)
         theta = np.array([0.2, -0.1, 0.3])
         radius = 0.1
-        envelope = model.third_derivative_envelope(theta, radius)
+        envelope = model.third_derivative_envelope(theta, radius, model.probs(theta))
         rng = np.random.default_rng(0)
         for _ in range(50):
             step = rng.standard_normal(3)
@@ -541,8 +545,8 @@ class TestGaussianModel:
         cov = np.array([[4.0, 1.0], [1.0, 1.0]])
         model = GaussianKnownCovModel(cov)
         f = fim(model, np.zeros(2))
-        v_h, rho_diag, rho_top = model.score_moments(np.zeros(2), f)
-        assert model.envelope_moments(np.zeros(2), 0.1) == (0.0, 0.0)
+        v_h, rho_diag, rho_top, envelopes = model.outcome_moments(np.zeros(2), f, [0.1, 0.2])
+        assert envelopes == {0.1: (0.0, 0.0), 0.2: (0.0, 0.0)}
         assert v_h == 0.0
         scale = 2.0 * math.sqrt(2.0 / math.pi)
         np.testing.assert_allclose(rho_diag, scale * np.array([8.0, 1.0]), rtol=1e-15)

@@ -130,6 +130,9 @@ TEST_ONLY_TENSORS = ("d2logp", "d3logp")
 # The truncated Poisson model's retired log-space weight path: every weight
 # comes from its mode-centred _weights, and log Z's closed forms from probs.
 RETIRED_POISSON_PATHS = ("_logz_derivatives", "_log_factorials")
+# The two moment methods that outcome_moments replaced: a model gives every
+# outcome moment at a point from one call.
+RETIRED_MOMENT_METHODS = ("score_moments", "envelope_moments")
 
 
 def _defined_or_read(names):
@@ -153,6 +156,10 @@ def test_src_defines_and_reads_no_derivative_tensor():
 
 def test_src_has_one_poisson_weight_path():
     assert not _defined_or_read(RETIRED_POISSON_PATHS)
+
+
+def test_src_has_one_outcome_moment_method():
+    assert not _defined_or_read(RETIRED_MOMENT_METHODS)
 
 
 def test_cli_runs_every_search_from_one_function():
