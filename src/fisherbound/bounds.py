@@ -21,8 +21,9 @@ d, and model-dependent coefficients:
 
 estimate_coefficients returns one BoundCoefficients per point, for both
 norms.  It reads the inverse-Fisher scalars from the FisherMatrix and every
-outcome moment from one model.outcome_moments call: V_H, rho, and mu_R, V_R,
-the only norm-dependent values, over each distinct ball of the two norms.
+outcome moment from one model.outcome_moments call, given the p of one
+model.probs call: V_H, rho, and mu_R, V_R, the only norm-dependent values,
+over each distinct ball of the two norms.
 
 The Lambert W_0 function enters through the Gaussian-tail inversion.  The
 small-eps limits are two Lambert-W forms in one inverse-Fisher scalar,
@@ -169,7 +170,8 @@ def estimate_coefficients(
     V_H, rho_diag, rho_top and, per norm, the envelope's mu_R and V_R over
     that norm's parameter ball (Euclidean radius sqrt(d)*eps for "linf", eps
     for "l2") come from one model.outcome_moments call over the distinct
-    radii.
+    radii, at the p of one model.probs call, which raises DomainError
+    outside the domain.
     The provenance is "unproven-constant" when C is below
     BERRY_ESSEEN_CONSTANT, the smallest proven value (Shevtsova 2011), else
     "exact": every model's envelope is a proven bound.
@@ -180,14 +182,14 @@ def estimate_coefficients(
     """
     if not eps > 0.0:
         raise ValueError(f"accuracy eps must be positive, got {eps!r}")
-    theta = model.validate_theta(np.asarray(theta, dtype=float))
+    p = model.probs(theta)
     f = fisher if fisher is not None else fim(model, theta)
     radii = {"linf": math.sqrt(model.d) * eps, "l2": eps}
     # a moment beyond float64 comes out non-finite, and the bounds then
     # read non-finite coefficients
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v_h, rho_diag, rho_top, balls = model.outcome_moments(
-            theta, f, dict.fromkeys(radii.values()))
+            theta, p, f, dict.fromkeys(radii.values()))
     return BoundCoefficients(
         V_H=v_h,
         C=constant,

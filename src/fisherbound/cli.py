@@ -444,6 +444,8 @@ def cmd_fisher(cfg: dict) -> tuple[list, dict, int]:
 
 
 def cmd_separation(cfg: dict) -> tuple[list, dict, int]:
+    if cfg["r"] is not None:
+        raise ConfigError("separation searches its own |0...0> probe and reads no r")
     eps, delta = cfg["epsilon"], cfg["delta"]
     rows = []
     for n in range(cfg["n_min"], cfg["n_max"] + 1):

@@ -82,16 +82,18 @@ class FisherMatrix:
 def fim(model, theta) -> FisherMatrix:
     """Classical Fisher information matrix of a model at theta.
 
-    The matrix is the model's analytic_fisher, a sum over every outcome.
-    It is undefined at a point outside the open domain, and where it is
-    not finite: near the domain boundary a score can overflow float64.
+    The matrix is the model's analytic_fisher at the p that model.probs
+    forms.  It is undefined at a point outside the open domain, where probs
+    raises, and where it is not finite: near the domain boundary a score
+    can overflow float64.
     """
+    theta = np.asarray(theta, dtype=float)
     try:
-        theta = model.validate_theta(np.asarray(theta, dtype=float))
+        p = model.probs(theta)
     except DomainError as exc:
         raise FimUndefinedError(str(exc))
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = model.analytic_fisher(theta)
+        matrix = model.analytic_fisher(theta, p)
     if not np.isfinite(matrix).all():
         raise FimUndefinedError(f"{model.scheme}: Fisher matrix at parameter "
                                 f"{theta!r} is not finite")

@@ -129,10 +129,11 @@ def _failures_to_fail(trials, level, target):
     return lo
 
 
-def _hits(model, theta, m, eps, norm, rng, rows):
-    """Whether each of the next `rows` trials drawn from rng has error <= eps."""
+def _hits(model, theta, p, m, eps, norm, rng, rows):
+    """Whether each of the next `rows` trials drawn from rng at p = probs(theta)
+    has error <= eps."""
     # the estimates are fresh per draw: score the requested norm in place
-    diff = model.estimate_batch(theta, m, rng, rows)
+    diff = model.estimate_batch(theta, p, m, rng, rows)
     np.subtract(diff, theta, out=diff)
     if norm == "linf":
         error = np.abs(diff, out=diff).max(axis=1)
@@ -165,7 +166,7 @@ def success_probability(
         raise ValueError("trials must be >= 1")
     _check_norm(norm)
     check_draws(model, trials)
-    theta = model.validate_theta(theta)
+    p = model.probs(theta)
 
     # failures at which the probe fails however the remaining trials turn
     # out; with no target, more than can happen
@@ -182,7 +183,7 @@ def success_probability(
         # failure rate seen so far (smoothed, so the first piece is `limit`
         # rows); with no target it exceeds the rows left
         rows = min(rows, max(1, -(-(limit - failures) * (run + 1) // (failures + 1))))
-        hits = _hits(model, theta, m, eps, norm, rng, rows)
+        hits = _hits(model, theta, p, m, eps, norm, rng, rows)
         count = int(np.count_nonzero(hits))
         if failures + rows - count >= limit:
             # count the trials up to the one that decided the probe

@@ -5,13 +5,16 @@ its Fisher matrix (analytic_fisher) and its maximum-likelihood estimator,
 in closed form but for poisson's, which solves its likelihood equation by
 Newton steps: mle_batch maps a (trials, K) count matrix to C-ordered rows of
 estimates (the bits of mle_lab's l2 error norm depend on the row layout),
-and StatModel.mle applies it to one count vector.  estimate_batch draws
-the counts of many trials at once and returns their estimates.
+and StatModel.mle applies it to one count vector.  probs is the one gate:
+it checks a parameter point and forms its distribution p, and the methods
+that read a point, analytic_fisher, outcome_moments and estimate_batch,
+take that p and form none.  estimate_batch draws the counts of many
+trials at once and returns their estimates.
 The finite-sample bounds read every outcome moment at a parameter point
 from one outcome_moments call: V_H, the projected-score third moments,
 and the mean and variance of the third-derivative envelope over each
-ball they name.  The default enumerates the outcomes from one probs and
-one dlogp; the Gaussian model overrides it with closed forms.  The Pauli
+ball they name.  The default enumerates the outcomes from p and one
+dlogp; the Gaussian model overrides it with closed forms.  The Pauli
 measurement schemes and the classical textbook models (Bernoulli,
 multinomial, truncated Poisson, Gaussian with known covariance) all fit
 this surface, each built by its own factory or constructor.
@@ -25,7 +28,7 @@ third-derivative operator norm available in closed form, and the
 Hessian-fluctuation moment V_H = E||l''(x) + F||_F^2 a sum over the
 K x d score matrix: no model builds a per-outcome Hessian or
 third-derivative tensor.  Their domain, p > 0 within an inclusive theta
-box, is constructor data that contains and probs read through one rule.
+box, is constructor data that probs checks on the p it forms.
 The Pauli models are dense in 4^n x 4^n arrays; their size, like the
 classical models' dim and truncation, is checked against physical memory
 before allocating, with ValueError when the estimate exceeds it.
@@ -85,12 +88,13 @@ class DomainError(ValueError):
 class StatModel:
     """Base statistical model: d parameters, K outcomes.
 
-    The commands read a model through analytic_fisher, outcome_moments
-    and estimate_batch.  Subclasses implement probs, dlogp,
+    The commands read a model through probs, which checks theta and
+    raises DomainError outside the domain, and then through
+    analytic_fisher, outcome_moments and estimate_batch, each given the p
+    that probs returned.  Subclasses implement probs, dlogp,
     analytic_fisher, hessian_fluctuation, third_derivative_envelope and
     mle_batch, from which the defaults of the other two follow, or
     override those two.
-    theta is always a length-d float vector interior to the domain.
     The Pauli models set qubits, the qubit count n, and give a closed-form
     inverse-Fisher diagonal; the Bell models also draw random points.
     Models compare and hash by identity.
@@ -104,6 +108,7 @@ class StatModel:
         self.scheme = scheme
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
+        """The K outcome probabilities at theta; DomainError outside the domain."""
         raise NotImplementedError
 
     def dlogp(self, theta: np.ndarray, p=None) -> np.ndarray:
@@ -119,9 +124,6 @@ class StatModel:
         """
         raise NotImplementedError
 
-    def contains(self, theta: np.ndarray) -> bool:
-        raise NotImplementedError
-
     def _vector(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.d,):
@@ -134,11 +136,13 @@ class StatModel:
     def _domain_error(self, theta) -> DomainError:
         return DomainError(f"{self.scheme}: parameter {theta!r} outside the domain")
 
-    def validate_theta(self, theta: np.ndarray) -> np.ndarray:
-        theta = self._vector(theta)
-        if not self.contains(theta):
-            raise self._domain_error(theta)
-        return theta
+    def contains(self, theta: np.ndarray) -> bool:
+        """Whether theta lies in the domain, that is, whether probs accepts it."""
+        try:
+            self.probs(theta)
+        except DomainError:
+            return False
+        return True
 
     def mle(self, counts: np.ndarray) -> np.ndarray:
         """MLE from one length-K vector of outcome counts."""
@@ -153,18 +157,18 @@ class StatModel:
         """Row-wise MLE for a (trials, K) count matrix, in C-ordered rows."""
         raise NotImplementedError
 
-    def estimate_batch(self, theta, m, rng, trials):
+    def estimate_batch(self, theta, p, m, rng, trials):
         """MLEs of `trials` independent size-m samples, a (trials, d) array.
 
         Draws a (trials, K) multinomial count matrix from one generator
-        call and applies mle_batch; theta must already be validated.
+        call and applies mle_batch; p is probs(theta).
         """
-        p = self.probs(theta)
         counts = rng.multinomial(m, p / p.sum(), size=trials)
         return self.mle_batch(counts)
 
-    def analytic_fisher(self, theta):
-        """(d, d) Fisher matrix E[g g^T] at theta, with every outcome in the sum."""
+    def analytic_fisher(self, theta, p):
+        """(d, d) Fisher matrix E[g g^T] at theta, with every outcome in the
+        sum; p is probs(theta)."""
         raise NotImplementedError
 
     def closed_form_inverse_diag(self, theta):
@@ -177,20 +181,19 @@ class StatModel:
         any; the others refuse with ValueError."""
         raise ValueError(f"{self.scheme} draws no random points: grid_points must be 0")
 
-    def outcome_moments(self, theta, fisher, radii):
+    def outcome_moments(self, theta, p, fisher, radii):
         """(V_H, rho_diag, rho_top, envelopes), every outcome moment the
         bounds read at theta.
 
-        fisher is the FisherMatrix at theta, and envelopes maps each radius
-        of radii to (mu_R, V_R) over the parameter ball of that radius.  The
-        default sums over the K outcomes from one probs and one dlogp:
+        p is probs(theta), fisher the FisherMatrix at theta, and envelopes
+        maps each radius of radii to (mu_R, V_R) over the parameter ball of
+        that radius.  The default sums over the K outcomes of p and one dlogp:
         rho_diag[a] = E|e_a^T F^-1 score|^3, rho_top the same along
         fisher.top_eigvec (0 when F is zero), V_H = sum_x p_x ||l''(x) + F||_F^2
         from hessian_fluctuation, and mu_R, V_R the mean and variance of
         third_derivative_envelope, both +inf where it is infinite on an
         outcome of positive probability.
         """
-        p = self.probs(theta)
         scores = self.dlogp(theta, p)
         projected = scores @ fisher.pinv  # column a is e_a^T F^-1 score(x)
         rho_diag = p @ np.abs(projected) ** 3
@@ -220,18 +223,12 @@ class LinearOutcomeModel(StatModel):
         self._box = box
         self._row_norms = np.linalg.norm(A, axis=1)
 
-    def _inside(self, theta, p):
-        """Whether theta, with p = b + A @ theta, lies in the domain."""
-        if self._box is not None:
-            lo, hi = self._box
-            if not ((lo <= theta) & (theta <= hi)).all():
-                return False
-        return bool((p > 0.0).all())
-
     def probs(self, theta):
         theta = self._vector(theta)
         p = self.b + self.A @ theta
-        if not self._inside(theta, p):
+        box = self._box  # most models have none, and skip the box test's cost
+        inside = box is None or ((box[0] <= theta) & (theta <= box[1])).all()
+        if not (inside and (p > 0.0).all()):
             raise self._domain_error(theta)
         return p
 
@@ -240,9 +237,9 @@ class LinearOutcomeModel(StatModel):
             p = self.probs(theta)
         return self.A / p[:, None]
 
-    def analytic_fisher(self, theta):
+    def analytic_fisher(self, theta, p):
         """sum_x A_x A_x^T / p_x over every outcome; the domain keeps p > 0."""
-        return self.dlogp(theta).T @ self.A
+        return self.dlogp(theta, p).T @ self.A
 
     def hessian_fluctuation(self, theta, p, scores, fisher):
         """V_H from the (K, d) scores g_x, without the Hessian stack.
@@ -275,10 +272,6 @@ class LinearOutcomeModel(StatModel):
         ok = p_min > 0.0
         envelope[ok] = self._row_norms[ok] ** 3 / p_min[ok] ** 3
         return envelope
-
-    def contains(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self._inside(theta, self.b + self.A @ theta)
 
 
 def _physical_memory() -> int:
@@ -488,7 +481,10 @@ class PoissonTruncatedModel(StatModel):
         return np.exp(logw, out=logw)
 
     def probs(self, theta):
-        weights = self._weights(self.validate_theta(theta))[0]
+        theta = self._vector(theta)
+        if not theta[0] > 0.0:
+            raise self._domain_error(theta)
+        weights = self._weights(theta)[0]
         return weights / weights.sum()
 
     def dlogp(self, theta, p=None):
@@ -499,11 +495,10 @@ class PoissonTruncatedModel(StatModel):
         z1 = weights[:-1].sum()
         return (self._ks / theta[0] - z1 / (z1 + weights[-1]))[:, None]
 
-    def analytic_fisher(self, theta):
+    def analytic_fisher(self, theta, p):
         """[[sum_k (p_k s_k) s_k]] over every outcome, with s = dlogp, so
         F ~ 1/theta also where p_k underflows; p_k s_k is formed first so
         that s_k^2 never overflows."""
-        p = self.probs(theta)
         s = self.dlogp(theta, p)[:, 0]
         return np.array([[(p * s) @ s]])
 
@@ -532,9 +527,6 @@ class PoissonTruncatedModel(StatModel):
         g = self._gaps @ (low / low.sum()) / lo
         return (self._ks / lo**3
                 + 0.5 * high[-1] / high.sum() * (g * g + self._gaps[0] / lo**2 + g))
-
-    def contains(self, theta):
-        return bool(np.asarray(theta, dtype=float)[0] > 0.0)
 
     def mle_batch(self, counts):
         """Root of E_theta[k] = kbar per row: 0 at kbar = 0 and +inf at kbar = K.
@@ -598,16 +590,17 @@ class GaussianKnownCovModel(StatModel):
         self.cov_inv = np.linalg.inv(cov)
         self._chol = np.linalg.cholesky(cov)
 
-    def contains(self, theta):
-        return bool(np.all(np.isfinite(theta)))
-
-    def analytic_fisher(self, theta):
+    def analytic_fisher(self, theta, p):
         return self.cov_inv
 
     def probs(self, theta):
-        raise ValueError("gaussian-known-var has continuous outcomes")
+        """The empty distribution (K = 0) of continuous outcomes, at a finite theta."""
+        theta = self._vector(theta)
+        if not np.isfinite(theta).all():
+            raise self._domain_error(theta)
+        return np.empty(0)
 
-    def outcome_moments(self, theta, fisher, radii):
+    def outcome_moments(self, theta, p, fisher, radii):
         """V_H = 0, rho = 2*sqrt(2/pi)*variance^(3/2), and mu_R = V_R = 0
         exactly on every ball, since the third derivative vanishes.
 
@@ -620,7 +613,7 @@ class GaussianKnownCovModel(StatModel):
         rho_top = rho_scale * fisher.opnorm_inverse ** 1.5
         return 0.0, rho_diag, rho_top, dict.fromkeys(radii, (0.0, 0.0))
 
-    def estimate_batch(self, theta, m, rng, trials):
+    def estimate_batch(self, theta, p, m, rng, trials):
         # the MLE is the sample mean, which is drawn directly
         z = rng.standard_normal((trials, self.d))
         return np.asarray(theta, dtype=float) + (z @ self._chol.T) / math.sqrt(m)

@@ -171,7 +171,7 @@ def _check_model_identities(rng):
         mean_score = p @ score
         assert np.abs(mean_score).max() <= 1e-8, f"{model.scheme}: E[score] != 0"
         outer = np.einsum("k,ki,kj->ij", p, score, score)
-        err = np.abs(outer - model.analytic_fisher(theta)).max()
+        err = np.abs(outer - model.analytic_fisher(theta, p)).max()
         assert err <= 1e-8, f"{model.scheme}: E[score score^T] != analytic_fisher ({err:.2e})"
     return "normalisation, score, and information identities on the model zoo"
 
@@ -181,7 +181,7 @@ def _check_model_derivatives(rng):
     for model, theta in _model_zoo(rng):
         p = model.probs(theta)
         score = model.dlogp(theta)
-        info = model.analytic_fisher(theta)
+        info = model.analytic_fisher(theta, p)
         logp = lambda t: np.log(model.probs(t))
         for _ in range(3):
             i = int(rng.integers(model.d))

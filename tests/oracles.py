@@ -275,6 +275,76 @@ def multinomial_linf_success(theta, m, eps, scored=False):
     return float(mass.sum())
 
 
+def poisson_sum_pmf(model, theta, m):
+    """pmf of S = k_1 + ... + k_m, the sum of m draws of the truncated Poisson
+    model at theta, on S = 0 .. m K: the m-fold convolution of the model's
+    (K + 1)-point pmf, as the m-th power of its numpy FFT, zero-padded to a
+    power of two at least m K + 1 long.  Entries carry an absolute error of
+    a few 1e-13 at m = 3e4."""
+    p = model.probs(np.array([theta]))
+    size = m * (model.K - 1) + 1
+    padded = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(p, padded) ** m, padded)[:size]
+
+
+def poisson_window(model, theta, m, eps):
+    """(lo, hi): the sums S of m draws whose estimate lies within eps of theta,
+    scored as the search scores it: the model's mle_batch at the sample mean
+    S/m, and the float test |theta_hat - theta| <= eps.
+
+    The MLE solves E_t[k] = S/m and rises with S, so the sums form one window;
+    its ends start from m E_t[k] at t = theta -/+ eps, with E_t[k] = t (1 - p_K),
+    and move while the scoring disagrees.  Every count vector of m samples
+    with sum S gives the MLE the same float mean S/m.  lo > hi is an empty
+    window."""
+    top = model.K - 1
+
+    def inside(s):
+        if not 0 <= s <= m * top:
+            return False
+        counts = np.zeros((1, model.K))
+        q, r = divmod(s, m)
+        counts[0, q] = m - r
+        counts[0, min(q + 1, top)] += r  # r = 0 at q = top
+        return abs(model.mle_batch(counts)[0, 0] - theta) <= eps
+
+    def mean(t):
+        return t * (1.0 - model.probs(np.array([t]))[-1]) if t > 0.0 else 0.0
+
+    lo, hi = math.ceil(m * mean(theta - eps)), math.floor(m * mean(theta + eps))
+    while inside(lo - 1):
+        lo -= 1
+    while lo <= hi and not inside(lo):
+        lo += 1
+    while inside(hi + 1):
+        hi += 1
+    while hi >= lo and not inside(hi):
+        hi -= 1
+    return lo, hi
+
+
+def poisson_linf_success(model, theta, m, eps):
+    """Exact Pr[|theta_hat - theta| <= eps] for the MLE of m draws of the
+    truncated Poisson model, over the sum window of poisson_window; not
+    monotone in m on the count lattice."""
+    lo, hi = poisson_window(model, theta, m, eps)
+    return float(poisson_sum_pmf(model, theta, m)[lo:hi + 1].sum()) if lo <= hi else 0.0
+
+
+def poisson_linf_curve(model, theta, eps, m_max):
+    """poisson_linf_success(model, theta, M, eps) for M = 1 .. m_max as one
+    array, the M-fold convolution taken one factor at a time by np.convolve
+    instead of by FFT; the pmf's upper tail, which underflows to 0, is
+    trimmed as it goes."""
+    p = model.probs(np.array([theta]))
+    pmf, curve = np.ones(1), np.zeros(m_max)
+    for m in range(1, m_max + 1):
+        pmf = np.trim_zeros(np.convolve(pmf, p), "b")
+        lo, hi = poisson_window(model, theta, m, eps)
+        curve[m - 1] = pmf[lo:hi + 1].sum() if lo <= hi else 0.0
+    return curve
+
+
 def gaussian_linf_success(m, eps, d):
     """Exact Pr[max_a |theta_hat_a - theta_a| <= eps] for the mean of m
     draws of N(theta, I_d): (2 Phi(eps sqrt(m)) - 1)^d, where
@@ -525,12 +595,13 @@ def replay_hits(model, theta, m, eps, norm, trials, seed, context, block=512):
     Euclidean error at most eps.
     """
     theta = np.asarray(theta, dtype=float)
+    p = model.probs(theta)
     hits = []
     for index, start in enumerate(range(0, trials, block)):
         seeds = np.random.SeedSequence(entropy=seed, spawn_key=(context, index))
         rng = np.random.Generator(np.random.Philox(seeds))
         for _ in range(min(block, trials - start)):
-            error = model.estimate_batch(theta, m, rng, 1)[0] - theta
+            error = model.estimate_batch(theta, p, m, rng, 1)[0] - theta
             size = np.abs(error).max() if norm == "linf" else math.sqrt(float(error @ error))
             hits.append(bool(size <= eps))
     return np.array(hits)
@@ -582,14 +653,15 @@ def mse_vs_crb(model, theta, m, trials, seed, block=512) -> MseCrbReport:
     """
     if m < 1:
         raise ValueError(f"sample size must be >= 1, got {m!r}")
-    theta = model.validate_theta(theta)
-    crb = np.diag(np.linalg.inv(model.analytic_fisher(theta))) / m
+    theta = np.asarray(theta, dtype=float)
+    p = model.probs(theta)
+    crb = np.diag(np.linalg.inv(model.analytic_fisher(theta, p))) / m
 
     sq_sum = np.zeros(model.d)
     for index, start in enumerate(range(0, trials, block)):
         seeds = np.random.SeedSequence(entropy=seed, spawn_key=(0, index))
         rng = np.random.Generator(np.random.Philox(seeds))
-        estimates = model.estimate_batch(theta, m, rng, min(block, trials - start))
+        estimates = model.estimate_batch(theta, p, m, rng, min(block, trials - start))
         sq_sum += ((estimates - theta[None, :]) ** 2).sum(axis=0)
     mse = sq_sum / trials
     return MseCrbReport(mse=mse, crb=crb, ratio=mse / crb, m=m, trials=trials)

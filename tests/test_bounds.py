@@ -256,32 +256,31 @@ class TestEstimateCoefficients:
         assert len(set(radii)) == calls
         f = fim(model, theta)
         for norm, radius in (("linf", math.sqrt(model.d) * 0.01), ("l2", 0.01)):
-            assert coeffs.envelope[norm] == model.outcome_moments(theta, f, [radius])[3][radius]
+            moments = model.outcome_moments(theta, model.probs(theta), f, [radius])
+            assert coeffs.envelope[norm] == moments[3][radius]
 
-    def test_bell_forms_its_probabilities_at_most_four_times(self, monkeypatch):
-        # b + A theta is formed by contains and probs alone: once to validate
-        # theta, once more in fim, once for the Fisher matrix's scores and
-        # once for every outcome moment
+    def test_bell_forms_its_probabilities_twice(self, formations):
+        # probs checks theta and forms b + A theta once for every outcome
+        # moment, and fim forms it once more for the Fisher matrix
         model = entangled_pauli_model(2)
-        formed = []
-
-        def counted(real):
-            def wrapper(theta):
-                formed.append(real.__name__)
-                return real(theta)
-            return wrapper
-
-        for name in ("probs", "contains"):
-            monkeypatch.setattr(model, name, counted(getattr(model, name)))
+        formed = formations(model)
         estimate_coefficients(model, np.full(15, 0.1), 0.01)
-        assert len(formed) <= 4
+        assert formed == ["probs", "probs"]
+
+    def test_bell_forms_its_probabilities_once_given_the_fisher_matrix(self, formations):
+        model = entangled_pauli_model(2)
+        theta = np.full(15, 0.1)
+        f = fim(model, theta)
+        formed = formations(model)
+        estimate_coefficients(model, theta, 0.01, fisher=f)
+        assert formed == ["probs"]
 
     def test_poisson_forms_its_weights_a_fixed_number_of_times(self, monkeypatch):
         # the envelope is a closed form in h(theta + r) and g(theta - r): one
         # two-row weight array per ball, whatever eps is, where the grid formed
-        # one per grid point; V_H reads h and g from p, forming none.  So the
-        # Fisher matrix forms two (probs and dlogp), the outcome moments two
-        # more and the envelope one
+        # one per grid point; V_H reads h and g from p, forming none.  So
+        # probs forms one for the outcome moments, the Fisher matrix two (its
+        # probs and dlogp), the outcome moments' dlogp one and the envelope one
         model = PoissonTruncatedModel(20)
         real = model._weights
         calls = []

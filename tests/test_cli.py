@@ -100,6 +100,18 @@ class TestConfigHandling:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    def test_separation_refuses_a_probe(self, tmp_path, monkeypatch, capsys):
+        # separation searches its own |0...0> probe, so an r would be ignored
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scheme": "separable-pauli", "r": [1, 0, 0], "n_max": 2, '
+                        '"simulate_upto": 1}')
+        calls = []
+        monkeypatch.setattr(mle_lab, "find_min_samples", lambda *a, **k: calls.append(a))
+        assert main(["separation", "--config", str(path)]) == 2
+        assert ("config error: separation searches its own |0...0> probe and reads no r"
+                in capsys.readouterr().err)
+        assert calls == []
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"epsilon": 0.1, "bogus": true}')
@@ -814,7 +826,8 @@ class TestSearchMemoryGuard:
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            model.estimate_batch(np.array([4990.0]), 3, rng, mle_lab.TRIAL_BLOCK)
+            theta = np.array([4990.0])
+            model.estimate_batch(theta, model.probs(theta), 3, rng, mle_lab.TRIAL_BLOCK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

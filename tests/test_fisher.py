@@ -33,6 +33,13 @@ class TestFim:
         f = fim(entangled_pauli_model(1), np.zeros(3))
         np.testing.assert_allclose(f.matrix, np.eye(3), atol=1e-12)
 
+    def test_forms_its_probabilities_once(self, formations):
+        # probs checks theta and forms the p that analytic_fisher reads
+        model = entangled_pauli_model(2)
+        formed = formations(model)
+        fim(model, np.full(15, 0.1))
+        assert formed == ["probs"]
+
     def test_bernoulli_closed_form(self):
         model = bernoulli_model()
         for theta in (0.5, 0.2, 0.9):

@@ -42,7 +42,11 @@ from oracles import (
     mse_vs_crb,
     multinomial_linf_success,
     poisson_deficit_mp,
+    poisson_linf_curve,
+    poisson_linf_success,
     poisson_logz_mp,
+    poisson_sum_pmf,
+    poisson_window,
     replay_hits,
     wht_naive,
 )
@@ -90,9 +94,8 @@ class TestClassicalMle:
         # the MLE is the sample mean of m draws, distributed N(theta, Sigma / m)
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         theta, m = np.array([1.0, -2.0]), 50
-        est = GaussianKnownCovModel(cov).estimate_batch(
-            theta, m, np.random.default_rng(17), 20000
-        )
+        model = GaussianKnownCovModel(cov)
+        est = model.estimate_batch(theta, model.probs(theta), m, np.random.default_rng(17), 20000)
         tolerance = 5 * math.sqrt(2.0 / m / 20000)  # five standard errors
         np.testing.assert_allclose(est.mean(axis=0), theta, atol=tolerance)
         np.testing.assert_allclose(np.cov(est.T), cov / m, rtol=0.1)
@@ -232,6 +235,24 @@ class TestSuccessProbability:
         parallel = success_probability(model, np.zeros(3), **kwargs)
         assert serial == parallel
 
+    def test_probe_forms_its_probabilities_once(self, formations, monkeypatch):
+        # a probe with a target draws its blocks in pieces, every piece at
+        # the one p that probs formed
+        model = entangled_pauli_model(2)
+        formed = formations(model)
+        pieces = []
+        real = model.estimate_batch
+
+        def counted(*args):
+            pieces.append(args[-1])  # the piece's rows
+            return real(*args)
+
+        monkeypatch.setattr(model, "estimate_batch", counted)
+        success_probability(model, np.zeros(15), 20000, 0.02, "linf", 2000, seed=3,
+                            target=0.9)
+        assert len(pieces) > 1
+        assert formed == ["probs"]
+
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_counts_match_scoring_both_norms(self, norm):
         # reference: score every block in both norms
@@ -244,8 +265,9 @@ class TestSuccessProbability:
         ]
         for model, theta, m, eps in cases:
             expected = 0
+            p = model.probs(theta)
             for rng, size in _block_streams(4, 2, 1100):
-                estimates = model.estimate_batch(theta, m, rng, size)
+                estimates = model.estimate_batch(theta, p, m, rng, size)
                 diff = estimates - theta[None, :]
                 err_linf, err_l2 = np.abs(diff).max(axis=1), np.linalg.norm(diff, axis=1)
                 error = err_linf if norm == "linf" else err_l2
@@ -524,11 +546,12 @@ class TestMseVsCrb:
     def test_unbiasedness_trend(self):
         model = entangled_pauli_model(1)
         theta = np.array([0.3, -0.1, 0.2])
+        p = model.probs(theta)
         biases = []
         for m in (100, 1000, 10000):
             total = np.zeros(3)
             for rng, size in _block_streams(123, 0, 2000):
-                total += model.estimate_batch(theta, m, rng, size).sum(axis=0)
+                total += model.estimate_batch(theta, p, m, rng, size).sum(axis=0)
             biases.append(np.abs(total / 2000 - theta).max())
         assert biases[0] > biases[1] > biases[2]
 
@@ -783,6 +806,83 @@ class TestExactMultinomialCurve:
         misses = 0
         for seed in range(12):
             result = find_min_samples(model, np.array(self.THETA), self.EPS, self.DELTA,
+                                      "linf", trials=self.TRIALS, seed=seed)
+            assert len(result.probes) * self.TAIL <= 3e-3
+            misses += not m_lo <= result.m_star <= m_hi
+        assert misses <= 1
+
+
+class TestExactPoissonCurve:
+    """The search against the exact linf success curve of the scalar-search
+    Poisson config: truncation 20, theta = 1, eps = 0.05, delta = 0.1.
+
+    The MLE rises with the sample mean, so success is a window on the sum S
+    of the M draws (oracles.poisson_window), scored through the model's own
+    mle_batch as the search scores it; S's pmf is the M-fold convolution of
+    the 21-point pmf.  Like the Bernoulli curve it dips below 1 - delta
+    after its first crossing.
+    """
+
+    THETA, EPS, DELTA, TRIALS, TAIL = 1.0, 0.05, 0.1, 2000, 1e-4
+
+    def test_sum_pmf_against_scipy(self):
+        # the truncation mass at K = 20, theta = 1 is about 1e-20, so S is
+        # Poisson(M theta) far below the FFT's rounding
+        from scipy.stats import poisson
+
+        model = PoissonTruncatedModel(20)
+        for m in (1, 7, 100, 1081, 13161):
+            pmf = poisson_sum_pmf(model, self.THETA, m)
+            assert pmf.size == 20 * m + 1
+            want = poisson(m * self.THETA).pmf(np.arange(pmf.size))
+            assert np.abs(pmf - want).max() <= 1e-12, m
+
+    def test_window_is_the_search_scoring(self):
+        # every sum S of M samples, as a count row with that sum, through the
+        # model's MLE and the search's float comparison
+        model = PoissonTruncatedModel(20)
+        for eps in (self.EPS, 0.3, 0.0123):
+            for m in (1, 2, 7, 20, 99, 260, 1081):
+                sums = np.arange(20 * m + 1)
+                q, r = np.divmod(sums, m)
+                counts = np.zeros((sums.size, 21))
+                counts[sums, q] = m - r
+                counts[sums[r > 0], q[r > 0] + 1] = r[r > 0]
+                hits = np.flatnonzero(np.abs(model.mle_batch(counts)[:, 0] - self.THETA) <= eps)
+                lo, hi = poisson_window(model, self.THETA, m, eps)
+                assert list(hits) == list(range(lo, hi + 1)), (eps, m)
+
+    def test_search_lands_in_the_wilson_window(self):
+        # As in TestExactMultinomialCurve: scan P_M up to m_far, past which
+        # Bernstein's inequality for draws k in [0, K] of variance var,
+        # Pr[|S/M - E k| >= t] <= 2 exp(-M t^2 / (2 var + 2 K t / 3)), at
+        # t = eps (the window's ends lie eps from E k = theta, to about 1e-19)
+        # has every probe pass with probability at least 1 - TAIL.  The scan
+        # takes the convolution a factor at a time; the FFT checks it.
+        model = PoissonTruncatedModel(20)
+        target = 1.0 - self.DELTA
+        s_pass = next(s for s in range(self.TRIALS + 1)
+                      if wilson_interval(s, self.TRIALS)[0] >= target)
+        p_safe = next(p for p in np.linspace(target, 1.0, 10001)
+                      if binomial_tail(s_pass, self.TRIALS, p) >= 1.0 - self.TAIL)
+        p, ks = model.probs(np.array([self.THETA])), np.arange(21)
+        var = p @ (ks - p @ ks) ** 2
+        m_far = math.ceil(math.log(2.0 / (1.0 - p_safe))
+                          * (2.0 * var + 2.0 * 20 * self.EPS / 3.0) / self.EPS**2)
+        curve = poisson_linf_curve(model, self.THETA, self.EPS, m_far)
+        for m in (1, 50, 1081, m_far):
+            assert curve[m - 1] == pytest.approx(
+                poisson_linf_success(model, self.THETA, m, self.EPS), abs=1e-12)
+        first = 1 + int(np.argmax(curve >= target))
+        last_dip = 1 + int(np.flatnonzero(curve < target)[-1])
+        assert (first, last_dip) == (1081, 1100)
+        passes = [binomial_tail(s_pass, self.TRIALS, q) for q in curve]
+        m_lo = next(m for m, q in enumerate(passes, start=1) if q >= self.TAIL)
+        m_hi = 1 + max(m for m, q in enumerate(passes, start=1) if 1.0 - q > self.TAIL)
+        assert (m_lo, m_hi) == (1001, 1361)
+        misses = 0
+        for seed in range(12):
+            result = find_min_samples(model, np.array([self.THETA]), self.EPS, self.DELTA,
                                       "linf", trials=self.TRIALS, seed=seed)
             assert len(result.probes) * self.TAIL <= 3e-3
             misses += not m_lo <= result.m_star <= m_hi
@@ -1075,6 +1175,26 @@ class TestExactSandwichAlongDelta:
         curve = bernoulli_linf_curve(0.5, eps, hoeffding_reach(eps, delta, 1))
         self.assert_scanned_sandwich(bernoulli_model(), np.array([0.5]), eps, delta,
                                      curve, curve)
+
+    @pytest.mark.parametrize("delta, m_star", zip(DELTAS, [1081, 2661, 6061, 13161]))
+    def test_poisson(self, delta, m_star):
+        # the scalar-search point, truncation 20 at theta = 1.  m_star is where
+        # a bisection of the exact curve lands, a passing M, since the curve
+        # dips on the lattice; every M below the lower bound fails, so the
+        # lower bound is also below the first crossing
+        eps, model = 0.05, PoissonTruncatedModel(20)
+
+        def curve(m):
+            return poisson_linf_success(model, 1.0, m, eps)
+
+        assert first_crossing(curve, 1.0 - delta, hi=2**15) == m_star
+        assert curve(m_star) >= 1.0 - delta
+        coeffs = bounds.estimate_coefficients(model, np.array([1.0]), eps)
+        lower = bounds.lower_bound(eps, delta, coeffs, "linf")
+        upper = bounds.upper_bound(eps, delta, coeffs, "linf")
+        assert lower.value <= m_star
+        assert all(curve(m) < 1.0 - delta for m in range(1, math.ceil(lower.value)))
+        assert upper.applicable and m_star <= upper.value, (m_star, upper)
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_multinomial(self, delta):

@@ -374,13 +374,14 @@ class TestClassicalModels:
         p = model.probs(point)
         grid = np.linspace(theta - 0.5, theta + 0.5, 20001)
         sup = poisson_half_d3logp(poisson_log_factorials(truncation), grid).max(axis=0)
-        mu_r, _ = model.outcome_moments(point, fim(model, point), [0.5])[3][0.5]
+        mu_r, _ = model.outcome_moments(point, p, fim(model, point), [0.5])[3][0.5]
         assert p @ sup <= mu_r <= cap * (p @ sup)
 
     def test_poisson_envelope_moments_infinite_where_the_ball_reaches_zero(self):
         model = PoissonTruncatedModel(20)
         point = np.array([1.0])
-        envelopes = model.outcome_moments(point, fim(model, point), [1.0, 0.99])[3]
+        envelopes = model.outcome_moments(point, model.probs(point), fim(model, point),
+                                          [1.0, 0.99])[3]
         assert envelopes[1.0] == (math.inf, math.inf)
         assert all(math.isfinite(v) for v in envelopes[0.99])
 
@@ -388,7 +389,8 @@ class TestClassicalModels:
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
         model = GaussianKnownCovModel(cov)
         np.testing.assert_allclose(
-            model.analytic_fisher(np.zeros(2)), np.linalg.inv(cov), atol=1e-12
+            model.analytic_fisher(np.zeros(2), model.probs(np.zeros(2))), np.linalg.inv(cov),
+            atol=1e-12
         )
 
 
@@ -482,7 +484,8 @@ class TestSampling:
         # every shot lands on the identity outcome, whose MLE is lam = 1
         model = entangled_pauli_model(1)
         rng = np.random.default_rng(0)
-        estimates = model.estimate_batch(np.array([1.0, 1.0, 1.0]) - 1e-13, 1, rng, 5)
+        theta = np.array([1.0, 1.0, 1.0]) - 1e-13
+        estimates = model.estimate_batch(theta, model.probs(theta), 1, rng, 5)
         assert np.array_equal(estimates, np.ones((5, 3)))
 
     def test_counts_near_uniform_within_five_sigma(self):
@@ -490,7 +493,7 @@ class TestSampling:
         model = entangled_pauli_model(1)
         rng = np.random.default_rng(123)
         m = 40000
-        estimates = model.estimate_batch(np.zeros(3), m, rng, 20)
+        estimates = model.estimate_batch(np.zeros(3), model.probs(np.zeros(3)), m, rng, 20)
         assert np.abs(estimates).max() <= 5 / math.sqrt(m)
         # each estimate is the WHT of the frequencies of m shots
         counts = m * np.array([model.probs(row) for row in estimates])
@@ -498,8 +501,9 @@ class TestSampling:
 
     def test_seed_reproducibility(self):
         model = entangled_pauli_model(1)
-        a = model.estimate_batch(np.zeros(3), 500, np.random.default_rng(42), 8)
-        b = model.estimate_batch(np.zeros(3), 500, np.random.default_rng(42), 8)
+        p = model.probs(np.zeros(3))
+        a = model.estimate_batch(np.zeros(3), p, 500, np.random.default_rng(42), 8)
+        b = model.estimate_batch(np.zeros(3), p, 500, np.random.default_rng(42), 8)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("case", range(9))
@@ -517,9 +521,10 @@ class TestSampling:
         def stream():
             return np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
 
-        at_once = model.estimate_batch(theta, m, stream(), TRIAL_BLOCK)
+        p = model.probs(theta)
+        at_once = model.estimate_batch(theta, p, m, stream(), TRIAL_BLOCK)
         rng = stream()
-        pieces = [model.estimate_batch(theta, m, rng, rows) for rows in (1, 7, 100, 404)]
+        pieces = [model.estimate_batch(theta, p, m, rng, rows) for rows in (1, 7, 100, 404)]
         assert np.array_equal(np.concatenate(pieces), at_once)
 
     def test_sample_size_precondition(self):
@@ -534,7 +539,8 @@ class TestGaussianModel:
     def test_sample_mean_distribution(self):
         model = GaussianKnownCovModel(np.diag([4.0, 1.0]))
         rng = np.random.default_rng(11)
-        means = model.estimate_batch(np.array([1.0, -2.0]), m=100, rng=rng, trials=4000)
+        theta = np.array([1.0, -2.0])
+        means = model.estimate_batch(theta, model.probs(theta), m=100, rng=rng, trials=4000)
         np.testing.assert_allclose(means.mean(axis=0), [1.0, -2.0], atol=0.01 * 5)
         np.testing.assert_allclose(
             means.var(axis=0), [0.04, 0.01], rtol=0.2
@@ -545,7 +551,8 @@ class TestGaussianModel:
         cov = np.array([[4.0, 1.0], [1.0, 1.0]])
         model = GaussianKnownCovModel(cov)
         f = fim(model, np.zeros(2))
-        v_h, rho_diag, rho_top, envelopes = model.outcome_moments(np.zeros(2), f, [0.1, 0.2])
+        v_h, rho_diag, rho_top, envelopes = model.outcome_moments(
+            np.zeros(2), model.probs(np.zeros(2)), f, [0.1, 0.2])
         assert envelopes == {0.1: (0.0, 0.0), 0.2: (0.0, 0.0)}
         assert v_h == 0.0
         scale = 2.0 * math.sqrt(2.0 / math.pi)
@@ -553,9 +560,12 @@ class TestGaussianModel:
         lam_max = np.linalg.eigvalsh(cov)[-1]
         assert rho_top == pytest.approx(scale * lam_max**1.5, rel=1e-12)
 
-    def test_probs_raises(self):
-        with pytest.raises(ValueError):
-            GaussianKnownCovModel(np.eye(2)).probs(np.zeros(2))
+    def test_probs_is_empty_inside_and_raises_outside(self):
+        # continuous outcomes: K = 0, and probs is still the domain check
+        model = GaussianKnownCovModel(np.eye(2))
+        assert model.probs(np.array([1e300, -2.0])).shape == (0,)
+        with pytest.raises(DomainError, match="gaussian-known-var: parameter"):
+            model.probs(np.array([np.nan, 0.0]))
 
     def test_domain_excludes_non_finite_theta(self):
         model = GaussianKnownCovModel(np.eye(2))
@@ -588,7 +598,7 @@ class TestModelIdentity:
 
 # Input refusals: (call, message)
 MODEL_REFUSALS = {
-    "theta-length": (lambda: bernoulli_model().validate_theta([0.2, 0.3]),
+    "theta-length": (lambda: bernoulli_model().probs([0.2, 0.3]),
                      "bernoulli: expected parameter vector of length 1, got shape (2,)"),
     "probe-identity": (lambda: separable_pauli_model(1, [0.5, 1.0, 0.0, 0.0]),
                        "identity component of the probe must be 1"),

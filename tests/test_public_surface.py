@@ -174,3 +174,26 @@ def test_cli_runs_every_search_from_one_function():
                for statement in _trees()["cli"].body
                if "find_min_samples" in reads(statement)]
     assert callers == ["_search"]
+
+
+# probs is the one gate: it checks a parameter point and forms its
+# distribution, and the layers above it read that p instead of checking the
+# point again.
+GATED_LAYERS = ("fisher", "bounds", "mle_lab")
+# The model methods that take p = probs(theta) as an argument.
+P_READERS = ("analytic_fisher", "outcome_moments", "estimate_batch")
+
+
+def test_layers_check_a_point_only_through_probs():
+    trees = _trees()
+    assert [module for module in GATED_LAYERS
+            if "validate_theta" in _references(trees[module])] == []
+
+
+def test_methods_given_p_form_none():
+    offenders = []
+    for node in ast.walk(_trees()["models"]):
+        if isinstance(node, ast.FunctionDef) and node.name in P_READERS:
+            offenders += [f"{node.name} line {inner.lineno}" for inner in ast.walk(node)
+                          if isinstance(inner, ast.Attribute) and inner.attr == "probs"]
+    assert not offenders, offenders
