@@ -303,6 +303,8 @@ def lower_bound(
     _check_norm(norm)
     if norm == "linf":
         d, sigmas, rhos = coeffs.d, coeffs.sigma_diag, coeffs.rho_diag
+        if a is not None and not 0 <= a < d:
+            raise ValueError(f"coordinate a={a!r} outside [0, {d})")
     elif a is not None:
         raise ValueError(f"a single coordinate a={a!r} applies only to the 'linf' bound")
     else:

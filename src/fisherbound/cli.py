@@ -22,7 +22,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__, bounds, fisher, mle_lab, models, pauli, verify
+from . import __version__, bounds, fisher, mle_lab, models, pauli, special_functions, verify
 
 __all__ = ["ConfigError", "main", "run_command"]
 
@@ -65,7 +65,7 @@ FIELDS = {
     "seed": (0, "int", _EVERY),
     "m_max": (2**22, "int", _EVERY),
     "resolution": (1, "int", _EVERY),
-    "be_constant": (0.4748, "number", _EVERY),
+    "be_constant": (special_functions.BERRY_ESSEEN_CONSTANT, "number", _EVERY),
     "format": ("csv", "string", _EVERY),
     "out": (None, "string", _EVERY),
     "preset": ("depolarizing", "string", _EVERY),
@@ -79,7 +79,7 @@ FIELDS = {
     "n_min": (1, "int", ("separation",)),
     "n_max": (8, "int", ("separation",)),
     "simulate_upto": (0, "int", ("separation",)),
-    "wilson_level": (0.95, "number", ()),
+    "wilson_level": (mle_lab.WILSON_LEVEL, "number", ()),
     "inject_fault": (None, "string", ("verify",)),
 }
 DEFAULTS = {key: default for key, (default, _, _) in FIELDS.items()}

@@ -143,10 +143,10 @@ def _hits(model, theta, p, m, eps, norm, rng, rows):
 
 
 def success_probability(
-    model, theta, m, eps, norm, trials, seed, level=WILSON_LEVEL, context=0,
+    model, theta, p, m, eps, norm, trials, seed, level=WILSON_LEVEL, context=0,
     target=None,
 ) -> SuccessEstimate:
-    """Empirical Pr[error <= eps] with a Wilson score interval.
+    """Empirical Pr[error <= eps] with a Wilson score interval; p is probs(theta).
 
     Trials run in fixed blocks, in block order on the calling thread, each
     block on its own pre-assigned stream.  With a target, the probe stops
@@ -166,7 +166,6 @@ def success_probability(
         raise ValueError("trials must be >= 1")
     _check_norm(norm)
     check_draws(model, trials)
-    p = model.probs(theta)
 
     # failures at which the probe fails however the remaining trials turn
     # out; with no target, more than can happen
@@ -266,12 +265,13 @@ def find_min_samples(
         raise ValueError(f"trials={trials} cannot certify success probability 1 - delta at "
                          f"delta={delta!r}: the Wilson level {level} needs at least "
                          f"{least} trials")
+    p = model.probs(theta)
     probes = {}
 
     def probe(m, index):
         if m not in probes:
             probes[m] = success_probability(
-                model, theta, m, eps, norm, trials, seed, level, context=index,
+                model, theta, p, m, eps, norm, trials, seed, level, context=index,
                 target=None if m >= m_max else target,
             )
         return probes[m]

@@ -111,8 +111,8 @@ class StatModel:
         """The K outcome probabilities at theta; DomainError outside the domain."""
         raise NotImplementedError
 
-    def dlogp(self, theta: np.ndarray, p=None) -> np.ndarray:
-        """(K, d) score per outcome; p, when given, is probs(theta)."""
+    def dlogp(self, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """(K, d) score per outcome; p is probs(theta)."""
         raise NotImplementedError
 
     def third_derivative_envelope(self, theta, radius, p):
@@ -232,9 +232,7 @@ class LinearOutcomeModel(StatModel):
             raise self._domain_error(theta)
         return p
 
-    def dlogp(self, theta, p=None):
-        if p is None:
-            p = self.probs(theta)
+    def dlogp(self, theta, p):
         return self.A / p[:, None]
 
     def analytic_fisher(self, theta, p):
@@ -487,10 +485,13 @@ class PoissonTruncatedModel(StatModel):
         weights = self._weights(theta)[0]
         return weights / weights.sum()
 
-    def dlogp(self, theta, p=None):
+    def dlogp(self, theta, p):
         """(K, 1) score k/theta - Z_1/Z_0, finite also where p_k underflows to
         0, with Z_1 the sum of the weights below the top one and Z_0 = Z_1 +
-        w_K, so that Z_1/Z_0 is exactly 1 where w_K rounds away."""
+        w_K, so that Z_1/Z_0 is exactly 1 where w_K rounds away.  p is not
+        read: 1 - p_K loses F once theta >> K (0.14 relative error at theta =
+        1e12, K = 20), and P_1/(P_1 + p_K), P_1 = sum_{k<K} p_k, is 9.1e-17
+        off Z_1/Z_0 at theta = 5.72, above float64 partial sums' 2.0e-17."""
         weights = self._weights(np.asarray(theta, dtype=float))[0]
         z1 = weights[:-1].sum()
         return (self._ks / theta[0] - z1 / (z1 + weights[-1]))[:, None]

@@ -167,7 +167,7 @@ def _check_model_identities(rng):
         p = model.probs(theta)
         assert abs(p.sum() - 1.0) <= 1e-10, f"{model.scheme}: sum p = {p.sum()}"
         assert np.all(p >= 0.0), f"{model.scheme}: negative probability"
-        score = model.dlogp(theta)
+        score = model.dlogp(theta, p)
         mean_score = p @ score
         assert np.abs(mean_score).max() <= 1e-8, f"{model.scheme}: E[score] != 0"
         outer = np.einsum("k,ki,kj->ij", p, score, score)
@@ -180,9 +180,10 @@ def _check_model_derivatives(rng):
     h, h3 = 1e-5, 1e-3
     for model, theta in _model_zoo(rng):
         p = model.probs(theta)
-        score = model.dlogp(theta)
+        score = model.dlogp(theta, p)
         info = model.analytic_fisher(theta, p)
         logp = lambda t: np.log(model.probs(t))
+        dlogp = lambda t: model.dlogp(t, model.probs(t))
         for _ in range(3):
             i = int(rng.integers(model.d))
             e = np.zeros(model.d)
@@ -190,7 +191,7 @@ def _check_model_derivatives(rng):
             fd_grad = (logp(theta + e) - logp(theta - e)) / (2 * h)
             err = np.abs(fd_grad - score[:, i]).max()
             assert err <= 1e-5, f"{model.scheme}: dlogp mismatch {err:.2e}"
-            fd_hess = (model.dlogp(theta + e) - model.dlogp(theta - e)) / (2 * h)
+            fd_hess = (dlogp(theta + e) - dlogp(theta - e)) / (2 * h)
             err = np.abs(p @ fd_hess + info[:, i]).max()
             assert err <= 1e-4, f"{model.scheme}: analytic_fisher mismatch {err:.2e}"
         # The second difference of the score along a unit u over steps of h3
@@ -202,7 +203,7 @@ def _check_model_derivatives(rng):
         envelope = model.third_derivative_envelope(theta, h3, p)
         for x, g in enumerate(score):
             u = g / np.linalg.norm(g)
-            along = [model.dlogp(theta + step * u)[x] @ u for step in (-h3, 0.0, h3)]
+            along = [dlogp(theta + step * u)[x] @ u for step in (-h3, 0.0, h3)]
             half_third = 0.5 * abs(along[0] - 2.0 * along[1] + along[2]) / h3**2
             rounding = 1e-12 * max(map(abs, along)) / h3**2
             assert half_third <= envelope[x] + rounding, (

@@ -524,7 +524,7 @@ def d2logp(model, theta):
         t = np.asarray(theta, dtype=float)[0]
         l2 = poisson_logz_closed_forms(model, t)[0]
         return (-np.arange(model.K) / t**2 - l2).reshape(model.K, 1, 1)
-    g = model.dlogp(theta)
+    g = model.dlogp(theta, model.probs(theta))
     return -np.einsum("ki,kj->kij", g, g)
 
 
@@ -536,7 +536,7 @@ def d3logp(model, theta):
         t = np.asarray(theta, dtype=float)[0]
         l3 = poisson_logz_closed_forms(model, t)[1]
         return (2.0 * np.arange(model.K) / t**3 - l3).reshape(model.K, 1, 1, 1)
-    g = model.dlogp(theta)
+    g = model.dlogp(theta, model.probs(theta))
     return 2.0 * np.einsum("ki,kj,kl->kijl", g, g, g)
 
 

@@ -121,6 +121,14 @@ class TestLowerLinf:
             single = lower_bound(0.01, 0.1, coeffs, "linf", a=a)
             assert best.value >= single.value - 1e-12
 
+    @pytest.mark.parametrize("a", [-1, 3])
+    def test_coordinate_outside_the_parameters_is_refused(self, a):
+        # a = -1 would read the last coordinate's sigma, a = 3 past the end
+        coeffs = dataclasses.replace(idealized_coefficients(3),
+                                     sigma_diag=np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(ValueError, match=rf"coordinate a={a} outside \[0, 3\)"):
+            lower_bound(0.01, 0.1, coeffs, "linf", a=a)
+
     def test_vacuous_regime_floors_at_one(self):
         coeffs = idealized_coefficients(2)
         result = lower_bound(10.0, 0.5, coeffs, "linf")
@@ -324,7 +332,8 @@ class TestEstimateCoefficients:
         pinv = f.pinv
         top_value, top_vectors = np.linalg.eigh(pinv)
         top = top_vectors[:, -1]
-        oracle = model.probs(theta) @ np.abs(model.dlogp(theta) @ pinv @ top) ** 3
+        p = model.probs(theta)
+        oracle = p @ np.abs(model.dlogp(theta, p) @ pinv @ top) ** 3
         assert coeffs.opnorm_inv == pytest.approx(top_value[-1], rel=1e-12)
         assert coeffs.rho_top == pytest.approx(oracle, rel=1e-12)
         assert coeffs.rho_top > 0.0

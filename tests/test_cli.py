@@ -782,7 +782,7 @@ def _fail(*args, **kwargs):
 # each Monte Carlo search entry point, called on a poisson model at theta = 1
 LIBRARY_SEARCHES = {
     "success_probability": lambda model: mle_lab.success_probability(
-        model, [1.0], 10, 0.3, "linf", trials=2000, seed=0),
+        model, [1.0], model.probs([1.0]), 10, 0.3, "linf", trials=2000, seed=0),
     "find_min_samples": lambda model: mle_lab.find_min_samples(
         model, [1.0], 0.3, 0.1, "linf", trials=2000, seed=0),
 }

@@ -182,18 +182,21 @@ class TestRunTrial:
     def test_deterministic_model_always_succeeds(self):
         model = entangled_pauli_model(1)
         theta = np.array([1.0, 1.0, 1.0]) - 1e-13
-        est = success_probability(model, theta, 20, 1e-6, "l2", trials=50, seed=0)
+        est = success_probability(model, theta, model.probs(theta), 20, 1e-6, "l2", trials=50,
+                                  seed=0)
         assert est.rate == 1.0
 
     def test_infinite_eps_sentinel(self):
-        est = success_probability(bernoulli_model(), np.array([0.5]), 3, math.inf,
+        model, theta = bernoulli_model(), np.array([0.5])
+        est = success_probability(model, theta, model.probs(theta), 3, math.inf,
                                   "linf", trials=50, seed=1)
         assert est.rate == 1.0
 
     def test_reproducible_verdict(self):
         model = entangled_pauli_model(1)
         runs = [
-            success_probability(model, np.zeros(3), 100, 0.3, "linf", trials=600, seed=7)
+            success_probability(model, np.zeros(3), model.probs(np.zeros(3)), 100, 0.3,
+                                "linf", trials=600, seed=7)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -201,7 +204,8 @@ class TestRunTrial:
     def test_error_norms_consistent(self):
         # the Euclidean error is never below the max-norm error
         model = multinomial_model(3)
-        args = (np.full(3, 0.25), 50, 0.1)
+        theta = np.full(3, 0.25)
+        args = (theta, model.probs(theta), 50, 0.1)
         l2 = success_probability(model, *args, "l2", trials=600, seed=5)
         linf = success_probability(model, *args, "linf", trials=600, seed=5)
         assert 0 < l2.successes <= linf.successes < 600
@@ -211,34 +215,39 @@ class TestSuccessProbability:
     def test_deterministic_rate_one(self):
         model = entangled_pauli_model(1)
         theta = np.array([1.0, 1.0, 1.0]) - 1e-13
-        est = success_probability(model, theta, 5, 0.1, "linf", trials=200, seed=0)
+        est = success_probability(model, theta, model.probs(theta), 5, 0.1, "linf",
+                                  trials=200, seed=0)
         assert est.rate == 1.0
         assert est.wilson_lo < 1.0 <= est.wilson_hi
 
     def test_trials_precondition(self):
         with pytest.raises(ValueError):
-            success_probability(bernoulli_model(), np.array([0.5]), 5, 0.1, "linf",
+            model, theta = bernoulli_model(), np.array([0.5])
+            success_probability(model, theta, model.probs(theta), 5, 0.1, "linf",
                                 trials=0, seed=0)
 
     def test_two_seeds_are_statistically_compatible(self):
         model = entangled_pauli_model(1)
-        a = success_probability(model, np.zeros(3), 200, 0.5, "linf", 2000, seed=1)
-        b = success_probability(model, np.zeros(3), 200, 0.5, "linf", 2000, seed=2)
+        p = model.probs(np.zeros(3))
+        a = success_probability(model, np.zeros(3), p, 200, 0.5, "linf", 2000, seed=1)
+        b = success_probability(model, np.zeros(3), p, 200, 0.5, "linf", 2000, seed=2)
         assert a.wilson_lo <= b.wilson_hi and b.wilson_lo <= a.wilson_hi
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
         model = entangled_pauli_model(1)
-        kwargs = dict(m=64, eps=0.3, norm="linf", trials=1500, seed=9)
+        kwargs = dict(p=model.probs(np.zeros(3)), m=64, eps=0.3, norm="linf", trials=1500,
+                      seed=9)
         monkeypatch.setenv("FISHERBOUND_THREADS", "1")
         serial = success_probability(model, np.zeros(3), **kwargs)
         monkeypatch.setenv("FISHERBOUND_THREADS", "4")
         parallel = success_probability(model, np.zeros(3), **kwargs)
         assert serial == parallel
 
-    def test_probe_forms_its_probabilities_once(self, formations, monkeypatch):
+    def test_probe_given_p_forms_none(self, formations, monkeypatch):
         # a probe with a target draws its blocks in pieces, every piece at
-        # the one p that probs formed
+        # the p its caller formed
         model = entangled_pauli_model(2)
+        p = model.probs(np.zeros(15))
         formed = formations(model)
         pieces = []
         real = model.estimate_batch
@@ -248,9 +257,17 @@ class TestSuccessProbability:
             return real(*args)
 
         monkeypatch.setattr(model, "estimate_batch", counted)
-        success_probability(model, np.zeros(15), 20000, 0.02, "linf", 2000, seed=3,
+        success_probability(model, np.zeros(15), p, 20000, 0.02, "linf", 2000, seed=3,
                             target=0.9)
         assert len(pieces) > 1
+        assert formed == []
+
+    def test_search_forms_its_probabilities_once(self, formations):
+        # find_min_samples forms p before its first probe, and every probe reads it
+        model = entangled_pauli_model(2)
+        formed = formations(model)
+        result = find_min_samples(model, np.zeros(15), 0.3, 0.1, "linf", trials=600, seed=1)
+        assert len(result.probes) > 1
         assert formed == ["probs"]
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
@@ -272,7 +289,7 @@ class TestSuccessProbability:
                 err_linf, err_l2 = np.abs(diff).max(axis=1), np.linalg.norm(diff, axis=1)
                 error = err_linf if norm == "linf" else err_l2
                 expected += int((error <= eps).sum())
-            got = success_probability(model, theta, m, eps, norm, 1100, seed=4,
+            got = success_probability(model, theta, p, m, eps, norm, 1100, seed=4,
                                       context=2)
             assert got.successes == expected
 
@@ -390,8 +407,8 @@ SEARCH_REFUSALS = {
                         "resolution must be >= 1"),
     "find-norm": (lambda m: find_min_samples(m, [0.5], 0.2, 0.1, "inf", trials=300),
                   "norm must be one of ('linf', 'l2'), got 'inf'"),
-    "success-norm": (lambda m: success_probability(m, [0.5], 16, 0.2, "Linf", trials=300,
-                                                   seed=0),
+    "success-norm": (lambda m: success_probability(m, [0.5], m.probs([0.5]), 16, 0.2, "Linf",
+                                                   trials=300, seed=0),
                      "norm must be one of ('linf', 'l2'), got 'Linf'"),
     "wilson-trials": (lambda m: wilson_interval(0, 0), "trials must be >= 1"),
 }
@@ -434,8 +451,10 @@ class TestCurtailedSearch:
 
     @staticmethod
     def _full(model, theta, eps, delta, norm, trials, seed, **kwargs):
+        p = model.probs(theta)
+
         def probe(m, context):
-            return success_probability(model, theta, m, eps, norm, trials, seed,
+            return success_probability(model, theta, p, m, eps, norm, trials, seed,
                                        context=context)
 
         return find_min_samples_full(probe, 1.0 - delta, **kwargs)
@@ -486,7 +505,8 @@ class TestCurtailedSearch:
         model = bernoulli_model()
         theta = np.array([0.5])
         kwargs = dict(m=40, eps=0.1, norm="linf", trials=self.TRIALS, seed=3)
-        full = success_probability(model, theta, **kwargs)
+        p = model.probs(theta)
+        full = success_probability(model, theta, p, **kwargs)
         assert full.trials == self.TRIALS and 0.7 < full.rate < 0.9
         hits = replay_hits(model, theta, context=0, **kwargs)
         assert hits.sum() == full.successes
@@ -514,9 +534,9 @@ class TestCurtailedSearch:
         r = certain_failure(above)
         assert r <= 512 and not hits[r - 1] and hits[r:512].all()
         # a probe that passes runs every trial
-        assert success_probability(model, theta, target=full.wilson_lo, **kwargs) == full
+        assert success_probability(model, theta, p, target=full.wilson_lo, **kwargs) == full
         for target in (edge, above, full.wilson_lo + 1e-9, 0.85, 0.9, 0.99, 1.0):
-            stopped = success_probability(model, theta, target=target, **kwargs)
+            stopped = success_probability(model, theta, p, target=target, **kwargs)
             # the estimate of the trials up to the one that made failure certain
             assert stopped == first_rows(certain_failure(target))
             assert stopped.wilson_lo < target

@@ -318,7 +318,8 @@ class TestClassicalModels:
         log_factorials = poisson_log_factorials(truncation)
         for theta in np.geomspace(0.05, 10.0 * truncation, 15):
             want = poisson_logz_mp(truncation, float(theta), dps)
-            got = (-model.dlogp(np.array([theta]))[0, 0],
+            point = np.array([theta])
+            got = (-model.dlogp(point, model.probs(point))[0, 0],
                    *poisson_logz_closed_forms(model, theta))
             old = poisson_logz_partial_sums(log_factorials, float(theta))
             for order, (g, o, w) in enumerate(zip(got, old, want), start=1):
@@ -406,14 +407,14 @@ class TestSharedIdentities:
                              ids=lambda v: getattr(v, "scheme", None) or "theta")
     def test_score_identity(self, model, theta):
         p = model.probs(theta)
-        score = model.dlogp(theta)
+        score = model.dlogp(theta, p)
         assert np.abs(p @ score).max() <= 1e-8
 
     @pytest.mark.parametrize("model,theta", interior_zoo(),
                              ids=lambda v: getattr(v, "scheme", None) or "theta")
     def test_information_identity(self, model, theta):
         p = model.probs(theta)
-        score = model.dlogp(theta)
+        score = model.dlogp(theta, p)
         outer = np.einsum("k,ki,kj->ij", p, score, score)
         hessian = np.einsum("k,kij->ij", p, d2logp(model, theta))
         assert np.abs(outer + hessian).max() <= 1e-8
@@ -422,12 +423,16 @@ class TestSharedIdentities:
                              ids=lambda v: getattr(v, "scheme", None) or "theta")
     def test_derivatives_match_finite_differences(self, model, theta):
         h = 1e-5
+
+        def score(t):
+            return model.dlogp(t, model.probs(t))
+
         for i in range(model.d):
             e = np.zeros(model.d)
             e[i] = h
             fd = (np.log(model.probs(theta + e)) - np.log(model.probs(theta - e))) / (2 * h)
-            np.testing.assert_allclose(fd, model.dlogp(theta)[:, i], atol=1e-6, rtol=1e-6)
-            fd2 = (model.dlogp(theta + e) - model.dlogp(theta - e)) / (2 * h)
+            np.testing.assert_allclose(fd, score(theta)[:, i], atol=1e-6, rtol=1e-6)
+            fd2 = (score(theta + e) - score(theta - e)) / (2 * h)
             np.testing.assert_allclose(
                 fd2, d2logp(model, theta)[:, :, i], atol=1e-5, rtol=1e-5
             )
@@ -468,10 +473,12 @@ class TestSharedIdentities:
         for _ in range(50):
             step = rng.standard_normal(3)
             step *= radius * rng.uniform() / np.linalg.norm(step)
-            tensors = d3logp(model, theta + step)
+            point = theta + step
+            tensors = d3logp(model, point)
+            scores = model.dlogp(point, model.probs(point))
             for k in range(model.K):
                 # rank-one symmetric tensor: op norm is 2 ||g||^3 with g = A_k/p_k
-                g = model.dlogp(theta + step)[k]
+                g = scores[k]
                 opnorm = 2.0 * np.linalg.norm(g) ** 3
                 np.testing.assert_allclose(
                     np.abs(tensors[k]).max(), np.abs(g).max() ** 3 * 2.0, rtol=1e-10
@@ -530,7 +537,8 @@ class TestSampling:
     def test_sample_size_precondition(self):
         model = bernoulli_model()
         with pytest.raises(ValueError, match="sample size"):
-            success_probability(model, np.array([0.5]), 0, 0.1, "linf", trials=10, seed=0)
+            success_probability(model, np.array([0.5]), model.probs(np.array([0.5])), 0, 0.1,
+                                "linf", trials=10, seed=0)
         with pytest.raises(ValueError, match="sample size"):
             mse_vs_crb(model, np.array([0.5]), 0, trials=10, seed=0)
 

@@ -181,7 +181,7 @@ def test_cli_runs_every_search_from_one_function():
 # point again.
 GATED_LAYERS = ("fisher", "bounds", "mle_lab")
 # The model methods that take p = probs(theta) as an argument.
-P_READERS = ("analytic_fisher", "outcome_moments", "estimate_batch")
+P_READERS = ("analytic_fisher", "dlogp", "outcome_moments", "estimate_batch")
 
 
 def test_layers_check_a_point_only_through_probs():
@@ -190,10 +190,19 @@ def test_layers_check_a_point_only_through_probs():
             if "validate_theta" in _references(trees[module])] == []
 
 
+def _reads_probs(node):
+    return any(isinstance(inner, ast.Attribute) and inner.attr == "probs"
+               for inner in ast.walk(node))
+
+
 def test_methods_given_p_form_none():
-    offenders = []
-    for node in ast.walk(_trees()["models"]):
-        if isinstance(node, ast.FunctionDef) and node.name in P_READERS:
-            offenders += [f"{node.name} line {inner.lineno}" for inner in ast.walk(node)
-                          if isinstance(inner, ast.Attribute) and inner.attr == "probs"]
+    offenders = [f"{node.name} line {node.lineno}" for node in ast.walk(_trees()["models"])
+                 if isinstance(node, ast.FunctionDef) and node.name in P_READERS
+                 and _reads_probs(node)]
     assert not offenders, offenders
+
+
+def test_a_search_forms_p_once_for_all_its_probes():
+    # success_probability takes the p that find_min_samples formed
+    assert [node.name for node in _trees()["mle_lab"].body
+            if isinstance(node, ast.FunctionDef) and _reads_probs(node)] == ["find_min_samples"]
